@@ -27,12 +27,10 @@ from .errors import (
     ConfigError,
     DomainError,
     InputError,
-    ParseError,
     PyrokinError,
     RangeError,
     RankError,
     ResolutionError,
-    StabilityError,
     TrainingError,
 )
 from .kinetics import KineticModelAssumption, run_analysis
@@ -95,14 +93,13 @@ EXIT_CONFIG = 4
 
 _INPUT_ERRORS = (
     InputError,
-    ParseError,
     DomainError,
     RangeError,
     ResolutionError,
     FileNotFoundError,
     IsADirectoryError,
 )
-_NUMERIC_ERRORS = (RankError, StabilityError, BracketError, TrainingError)
+_NUMERIC_ERRORS = (RankError, BracketError, TrainingError)
 
 
 def vm_from_char(eta_pct: float) -> float:
@@ -297,7 +294,7 @@ def cmd_synth(args) -> int:
     betas = _parse_float_list(args.beta)
     if not betas:
         raise InputError("need at least one heating rate")
-    models = {name: (model, spec) for name, model, spec in suite_models(args.seed)}
+    models = {name: (model, spec) for name, model, spec in suite_models()}
     if args.preset == "blend":
         ds_model, _ = models["three-component-ds"]
         scg_model, _ = models["three-component-scg"]
@@ -336,13 +333,12 @@ def cmd_features(args) -> int:
         prepared = resample_uniform(curve, args.dt) if args.dt else curve
         cid = _curve_id(prepared)
         for row in build_features(prepared, args.mode):
-            cells = [cid, f"{row.ds_pct!r}", f"{row.scg_pct!r}",
-                     f"{row.heating_rate!r}", f"{row.temperature!r}"]
+            values = [row.ds_pct, row.scg_pct, row.heating_rate, row.temperature]
             if args.mode == MODEL2:
-                cells += [f"{row.cellulose_t!r}", f"{row.hemicellulose_t!r}",
-                          f"{row.lignin_t!r}"]
-            cells.append(f"{row.mass_pct!r}")
-            lines.append(",".join(cells))
+                values += [row.cellulose_t, row.hemicellulose_t, row.lignin_t]
+            values.append(row.mass_pct)
+            # float() first: numpy 2 scalars repr as "np.float64(...)"
+            lines.append(",".join([cid, *(repr(float(v)) for v in values)]))
     config = {"mode": args.mode, "dt": args.dt}
     out = _manifest(args, "features", args.curves, config)
     _write(out / "features.csv", "\n".join(lines) + "\n")

@@ -35,10 +35,6 @@ class RankError(PyrokinError):
     """Degenerate regression input (e.g. zero variance in the regressor)."""
 
 
-class StabilityError(PyrokinError):
-    """ODE integration step too coarse for the stiffness of the problem."""
-
-
 class BracketError(PyrokinError):
     """Root finding failed: no sign change inside the search bracket."""
 

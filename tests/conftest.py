@@ -38,7 +38,7 @@ def single_step_analysis(single_step_curves):
 
 @pytest.fixture(scope="session")
 def three_component_ds():
-    for name, model, spec in suite_models(seed=0):
+    for name, model, spec in suite_models():
         if name == "three-component-ds":
             return model, spec
     raise AssertionError("suite is missing the three-component sample")

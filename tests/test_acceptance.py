@@ -216,7 +216,7 @@ def test_c06_gradient_check():
 @pytest.fixture(scope="module")
 def generalization_run():
     t0 = time.time()
-    blends = [(n, m, s) for n, m, s in suite_models(0) if n.startswith("blend")]
+    blends = [(n, m, s) for n, m, s in suite_models() if n.startswith("blend")]
     curves = {}
     for name, model, spec in blends:
         for beta in (5.0, 10.0, 15.0, 20.0):
@@ -270,7 +270,7 @@ def test_c08_mass_balance_table():
 
 # ---------------------------------------------------------------- criterion 9
 def test_c09_determinism(tmp_path):
-    name, model, spec = suite_models(0)[0]
+    name, model, spec = suite_models()[0]
     curve_dir = tmp_path / "curves"
     curve_dir.mkdir()
     paths = []

@@ -5,15 +5,22 @@ import pytest
 from pyrokin.cli import check_mass_balance, main, vm_from_char
 from pyrokin.errors import DomainError
 from pyrokin.report import predictions_to_csv
+from pyrokin.seqmodel import MODEL2, build_features
 from pyrokin.synthkin import simulate, suite_models
-from pyrokin.tga_io import curve_to_csv, spec_to_sidecar
+from pyrokin.tga_io import (
+    curve_to_csv,
+    load_curve,
+    resample_uniform,
+    sidecar_to_spec,
+    spec_to_sidecar,
+)
 
 
 @pytest.fixture(scope="module")
 def synth_dir(tmp_path_factory):
     """Single-step fixture curves on disk at four heating rates."""
     root = tmp_path_factory.mktemp("curves")
-    name, model, spec = suite_models(0)[0]
+    name, model, spec = suite_models()[0]
     for beta in (5.0, 10.0, 15.0, 20.0):
         curve = simulate(model, beta, 0.5, spec=spec)
         (root / f"{name}_beta{beta:g}.csv").write_text(curve_to_csv(curve))
@@ -83,6 +90,17 @@ class TestSynthCommand:
         rc = main(["synth", "--preset", "nope", "--out-dir", str(tmp_path)])
         assert rc == 4
 
+    def test_reruns_are_byte_identical(self, tmp_path):
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        for out in (out1, out2):
+            rc = main(["synth", "--preset", "three-component-ds", "--beta", "5,20",
+                       "--dt", "1.0", "--out-dir", str(out)])
+            assert rc == 0
+        names = sorted(p.name for p in out1.glob("three-component-ds_beta*"))
+        assert len(names) == 4  # one .csv and one .json per heating rate
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
 
 class TestAnalyzeCommand:
     def test_recovers_ground_truth_within_one_percent(self, synth_dir, tmp_path, capsys):
@@ -138,7 +156,7 @@ class TestAnalyzeCommand:
     def test_degenerate_regression_exits_3(self, synth_dir, tmp_path, capsys):
         # identical curve data under three different claimed heating rates
         # gives zero temperature variance at every conversion level
-        name, model, spec = suite_models(0)[0]
+        name, model, spec = suite_models()[0]
         curve_text = (synth_dir / "single-step_beta10.csv").read_text()
         paths = []
         for beta in (5.0, 10.0, 20.0):
@@ -175,6 +193,14 @@ class TestThermoCommand:
         )
         assert rc == 0
 
+    def test_bad_kinetics_header_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "kinetics.csv"
+        bad.write_text("alpha,method\n0.1,friedman\n")
+        rc = main(["thermo", "--kinetics", str(bad), "--tm", "625.0",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "line 1" in capsys.readouterr().err
+
     def test_missing_peak_requires_tm(self, synth_dir, tmp_path, capsys):
         kin = tmp_path / "k"
         assert main(["analyze", *curve_paths(synth_dir), "--out-dir", str(kin)]) == 0
@@ -197,6 +223,14 @@ class TestFeatureCommand:
         lines = (tmp_path / "features.csv").read_text().strip().splitlines()
         assert lines[0].count(",") == 8  # curve_id + 7 features + target
         assert len(lines) == 1 + 601
+        path = synth_dir / "single-step_beta10.csv"
+        spec, beta = sidecar_to_spec(path.with_suffix(".json").read_text())
+        curve = resample_uniform(load_curve(path.read_text(), spec, beta), 1.0)
+        rows = build_features(curve, MODEL2)
+        assert len(rows) == len(lines) - 1
+        for line, row in zip(lines[1:], rows):
+            cells = [float(c) for c in line.split(",")[1:]]
+            assert cells == [*row.as_vector(), row.mass_pct]
 
 
 @pytest.fixture(scope="module")

@@ -78,7 +78,7 @@ class TestBuildFeatures:
         assert all(r.as_vector().shape == (7,) for r in rows)
 
     def test_fibre_features_non_increasing_along_curve(self):
-        for _, model, spec in suite_models(0):
+        for _, model, spec in suite_models():
             curve = simulate(model, 10.0, 1.0, spec=spec)
             rows = build_features(curve, MODEL2)
             for attr in ("cellulose_t", "hemicellulose_t", "lignin_t"):
