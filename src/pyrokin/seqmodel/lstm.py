@@ -6,6 +6,15 @@ from the tuning space sits on the dense output path (applied to the final
 hidden state before the linear read-out); gate nonlinearities are never
 substituted. Everything is float64 numpy so the analytic gradients can be
 verified against central finite differences.
+
+Parameters and checkpoints keep one tensor per gate (``l<k>.W<g>``,
+``l<k>.U<g>``, ``l<k>.b<g>``). The kernels concatenate them into one fused
+``W`` (in, 4H), ``U`` (H, 4H) and ``b`` (4H,) per layer, with gate columns
+ordered i, f, o, g so that the three sigmoid gates are contiguous: the input
+projection of every step is one GEMM before the recurrence, each step does
+one ``h @ U`` and one tanh over all four gates, and the weight gradients are
+GEMMs over the whole sequence (Appleyard, Kocisky & Blunsom,
+arXiv:1604.01946). Inside the kernels sequences are time-major.
 """
 
 from __future__ import annotations
@@ -17,51 +26,84 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..errors import ConfigError, InputError
-from .features import MinMaxScaler, SequenceSample
+from .features import (
+    MODEL1,
+    MODEL1_FEATURES,
+    MODEL2,
+    MODEL2_FEATURES,
+    MinMaxScaler,
+    SequenceSample,
+)
 
 if TYPE_CHECKING:
     from .training import TrainConfig
 
 GATES = ("i", "f", "g", "o")
+FUSED_GATES = ("i", "f", "o", "g")  # column blocks of the fused kernels
 
 CHECKPOINT_VERSION = 1
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+def _sigmoid_deriv(x):
+    s = _sigmoid(x)
+    return s * (1.0 - s)
 
 
 ACTIVATIONS = {
     "relu": (lambda x: np.maximum(x, 0.0), lambda x: (x > 0.0).astype(float)),
-    "sigmoid": (_sigmoid, lambda x: _sigmoid(x) * (1.0 - _sigmoid(x))),
+    "sigmoid": (_sigmoid, _sigmoid_deriv),
     "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2),
 }
 
 
-def init_params(feature_count: int, config: "TrainConfig", rng: np.random.Generator):
-    """Glorot-uniform weights, zero biases, forget-gate bias at 1."""
+def param_shapes(feature_count: int, config: "TrainConfig") -> dict:
+    """Key and shape of every parameter tensor, in initialisation order.
+
+    This is also the checkpoint's weight layout: ``l<k>.W<g>`` (in_dim,
+    hidden), ``l<k>.U<g>`` (hidden, hidden) and ``l<k>.b<g>`` (hidden,) for
+    gates g in i/f/g/o, then ``dense.w`` (hidden,) and ``dense.b`` (1,).
+    Layer 0 takes the feature count as in_dim; deeper layers the hidden size.
+    """
     hidden = config.hidden_units
-    params: dict[str, np.ndarray] = {}
+    shapes = {}
     for layer in range(config.lstm_layers):
         in_dim = feature_count if layer == 0 else hidden
         for gate in GATES:
-            bound_w = np.sqrt(6.0 / (in_dim + hidden))
-            bound_u = np.sqrt(6.0 / (hidden + hidden))
-            params[f"l{layer}.W{gate}"] = rng.uniform(-bound_w, bound_w, (in_dim, hidden))
-            params[f"l{layer}.U{gate}"] = rng.uniform(-bound_u, bound_u, (hidden, hidden))
-            bias = np.zeros(hidden)
-            if gate == "f":
-                bias[:] = 1.0
-            params[f"l{layer}.b{gate}"] = bias
-    bound_d = np.sqrt(6.0 / (hidden + 1))
-    params["dense.w"] = rng.uniform(-bound_d, bound_d, hidden)
-    params["dense.b"] = np.zeros(1)
+            shapes[f"l{layer}.W{gate}"] = (in_dim, hidden)
+            shapes[f"l{layer}.U{gate}"] = (hidden, hidden)
+            shapes[f"l{layer}.b{gate}"] = (hidden,)
+    shapes["dense.w"] = (hidden,)
+    shapes["dense.b"] = (1,)
+    return shapes
+
+
+def init_params(feature_count: int, config: "TrainConfig", rng: np.random.Generator):
+    """Glorot-uniform weights, zero biases, forget-gate bias at 1."""
+    params: dict[str, np.ndarray] = {}
+    for key, shape in param_shapes(feature_count, config).items():
+        if len(shape) == 2 or key == "dense.w":  # the read-out is a (hidden, 1) matrix
+            bound = np.sqrt(6.0 / (shape[0] + (shape[1] if len(shape) == 2 else 1)))
+            params[key] = rng.uniform(-bound, bound, shape)
+        else:
+            params[key] = np.full(shape, 1.0 if key.endswith(".bf") else 0.0)
     return params
+
+
+def _fused(params, layer):
+    """The layer's ``(W, U, b)`` with gate blocks side by side in FUSED_GATES order."""
+    return tuple(
+        np.concatenate([params[f"l{layer}.{kind}{g}"] for g in FUSED_GATES], axis=-1)
+        for kind in "WUb"
+    )
+
+
+def _gate_blocks(hidden):
+    """Column slices of the FUSED_GATES blocks in a fused (., 4H) array."""
+    return [slice(k * hidden, (k + 1) * hidden) for k in range(len(FUSED_GATES))]
 
 
 def forward_batch(params, X, config, training: bool = False,
@@ -74,50 +116,59 @@ def forward_batch(params, X, config, training: bool = False,
     """
     n, steps, _ = X.shape
     hidden = config.hidden_units
+    bi, bf, bo, bg = _gate_blocks(hidden)
+    sig = slice(0, 3 * hidden)
     use_dropout = training and config.dropout > 0.0 and config.lstm_layers > 1
     if use_dropout and rng is None:
         raise ConfigError("training-mode dropout requires an RNG")
 
     layers = []
-    layer_input = X
+    seq = X.transpose(1, 0, 2)  # every sequence below is time-major: (steps, batch, .)
     for layer in range(config.lstm_layers):
-        Wi, Wf, Wg, Wo = (params[f"l{layer}.W{g}"] for g in GATES)
-        Ui, Uf, Ug, Uo = (params[f"l{layer}.U{g}"] for g in GATES)
-        bi, bf, bg, bo = (params[f"l{layer}.b{g}"] for g in GATES)
-        i_s = np.empty((n, steps, hidden))
-        f_s = np.empty((n, steps, hidden))
-        g_s = np.empty((n, steps, hidden))
-        o_s = np.empty((n, steps, hidden))
-        c_s = np.empty((n, steps, hidden))
-        tc_s = np.empty((n, steps, hidden))
-        h_s = np.empty((n, steps, hidden))
+        W, U, b = _fused(params, layer)
+        # sigmoid(z) = 0.5 * (1 + tanh(z / 2)): halving the sigmoid columns
+        # (exact in binary floating point) lets one tanh cover all four gates
+        for m in (W, U, b):
+            m[..., sig] *= 0.5
+        # pre-activations of every step, overwritten step by step with the
+        # gate activations i, f, o (sigmoid) and g (tanh)
+        acts = (seq.reshape(steps * n, -1) @ W).reshape(steps, n, 4 * hidden)
+        acts += b
+        h_s = np.empty((steps, n, hidden))
+        if want_cache:
+            c_s = np.empty((steps, n, hidden))
+            tc_s = np.empty((steps, n, hidden))
         h = np.zeros((n, hidden))
         c = np.zeros((n, hidden))
         for t in range(steps):
-            x_t = layer_input[:, t]
-            i_t = _sigmoid(x_t @ Wi + h @ Ui + bi)
-            f_t = _sigmoid(x_t @ Wf + h @ Uf + bf)
-            g_t = np.tanh(x_t @ Wg + h @ Ug + bg)
-            o_t = _sigmoid(x_t @ Wo + h @ Uo + bo)
-            c = f_t * c + i_t * g_t
+            a = acts[t]
+            a += h @ U
+            np.tanh(a, out=a)
+            s = a[:, sig]
+            s *= 0.5
+            s += 0.5
+            i_t, f_t, o_t, g_t = a[:, bi], a[:, bf], a[:, bo], a[:, bg]
+            c = f_t * c
+            c += i_t * g_t
             tc = np.tanh(c)
-            h = o_t * tc
-            i_s[:, t], f_s[:, t], g_s[:, t], o_s[:, t] = i_t, f_t, g_t, o_t
-            c_s[:, t], tc_s[:, t], h_s[:, t] = c, tc, h
+            h = np.multiply(o_t, tc, out=h_s[t])
+            if want_cache:
+                c_s[t], tc_s[t] = c, tc
         mask = None
         output = h_s
         if use_dropout and layer < config.lstm_layers - 1:
             keep = 1.0 - config.dropout
             mask = (rng.random((n, steps, hidden)) < keep) / keep
-            output = h_s * mask
-        layers.append(
-            {"x": layer_input, "i": i_s, "f": f_s, "g": g_s, "o": o_s,
-             "c": c_s, "tc": tc_s, "h": h_s, "mask": mask}
-        )
-        layer_input = output
+            output = h_s * mask.transpose(1, 0, 2)
+        # "x" (the layer input) and "mask" are batch-major like X
+        entry = {"x": seq.transpose(1, 0, 2), "h": h_s, "mask": mask}
+        if want_cache:
+            entry.update(acts=acts, c=c_s, tc=tc_s)
+        layers.append(entry)
+        seq = output
 
     act, _ = ACTIVATIONS[config.activation]
-    h_last = layers[-1]["h"][:, -1]
+    h_last = layers[-1]["h"][-1]
     z = act(h_last)
     pred = z @ params["dense.w"] + params["dense.b"][0]
     if not want_cache:
@@ -129,16 +180,25 @@ def backward_batch(params, cache, dpred):
     """Backpropagation through time for one batch.
 
     ``dpred`` is dLoss/dprediction of shape (batch,). Returns gradients
-    keyed identically to ``params``.
+    keyed identically to ``params``; the per-gate tensors are column slices
+    of the fused gradients. The step loop carries only ``dh`` and ``dc``
+    and does one GEMM per step (the recurrent ``dpre @ U.T``); the
+    pre-activation gradients of every step are kept, so ``dW``, ``dU``,
+    ``db`` and the gradient into the layer below are each computed once
+    over the flattened (steps * batch) axis.
     """
     config = cache["config"]
     layers = cache["layers"]
     hidden = config.hidden_units
     _, act_deriv = ACTIVATIONS[config.activation]
+    blocks = _gate_blocks(hidden)
+    bi, bf, bo, bg = blocks
+    sig = slice(0, 3 * hidden)
 
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
-    grads["dense.w"] = cache["z"].T @ dpred
-    grads["dense.b"] = np.array([dpred.sum()])
+    grads = {
+        "dense.w": cache["z"].T @ dpred,
+        "dense.b": np.array([dpred.sum()]),
+    }
     dh_last = np.outer(dpred, params["dense.w"]) * act_deriv(cache["h_last"])
 
     n, steps, _ = layers[0]["x"].shape
@@ -146,50 +206,44 @@ def backward_batch(params, cache, dpred):
     for layer in reversed(range(config.lstm_layers)):
         Lc = layers[layer]
         if d_output is None:
-            dH = np.zeros((n, steps, hidden))
-            dH[:, -1] = dh_last
+            # only the last step's output reaches the head
+            dH, dh_rec = None, dh_last
         else:
-            dH = d_output
+            dH, dh_rec = d_output, np.zeros((n, hidden))
             if Lc["mask"] is not None:
-                dH = dH * Lc["mask"]
-        Wi, Wf, Wg, Wo = (params[f"l{layer}.W{g}"] for g in GATES)
-        Ui, Uf, Ug, Uo = (params[f"l{layer}.U{g}"] for g in GATES)
-        dWi, dWf, dWg, dWo = (grads[f"l{layer}.W{g}"] for g in GATES)
-        dUi, dUf, dUg, dUo = (grads[f"l{layer}.U{g}"] for g in GATES)
-        dbi, dbf, dbg, dbo = (grads[f"l{layer}.b{g}"] for g in GATES)
-        dx_seq = np.zeros_like(Lc["x"])
-        dh_rec = np.zeros((n, hidden))
+                dH = dH * Lc["mask"].transpose(1, 0, 2)
+        W, U, _ = _fused(params, layer)
+        acts, c_s, tc_s = Lc["acts"], Lc["c"], Lc["tc"]
+        dpre = np.empty((steps, n, 4 * hidden))
         dc_rec = np.zeros((n, hidden))
+        U_T = U.T
         for t in reversed(range(steps)):
-            i_t, f_t, g_t, o_t = Lc["i"][:, t], Lc["f"][:, t], Lc["g"][:, t], Lc["o"][:, t]
-            tc = Lc["tc"][:, t]
-            dh = dH[:, t] + dh_rec
-            dc = dh * o_t * (1.0 - tc**2) + dc_rec
-            c_prev = Lc["c"][:, t - 1] if t > 0 else np.zeros((n, hidden))
-            h_prev = Lc["h"][:, t - 1] if t > 0 else np.zeros((n, hidden))
-            dpre_o = dh * tc * o_t * (1.0 - o_t)
-            dpre_i = dc * g_t * i_t * (1.0 - i_t)
-            dpre_g = dc * i_t * (1.0 - g_t**2)
-            dpre_f = dc * c_prev * f_t * (1.0 - f_t)
+            a = acts[t]
+            i_t, f_t, o_t, g_t = a[:, bi], a[:, bf], a[:, bo], a[:, bg]
+            tc = tc_s[t]
+            dh = dh_rec if dH is None else dH[t] + dh_rec
+            dc = dh * o_t
+            dc *= 1.0 - tc * tc
+            dc += dc_rec
+            dp = dpre[t]
+            np.multiply(dc, g_t, out=dp[:, bi])
+            np.multiply(dc, c_s[t - 1] if t > 0 else 0.0, out=dp[:, bf])
+            np.multiply(dh, tc, out=dp[:, bo])
+            dp[:, sig] *= a[:, sig] * (1.0 - a[:, sig])
+            np.multiply(dc * i_t, 1.0 - g_t * g_t, out=dp[:, bg])
             dc_rec = dc * f_t
-            x_t = Lc["x"][:, t]
-            dWi += x_t.T @ dpre_i
-            dWf += x_t.T @ dpre_f
-            dWg += x_t.T @ dpre_g
-            dWo += x_t.T @ dpre_o
-            dUi += h_prev.T @ dpre_i
-            dUf += h_prev.T @ dpre_f
-            dUg += h_prev.T @ dpre_g
-            dUo += h_prev.T @ dpre_o
-            dbi += dpre_i.sum(axis=0)
-            dbf += dpre_f.sum(axis=0)
-            dbg += dpre_g.sum(axis=0)
-            dbo += dpre_o.sum(axis=0)
-            dx_seq[:, t] = (
-                dpre_i @ Wi.T + dpre_f @ Wf.T + dpre_g @ Wg.T + dpre_o @ Wo.T
-            )
-            dh_rec = dpre_i @ Ui.T + dpre_f @ Uf.T + dpre_g @ Ug.T + dpre_o @ Uo.T
-        d_output = dx_seq
+            dh_rec = dp @ U_T
+        flat = dpre.reshape(steps * n, 4 * hidden)
+        dW = Lc["x"].transpose(1, 0, 2).reshape(steps * n, -1).T @ flat
+        # the state before step 0 is zero, so step 0 adds nothing to dU
+        dU = Lc["h"][:-1].reshape(-1, hidden).T @ dpre[1:].reshape(-1, 4 * hidden)
+        db = flat.sum(axis=0)
+        for gate, blk in zip(FUSED_GATES, blocks):
+            grads[f"l{layer}.W{gate}"] = dW[:, blk]
+            grads[f"l{layer}.U{gate}"] = dU[:, blk]
+            grads[f"l{layer}.b{gate}"] = db[blk]
+        if layer > 0:
+            d_output = (flat @ W.T).reshape(steps, n, hidden)
     return grads
 
 
@@ -238,11 +292,9 @@ def predict_scaled(model: LstmModel, X: np.ndarray, chunk: int = 512) -> np.ndar
 def save_model(model: LstmModel) -> str:
     """Checkpoint as a self-describing JSON document.
 
-    Weights are nested row-major lists keyed ``l<k>.W<g>`` (input-to-gate,
-    shape (in_dim, hidden)), ``l<k>.U<g>`` (recurrent, (hidden, hidden)),
-    ``l<k>.b<g>`` ((hidden,)) for gates g in i/f/g/o, plus ``dense.w``
-    ((hidden,)) and ``dense.b`` ((1,)). Layer 0 input dim is the feature
-    count; deeper layers take the hidden size.
+    Weights are nested row-major lists, one per gate tensor, with the keys
+    and shapes of ``param_shapes``; the fused kernels never change this
+    layout.
     """
     doc = {
         "format_version": CHECKPOINT_VERSION,
@@ -260,24 +312,85 @@ def save_model(model: LstmModel) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _checkpoint_array(value, shape, what):
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"checkpoint {what} is not a numeric array") from None
+    if arr.shape != shape:
+        raise InputError(f"checkpoint {what} has shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise InputError(f"checkpoint {what} has non-finite values")
+    return arr
+
+
+def _checkpoint_section(doc, key, fields):
+    section = doc[key]
+    if not isinstance(section, dict):
+        raise InputError(f"checkpoint {key} must be a JSON object")
+    missing = [f for f in fields if f not in section]
+    if missing:
+        raise InputError(f"checkpoint {key} missing fields: {', '.join(missing)}")
+    return section
+
+
 def load_model(text: str) -> LstmModel:
+    """Read a ``save_model`` checkpoint.
+
+    Raises InputError for anything else: text that is not a JSON object, an
+    unsupported version, a missing section, a feature count that does not
+    fit the feature mode, or a weight or scaler array whose shape disagrees
+    with the config and feature count.
+    """
     from .training import TrainConfig
 
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"checkpoint is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InputError("checkpoint must be a JSON object")
     version = doc.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise InputError(f"unsupported checkpoint version {version!r}")
+    missing = [k for k in ("config", "scaler", "weights", "feature_mode", "feature_count")
+               if k not in doc]
+    if missing:
+        raise InputError(f"checkpoint missing fields: {', '.join(missing)}")
+    try:
+        config = TrainConfig.from_dict(doc["config"])
+    except TypeError as exc:
+        raise InputError(f"checkpoint config is malformed: {exc}") from None
+    widths = {MODEL1: len(MODEL1_FEATURES), MODEL2: len(MODEL2_FEATURES)}
+    feature_mode = doc["feature_mode"]
+    if not isinstance(feature_mode, str) or feature_mode not in widths:
+        raise InputError(f"checkpoint feature_mode {feature_mode!r} not one of {sorted(widths)}")
+    feature_count = widths[feature_mode]
+    if doc["feature_count"] != feature_count:
+        raise InputError(
+            f"checkpoint feature_count {doc['feature_count']!r} != {feature_count} "
+            f"features of {feature_mode}"
+        )
+
+    ranges = _checkpoint_section(doc, "scaler",
+                                 ("feature_min", "feature_max", "target_min", "target_max"))
     scaler = MinMaxScaler(
-        feature_min=np.array(doc["scaler"]["feature_min"], dtype=float),
-        feature_max=np.array(doc["scaler"]["feature_max"], dtype=float),
-        target_min=float(doc["scaler"]["target_min"]),
-        target_max=float(doc["scaler"]["target_max"]),
+        feature_min=_checkpoint_array(ranges["feature_min"], (feature_count,), "feature_min"),
+        feature_max=_checkpoint_array(ranges["feature_max"], (feature_count,), "feature_max"),
+        target_min=float(_checkpoint_array(ranges["target_min"], (), "target_min")),
+        target_max=float(_checkpoint_array(ranges["target_max"], (), "target_max")),
     )
-    params = {k: np.array(v, dtype=float) for k, v in doc["weights"].items()}
+    shapes = param_shapes(feature_count, config)
+    weights = _checkpoint_section(doc, "weights", shapes)
+    unexpected = sorted(set(weights) - set(shapes))
+    if unexpected:
+        raise InputError(f"checkpoint weights not in the config: {', '.join(unexpected)}")
+    params = {k: _checkpoint_array(weights[k], shape, f"weight {k}")
+              for k, shape in shapes.items()}
     return LstmModel(
         params=params,
-        config=TrainConfig.from_dict(doc["config"]),
+        config=config,
         scaler=scaler,
-        feature_mode=doc["feature_mode"],
-        feature_count=int(doc["feature_count"]),
+        feature_mode=feature_mode,
+        feature_count=feature_count,
     )

@@ -43,6 +43,10 @@ class SampleSpec:
     fc_pct: float | None = None
 
     def __post_init__(self):
+        for name in ("ds_fraction", "scg_fraction", "cellulose_pct",
+                     "hemicellulose_pct", "lignin_pct"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if abs(self.ds_fraction + self.scg_fraction - 1.0) > 1e-9:
             raise DomainError(
                 f"ds_fraction + scg_fraction must equal 1, got "
@@ -260,21 +264,33 @@ def sidecar_to_spec(text: str) -> tuple[SampleSpec, float]:
         "hemicellulose_pct",
         "lignin_pct",
     )
+    if not isinstance(doc, dict):
+        raise InputError("sidecar must be a JSON object")
     missing = [k for k in required if k not in doc]
     if missing:
         raise InputError(f"sidecar missing fields: {', '.join(missing)}")
+
+    def number(key):
+        try:
+            return float(doc[key])
+        except (TypeError, ValueError):
+            raise InputError(f"sidecar field {key} is not a number: {doc[key]!r}") from None
+
     spec = SampleSpec(
         sample_id=doc["sample_id"],
-        ds_fraction=float(doc["ds_fraction"]),
-        scg_fraction=float(doc["scg_fraction"]),
-        cellulose_pct=float(doc["cellulose_pct"]),
-        hemicellulose_pct=float(doc["hemicellulose_pct"]),
-        lignin_pct=float(doc["lignin_pct"]),
+        ds_fraction=number("ds_fraction"),
+        scg_fraction=number("scg_fraction"),
+        cellulose_pct=number("cellulose_pct"),
+        hemicellulose_pct=number("hemicellulose_pct"),
+        lignin_pct=number("lignin_pct"),
         ash_pct=doc.get("ash_pct"),
         vm_pct=doc.get("vm_pct"),
         fc_pct=doc.get("fc_pct"),
     )
-    return spec, float(doc["heating_rate_c_per_min"])
+    beta = number("heating_rate_c_per_min")
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise InputError(f"sidecar heating_rate_c_per_min must be positive, got {beta}")
+    return spec, beta
 
 
 def resample_uniform(curve: TgaCurve, dT: float) -> TgaCurve:

@@ -153,6 +153,26 @@ class TestAnalyzeCommand:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("heating_rate_c_per_min", "ten"),
+        ("heating_rate_c_per_min", None),
+        ("heating_rate_c_per_min", 0.0),
+        ("ds_fraction", [1.0]),
+        ("cellulose_pct", float("nan")),
+    ])
+    def test_bad_sidecar_field_exits_2(self, synth_dir, tmp_path, capsys, field, value):
+        bad = tmp_path / "bad.csv"
+        bad.write_text((synth_dir / "single-step_beta5.csv").read_text())
+        doc = json.loads((synth_dir / "single-step_beta5.json").read_text())
+        doc[field] = value
+        bad.with_suffix(".json").write_text(json.dumps(doc))
+        rc = main(
+            ["analyze", str(bad), *curve_paths(synth_dir, (10, 15)),
+             "--out-dir", str(tmp_path / "out")]
+        )
+        assert rc == 2
+        assert field in capsys.readouterr().err
+
     def test_degenerate_regression_exits_3(self, synth_dir, tmp_path, capsys):
         # identical curve data under three different claimed heating rates
         # gives zero temperature variance at every conversion level
@@ -282,6 +302,47 @@ class TestTrainPredictEvaluate:
 
     def test_evaluate_without_inputs_exits_2(self, tmp_path):
         assert main(["evaluate", "--out-dir", str(tmp_path)]) == 2
+
+
+def _edited(edit):
+    """A checkpoint mutation that applies ``edit`` to the parsed document."""
+    def mutate(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+    return mutate
+
+
+BAD_CHECKPOINTS = {
+    "version-only": lambda text: '{"format_version": 1}',
+    "not-json": lambda text: text[: len(text) // 2],
+    "json-list": lambda text: "[1, 2]",
+    **{f"no-{key}": _edited(lambda doc, key=key: doc.pop(key))
+       for key in ("config", "scaler", "weights", "feature_mode", "feature_count")},
+    "unknown-config-field": _edited(lambda doc: doc["config"].update(bogus=1)),
+    "mode-count-mismatch": _edited(lambda doc: doc.update(feature_mode="model1")),
+    "short-weight-row": _edited(lambda doc: doc["weights"]["l0.Wi"].pop()),
+    "wide-bias": _edited(lambda doc: doc["weights"]["l0.bf"].append(0.0)),
+    "text-weight": _edited(lambda doc: doc["weights"].update({"dense.b": ["x"]})),
+    "null-weight": _edited(lambda doc: doc["weights"].update({"dense.b": [None]})),
+    "missing-weight": _edited(lambda doc: doc["weights"].pop("l0.Ug")),
+    "extra-weight": _edited(lambda doc: doc["weights"].update({"l1.Wi": [[0.0]]})),
+    "short-scaler": _edited(lambda doc: doc["scaler"]["feature_min"].pop()),
+    "scaler-no-target": _edited(lambda doc: doc["scaler"].pop("target_min")),
+}
+
+
+class TestPredictRejectsBadCheckpoint:
+    @pytest.mark.parametrize("case", sorted(BAD_CHECKPOINTS))
+    def test_exits_2_without_traceback(self, synth_dir, trained, tmp_path, capsys, case):
+        model = tmp_path / "model.json"
+        model.write_text(BAD_CHECKPOINTS[case]((trained / "model.json").read_text()))
+        rc = main(
+            ["predict", curve_paths(synth_dir, (15,))[0], "--model", str(model),
+             "--dt", "4.0", "--out-dir", str(tmp_path / "out")]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestTuneCommand:

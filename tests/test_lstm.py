@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pyrokin.errors import ConfigError, InputError
 from pyrokin.seqmodel.features import MinMaxScaler, SequenceSample
@@ -32,6 +34,174 @@ def zero_params(feature_count, config):
     rng = np.random.default_rng(0)
     params = init_params(feature_count, config, rng)
     return {k: np.zeros_like(v) for k, v in params.items()}
+
+
+# ---------------------------------------------------------------- reference
+# The per-gate kernels the fused ones replaced: four x_t @ W and four h @ U
+# products per step, weight gradients accumulated step by step. Kept here as
+# the independent reference the fused kernels must reproduce.
+REF_GATES = ("i", "f", "g", "o")
+
+
+def ref_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+REF_ACTIVATIONS = {
+    "relu": (lambda x: np.maximum(x, 0.0), lambda x: (x > 0.0).astype(float)),
+    "sigmoid": (ref_sigmoid, lambda x: ref_sigmoid(x) * (1.0 - ref_sigmoid(x))),
+    "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2),
+}
+
+
+def ref_forward_batch(params, X, config, training=False, rng=None):
+    n, steps, _ = X.shape
+    hidden = config.hidden_units
+    use_dropout = training and config.dropout > 0.0 and config.lstm_layers > 1
+    layers = []
+    layer_input = X
+    for layer in range(config.lstm_layers):
+        Wi, Wf, Wg, Wo = (params[f"l{layer}.W{g}"] for g in REF_GATES)
+        Ui, Uf, Ug, Uo = (params[f"l{layer}.U{g}"] for g in REF_GATES)
+        bi, bf, bg, bo = (params[f"l{layer}.b{g}"] for g in REF_GATES)
+        seqs = {k: np.empty((n, steps, hidden)) for k in ("i", "f", "g", "o", "c", "tc", "h")}
+        h = np.zeros((n, hidden))
+        c = np.zeros((n, hidden))
+        for t in range(steps):
+            x_t = layer_input[:, t]
+            i_t = ref_sigmoid(x_t @ Wi + h @ Ui + bi)
+            f_t = ref_sigmoid(x_t @ Wf + h @ Uf + bf)
+            g_t = np.tanh(x_t @ Wg + h @ Ug + bg)
+            o_t = ref_sigmoid(x_t @ Wo + h @ Uo + bo)
+            c = f_t * c + i_t * g_t
+            tc = np.tanh(c)
+            h = o_t * tc
+            for k, v in zip(("i", "f", "g", "o", "c", "tc", "h"), (i_t, f_t, g_t, o_t, c, tc, h)):
+                seqs[k][:, t] = v
+        mask = None
+        output = seqs["h"]
+        if use_dropout and layer < config.lstm_layers - 1:
+            keep = 1.0 - config.dropout
+            mask = (rng.random((n, steps, hidden)) < keep) / keep
+            output = seqs["h"] * mask
+        layers.append({"x": layer_input, "mask": mask, **seqs})
+        layer_input = output
+    act, _ = REF_ACTIVATIONS[config.activation]
+    h_last = layers[-1]["h"][:, -1]
+    z = act(h_last)
+    pred = z @ params["dense.w"] + params["dense.b"][0]
+    return pred, {"layers": layers, "h_last": h_last, "z": z, "config": config}
+
+
+def ref_backward_batch(params, cache, dpred):
+    config = cache["config"]
+    layers = cache["layers"]
+    hidden = config.hidden_units
+    _, act_deriv = REF_ACTIVATIONS[config.activation]
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    grads["dense.w"] = cache["z"].T @ dpred
+    grads["dense.b"] = np.array([dpred.sum()])
+    dh_last = np.outer(dpred, params["dense.w"]) * act_deriv(cache["h_last"])
+    n, steps, _ = layers[0]["x"].shape
+    d_output = None
+    for layer in reversed(range(config.lstm_layers)):
+        Lc = layers[layer]
+        if d_output is None:
+            dH = np.zeros((n, steps, hidden))
+            dH[:, -1] = dh_last
+        else:
+            dH = d_output if Lc["mask"] is None else d_output * Lc["mask"]
+        W = {g: params[f"l{layer}.W{g}"] for g in REF_GATES}
+        U = {g: params[f"l{layer}.U{g}"] for g in REF_GATES}
+        dx_seq = np.zeros_like(Lc["x"])
+        dh_rec = np.zeros((n, hidden))
+        dc_rec = np.zeros((n, hidden))
+        for t in reversed(range(steps)):
+            i_t, f_t, g_t, o_t = (Lc[k][:, t] for k in ("i", "f", "g", "o"))
+            tc = Lc["tc"][:, t]
+            dh = dH[:, t] + dh_rec
+            dc = dh * o_t * (1.0 - tc**2) + dc_rec
+            c_prev = Lc["c"][:, t - 1] if t > 0 else np.zeros((n, hidden))
+            h_prev = Lc["h"][:, t - 1] if t > 0 else np.zeros((n, hidden))
+            dpre = {
+                "o": dh * tc * o_t * (1.0 - o_t),
+                "i": dc * g_t * i_t * (1.0 - i_t),
+                "g": dc * i_t * (1.0 - g_t**2),
+                "f": dc * c_prev * f_t * (1.0 - f_t),
+            }
+            dc_rec = dc * f_t
+            x_t = Lc["x"][:, t]
+            dh_rec = np.zeros((n, hidden))
+            for g in REF_GATES:
+                grads[f"l{layer}.W{g}"] += x_t.T @ dpre[g]
+                grads[f"l{layer}.U{g}"] += h_prev.T @ dpre[g]
+                grads[f"l{layer}.b{g}"] += dpre[g].sum(axis=0)
+                dx_seq[:, t] += dpre[g] @ W[g].T
+                dh_rec += dpre[g] @ U[g].T
+        d_output = dx_seq
+    return grads
+
+
+def assert_rel_close(actual, expected, rel=1e-12):
+    """Largest deviation at most ``rel`` times the largest reference magnitude."""
+    assert actual.shape == expected.shape
+    scale = np.abs(expected).max(initial=0.0)
+    assert np.abs(actual - expected).max(initial=0.0) <= rel * scale
+
+
+def assert_matches_reference(n, steps, features, hidden, layers, activation,
+                             dropout, seed):
+    config = TrainConfig(hidden_units=hidden, lstm_layers=layers, look_back=steps,
+                         activation=activation, dropout=dropout, seed=seed)
+    params = init_params(features, config, np.random.default_rng(seed))
+    X = np.random.default_rng(seed + 1).random((n, steps, features))
+    dpred = np.random.default_rng(seed + 2).standard_normal(n)
+
+    pred, cache = forward_batch(params, X, config, training=True,
+                                rng=np.random.default_rng(seed + 3), want_cache=True)
+    ref_pred, ref_cache = ref_forward_batch(params, X, config, training=True,
+                                            rng=np.random.default_rng(seed + 3))
+    assert_rel_close(pred, ref_pred)
+    infer, _ = forward_batch(params, X, config)
+    ref_infer, _ = ref_forward_batch(params, X, config)
+    assert_rel_close(infer, ref_infer)
+
+    grads = backward_batch(params, cache, dpred)
+    ref_grads = ref_backward_batch(params, ref_cache, dpred)
+    assert grads.keys() == params.keys()
+    for key, ref in ref_grads.items():
+        assert_rel_close(grads[key], ref)
+
+
+class TestFusedMatchesReference:
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid", "tanh"])
+    @pytest.mark.parametrize("hidden", [1, 5, 48])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_predictions_and_gradients(self, layers, hidden, activation):
+        assert_matches_reference(n=16, steps=6, features=4, hidden=hidden,
+                                 layers=layers, activation=activation,
+                                 dropout=0.3, seed=layers * 100 + hidden)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        n=st.integers(1, 9),
+        steps=st.integers(1, 7),
+        features=st.integers(1, 6),
+        hidden=st.integers(1, 9),
+        layers=st.integers(1, 3),
+        activation=st.sampled_from(["relu", "sigmoid", "tanh"]),
+        dropout=st.sampled_from([0.0, 0.25]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_any_shape(self, n, steps, features, hidden, layers, activation,
+                       dropout, seed):
+        assert_matches_reference(n, steps, features, hidden, layers, activation,
+                                 dropout, seed)
 
 
 class TestForward:

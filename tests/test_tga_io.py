@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,29 @@ class TestSerializationRoundTrip:
     def test_sidecar_missing_field_rejected(self):
         with pytest.raises(InputError, match="missing"):
             sidecar_to_spec('{"sample_id": "x"}')
+
+    @pytest.mark.parametrize("field, value", [
+        ("heating_rate_c_per_min", "ten"),
+        ("heating_rate_c_per_min", float("inf")),
+        ("heating_rate_c_per_min", -5.0),
+        ("lignin_pct", None),
+        ("scg_fraction", {"value": 0.5}),
+    ])
+    def test_sidecar_bad_number_is_input_error(self, field, value):
+        doc = json.loads(spec_to_sidecar(DATE_SEEDS, beta=10.0))
+        doc[field] = value
+        with pytest.raises(InputError, match=field):
+            sidecar_to_spec(json.dumps(doc))
+
+    def test_sidecar_nan_fibre_is_domain_error(self):
+        doc = json.loads(spec_to_sidecar(DATE_SEEDS, beta=10.0))
+        doc["cellulose_pct"] = float("nan")
+        with pytest.raises(DomainError, match="cellulose_pct"):
+            sidecar_to_spec(json.dumps(doc))
+
+    def test_sidecar_must_be_an_object(self):
+        with pytest.raises(InputError, match="object"):
+            sidecar_to_spec("[1, 2, 3]")
 
 
 class TestResampleUniform:
@@ -200,3 +225,12 @@ class TestSampleSpec:
     def test_fibre_sum_capped_at_100(self):
         with pytest.raises(DomainError):
             SampleSpec("x", 1.0, 0.0, 50.0, 40.0, 30.0)
+
+    @pytest.mark.parametrize("field", ["ds_fraction", "scg_fraction", "cellulose_pct",
+                                       "hemicellulose_pct", "lignin_pct"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_composition_rejected(self, field, value):
+        fields = {"ds_fraction": 0.5, "scg_fraction": 0.5, "cellulose_pct": 20.0,
+                  "hemicellulose_pct": 30.0, "lignin_pct": 25.0, field: value}
+        with pytest.raises(DomainError, match=field):
+            SampleSpec("x", **fields)
