@@ -107,6 +107,17 @@ class KineticEstimate:
     intercept: float
 
 
+def r_squared(ss_res: float, ss_tot: float) -> float:
+    """Coefficient of determination ``1 - ss_res / ss_tot``.
+
+    A constant target (``ss_tot == 0``) scores 1 for an exact fit and 0
+    otherwise: the zero-variance convention.
+    """
+    if ss_tot == 0.0:
+        return 1.0 if ss_res <= 1e-300 else 0.0
+    return 1.0 - ss_res / ss_tot
+
+
 def linear_fit(x, y):
     """Ordinary least squares of y on x.
 
@@ -131,11 +142,7 @@ def linear_fit(x, y):
     intercept = y_mean - slope * x_mean
     ss_res = float(((y - (slope * x + intercept)) ** 2).sum())
     ss_tot = float(((y - y_mean) ** 2).sum())
-    if ss_tot == 0.0:
-        r_squared = 1.0 if ss_res <= 1e-300 else 0.0
-    else:
-        r_squared = 1.0 - ss_res / ss_tot
-    return slope, intercept, min(max(r_squared, 0.0), 1.0)
+    return slope, intercept, min(max(r_squared(ss_res, ss_tot), 0.0), 1.0)
 
 
 def friedman(slice_: IsoconversionalSlice,

@@ -8,13 +8,21 @@ substituted. Everything is float64 numpy so the analytic gradients can be
 verified against central finite differences.
 
 Parameters and checkpoints keep one tensor per gate (``l<k>.W<g>``,
-``l<k>.U<g>``, ``l<k>.b<g>``). The kernels concatenate them into one fused
-``W`` (in, 4H), ``U`` (H, 4H) and ``b`` (4H,) per layer, with gate columns
-ordered i, f, o, g so that the three sigmoid gates are contiguous: the input
-projection of every step is one GEMM before the recurrence, each step does
-one ``h @ U`` and one tanh over all four gates, and the weight gradients are
-GEMMs over the whole sequence (Appleyard, Kocisky & Blunsom,
-arXiv:1604.01946). Inside the kernels sequences are time-major.
+``l<k>.U<g>``, ``l<k>.b<g>``). The kernels stack them, transposed, into one
+fused ``W`` (4H, in), ``U`` (4H, H) and ``b`` (4H, 1) per layer, with gate
+row blocks ordered i, f, o, g so that the three sigmoid gates are
+contiguous: the input projection of every step is computed before the
+recurrence, each step does one ``U @ h`` and one tanh over all four gates,
+and the weight gradients are computed once over the whole sequence
+(Appleyard, Kocisky & Blunsom, arXiv:1604.01946).
+
+Inside the kernels the layout is gate-major and batch-minor: a layer's
+pre-activations are ``(T, 4H, N)`` and its states ``h``, ``c`` are
+``(T, H, N)``. Each gate of a step is then one contiguous ``(H, N)`` block,
+so every elementwise op runs as a single flat loop; with batch-major
+``(N, 4H)`` rows a gate is a strided column slice, which numpy walks one
+row at a time. The cache's layer inputs ``x`` and dropout masks stay
+batch-major ``(N, T, .)`` like ``X``.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ if TYPE_CHECKING:
     from .training import TrainConfig
 
 GATES = ("i", "f", "g", "o")
-FUSED_GATES = ("i", "f", "o", "g")  # column blocks of the fused kernels
+FUSED_GATES = ("i", "f", "o", "g")  # row blocks of the fused kernels
 
 CHECKPOINT_VERSION = 1
 
@@ -94,15 +102,17 @@ def init_params(feature_count: int, config: "TrainConfig", rng: np.random.Genera
 
 
 def _fused(params, layer):
-    """The layer's ``(W, U, b)`` with gate blocks side by side in FUSED_GATES order."""
-    return tuple(
-        np.concatenate([params[f"l{layer}.{kind}{g}"] for g in FUSED_GATES], axis=-1)
+    """The layer's ``W`` (4H, in), ``U`` (4H, H) and ``b`` (4H, 1): every
+    per-gate tensor transposed and stacked as row blocks in FUSED_GATES order."""
+    W, U, b = (
+        np.concatenate([params[f"l{layer}.{kind}{g}"].T for g in FUSED_GATES])
         for kind in "WUb"
     )
+    return W, U, b[:, None]
 
 
 def _gate_blocks(hidden):
-    """Column slices of the FUSED_GATES blocks in a fused (., 4H) array."""
+    """Row slices of the FUSED_GATES blocks in a fused (4H, .) array."""
     return [slice(k * hidden, (k + 1) * hidden) for k in range(len(FUSED_GATES))]
 
 
@@ -123,31 +133,30 @@ def forward_batch(params, X, config, training: bool = False,
         raise ConfigError("training-mode dropout requires an RNG")
 
     layers = []
-    seq = X.transpose(1, 0, 2)  # every sequence below is time-major: (steps, batch, .)
+    seq = X.transpose(1, 2, 0)  # every sequence below is (steps, features, batch)
     for layer in range(config.lstm_layers):
         W, U, b = _fused(params, layer)
-        # sigmoid(z) = 0.5 * (1 + tanh(z / 2)): halving the sigmoid columns
+        # sigmoid(z) = 0.5 * (1 + tanh(z / 2)): halving the sigmoid rows
         # (exact in binary floating point) lets one tanh cover all four gates
         for m in (W, U, b):
-            m[..., sig] *= 0.5
+            m[sig] *= 0.5
         # pre-activations of every step, overwritten step by step with the
         # gate activations i, f, o (sigmoid) and g (tanh)
-        acts = (seq.reshape(steps * n, -1) @ W).reshape(steps, n, 4 * hidden)
+        acts = np.matmul(W, seq)
         acts += b
-        h_s = np.empty((steps, n, hidden))
+        h_s = np.empty((steps, hidden, n))
         if want_cache:
-            c_s = np.empty((steps, n, hidden))
-            tc_s = np.empty((steps, n, hidden))
-        h = np.zeros((n, hidden))
-        c = np.zeros((n, hidden))
+            c_s = np.empty((steps, hidden, n))
+            tc_s = np.empty((steps, hidden, n))
+        h = c = np.zeros((hidden, n))
         for t in range(steps):
             a = acts[t]
-            a += h @ U
+            a += U @ h
             np.tanh(a, out=a)
-            s = a[:, sig]
+            s = a[sig]
             s *= 0.5
             s += 0.5
-            i_t, f_t, o_t, g_t = a[:, bi], a[:, bf], a[:, bo], a[:, bg]
+            i_t, f_t, o_t, g_t = a[bi], a[bf], a[bo], a[bg]
             c = f_t * c
             c += i_t * g_t
             tc = np.tanh(c)
@@ -159,9 +168,9 @@ def forward_batch(params, X, config, training: bool = False,
         if use_dropout and layer < config.lstm_layers - 1:
             keep = 1.0 - config.dropout
             mask = (rng.random((n, steps, hidden)) < keep) / keep
-            output = h_s * mask.transpose(1, 0, 2)
+            output = h_s * mask.transpose(1, 2, 0)
         # "x" (the layer input) and "mask" are batch-major like X
-        entry = {"x": seq.transpose(1, 0, 2), "h": h_s, "mask": mask}
+        entry = {"x": seq.transpose(2, 0, 1), "h": h_s, "mask": mask}
         if want_cache:
             entry.update(acts=acts, c=c_s, tc=tc_s)
         layers.append(entry)
@@ -170,7 +179,7 @@ def forward_batch(params, X, config, training: bool = False,
     act, _ = ACTIVATIONS[config.activation]
     h_last = layers[-1]["h"][-1]
     z = act(h_last)
-    pred = z @ params["dense.w"] + params["dense.b"][0]
+    pred = params["dense.w"] @ z + params["dense.b"][0]
     if not want_cache:
         return pred, None
     return pred, {"layers": layers, "h_last": h_last, "z": z, "config": config}
@@ -180,12 +189,13 @@ def backward_batch(params, cache, dpred):
     """Backpropagation through time for one batch.
 
     ``dpred`` is dLoss/dprediction of shape (batch,). Returns gradients
-    keyed identically to ``params``; the per-gate tensors are column slices
-    of the fused gradients. The step loop carries only ``dh`` and ``dc``
-    and does one GEMM per step (the recurrent ``dpre @ U.T``); the
-    pre-activation gradients of every step are kept, so ``dW``, ``dU``,
-    ``db`` and the gradient into the layer below are each computed once
-    over the flattened (steps * batch) axis.
+    keyed identically to ``params``; the per-gate tensors are row blocks of
+    the fused gradients, transposed back to the ``(in, H)`` and ``(H, H)``
+    key shapes. The step loop works on the gate-major ``(4H, N)`` blocks of
+    the forward cache, carries only ``dh`` and ``dc`` and does one GEMM per
+    step (the recurrent ``U.T @ dpre``); the ``(T, 4H, N)`` pre-activation
+    gradients of every step are kept, so ``dW``, ``dU``, ``db`` and the
+    gradient into the layer below are each one call over the whole sequence.
     """
     config = cache["config"]
     layers = cache["layers"]
@@ -196,10 +206,10 @@ def backward_batch(params, cache, dpred):
     sig = slice(0, 3 * hidden)
 
     grads = {
-        "dense.w": cache["z"].T @ dpred,
+        "dense.w": cache["z"] @ dpred,
         "dense.b": np.array([dpred.sum()]),
     }
-    dh_last = np.outer(dpred, params["dense.w"]) * act_deriv(cache["h_last"])
+    dh_last = np.outer(params["dense.w"], dpred) * act_deriv(cache["h_last"])
 
     n, steps, _ = layers[0]["x"].shape
     d_output = None  # gradient wrt the (possibly dropped-out) output sequence
@@ -209,41 +219,41 @@ def backward_batch(params, cache, dpred):
             # only the last step's output reaches the head
             dH, dh_rec = None, dh_last
         else:
-            dH, dh_rec = d_output, np.zeros((n, hidden))
+            dH, dh_rec = d_output, 0.0
             if Lc["mask"] is not None:
-                dH = dH * Lc["mask"].transpose(1, 0, 2)
+                dH *= Lc["mask"].transpose(1, 2, 0)
         W, U, _ = _fused(params, layer)
         acts, c_s, tc_s = Lc["acts"], Lc["c"], Lc["tc"]
-        dpre = np.empty((steps, n, 4 * hidden))
-        dc_rec = np.zeros((n, hidden))
+        dpre = np.empty((steps, 4 * hidden, n))
+        dc_rec = 0.0
         U_T = U.T
         for t in reversed(range(steps)):
             a = acts[t]
-            i_t, f_t, o_t, g_t = a[:, bi], a[:, bf], a[:, bo], a[:, bg]
+            i_t, f_t, o_t, g_t = a[bi], a[bf], a[bo], a[bg]
             tc = tc_s[t]
             dh = dh_rec if dH is None else dH[t] + dh_rec
             dc = dh * o_t
             dc *= 1.0 - tc * tc
             dc += dc_rec
             dp = dpre[t]
-            np.multiply(dc, g_t, out=dp[:, bi])
-            np.multiply(dc, c_s[t - 1] if t > 0 else 0.0, out=dp[:, bf])
-            np.multiply(dh, tc, out=dp[:, bo])
-            dp[:, sig] *= a[:, sig] * (1.0 - a[:, sig])
-            np.multiply(dc * i_t, 1.0 - g_t * g_t, out=dp[:, bg])
+            np.multiply(dc, g_t, out=dp[bi])
+            np.multiply(dc, c_s[t - 1] if t > 0 else 0.0, out=dp[bf])
+            np.multiply(dh, tc, out=dp[bo])
+            dp[sig] *= a[sig] * (1.0 - a[sig])
+            np.multiply(dc * i_t, 1.0 - g_t * g_t, out=dp[bg])
             dc_rec = dc * f_t
-            dh_rec = dp @ U_T
-        flat = dpre.reshape(steps * n, 4 * hidden)
-        dW = Lc["x"].transpose(1, 0, 2).reshape(steps * n, -1).T @ flat
+            dh_rec = U_T @ dp
+        # per-step products (steps, 4H, .) summed over time
+        dW = np.matmul(dpre, Lc["x"].transpose(1, 0, 2)).sum(axis=0)
         # the state before step 0 is zero, so step 0 adds nothing to dU
-        dU = Lc["h"][:-1].reshape(-1, hidden).T @ dpre[1:].reshape(-1, 4 * hidden)
-        db = flat.sum(axis=0)
+        dU = np.matmul(dpre[1:], Lc["h"][:-1].transpose(0, 2, 1)).sum(axis=0)
+        db = dpre.sum(axis=0).sum(axis=1)
         for gate, blk in zip(FUSED_GATES, blocks):
-            grads[f"l{layer}.W{gate}"] = dW[:, blk]
-            grads[f"l{layer}.U{gate}"] = dU[:, blk]
+            grads[f"l{layer}.W{gate}"] = dW[blk].T
+            grads[f"l{layer}.U{gate}"] = dU[blk].T
             grads[f"l{layer}.b{gate}"] = db[blk]
         if layer > 0:
-            d_output = (flat @ W.T).reshape(steps, n, hidden)
+            d_output = np.matmul(W.T, dpre)
     return grads
 
 
@@ -338,9 +348,9 @@ def load_model(text: str) -> LstmModel:
     """Read a ``save_model`` checkpoint.
 
     Raises InputError for anything else: text that is not a JSON object, an
-    unsupported version, a missing section, a feature count that does not
-    fit the feature mode, or a weight or scaler array whose shape disagrees
-    with the config and feature count.
+    unsupported version, a missing section, a config ``TrainConfig``
+    rejects, a feature count that does not fit the feature mode, or a weight
+    or scaler array whose shape disagrees with the config and feature count.
     """
     from .training import TrainConfig
 
@@ -359,7 +369,7 @@ def load_model(text: str) -> LstmModel:
         raise InputError(f"checkpoint missing fields: {', '.join(missing)}")
     try:
         config = TrainConfig.from_dict(doc["config"])
-    except TypeError as exc:
+    except (TypeError, ConfigError) as exc:
         raise InputError(f"checkpoint config is malformed: {exc}") from None
     widths = {MODEL1: len(MODEL1_FEATURES), MODEL2: len(MODEL2_FEATURES)}
     feature_mode = doc["feature_mode"]

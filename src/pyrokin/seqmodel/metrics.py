@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InputError
+from ..kinetics import r_squared
 from .lstm import LstmModel, predict_scaled
 
 
@@ -30,15 +31,11 @@ def metrics_from_arrays(actual, predicted) -> EvalMetrics:
     mse = float((err**2).mean())
     ss_res = float((err**2).sum())
     ss_tot = float(((actual - actual.mean()) ** 2).sum())
-    if ss_tot == 0.0:
-        r2 = 1.0 if ss_res <= 1e-300 else 0.0
-    else:
-        r2 = 1.0 - ss_res / ss_tot
     return EvalMetrics(
         mae=float(np.abs(err).mean()),
         mse=mse,
         rmse=math.sqrt(mse),
-        r_squared=r2,
+        r_squared=r_squared(ss_res, ss_tot),
     )
 
 

@@ -4,6 +4,7 @@ and the finite-difference gradient harness."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -20,6 +21,9 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 RMSPROP_RHO = 0.9
 RMSPROP_EPS = 1e-8
+
+_INTEGER_FIELDS = ("batch_size", "epochs", "hidden_units", "lstm_layers", "look_back",
+                   "early_stop_patience", "seed")
 
 
 @dataclass(frozen=True)
@@ -44,6 +48,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.learning_rate <= 0.0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.batch_size < 1 or self.epochs < 1 or self.hidden_units < 1:

@@ -329,6 +329,9 @@ BAD_CHECKPOINTS = {
     "extra-weight": _edited(lambda doc: doc["weights"].update({"l1.Wi": [[0.0]]})),
     "short-scaler": _edited(lambda doc: doc["scaler"]["feature_min"].pop()),
     "scaler-no-target": _edited(lambda doc: doc["scaler"].pop("target_min")),
+    "float-hidden-units": _edited(
+        lambda doc: doc["config"].update(hidden_units=float(doc["config"]["hidden_units"]))),
+    "negative-learning-rate": _edited(lambda doc: doc["config"].update(learning_rate=-0.01)),
 }
 
 
@@ -393,6 +396,16 @@ class TestTuneCommand:
              "--config", str(bad), "--out-dir", str(tmp_path)]
         )
         assert rc == 4
+
+    def test_float_look_back_in_config_exits_4(self, synth_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"look_back": 20.0}))
+        rc = main(
+            ["train", *curve_paths(synth_dir, (5, 10, 20)), "--dt", "6.0",
+             "--config", str(bad), "--out-dir", str(tmp_path)]
+        )
+        assert rc == 4
+        assert "look_back" in capsys.readouterr().err
 
 
 class TestManifest:

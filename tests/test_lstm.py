@@ -204,6 +204,35 @@ class TestFusedMatchesReference:
                                  dropout, seed)
 
 
+class TestCacheLayout:
+    """Layer inputs and dropout masks stay batch-major, like X, whatever
+    layout the kernels use inside."""
+
+    @pytest.mark.parametrize("layers,dropout", [(1, 0.0), (2, 0.0), (3, 0.3)])
+    def test_inputs_and_masks_match_reference(self, layers, dropout):
+        n, steps, features, hidden = 5, 4, 3, 6
+        config = TrainConfig(hidden_units=hidden, lstm_layers=layers, look_back=steps,
+                             dropout=dropout)
+        params = init_params(features, config, np.random.default_rng(0))
+        X = np.random.default_rng(1).random((n, steps, features))
+        _, cache = forward_batch(params, X, config, training=True,
+                                 rng=np.random.default_rng(2), want_cache=True)
+        _, ref_cache = ref_forward_batch(params, X, config, training=True,
+                                         rng=np.random.default_rng(2))
+        assert cache["config"] is config
+        assert len(cache["layers"]) == layers
+        assert np.array_equal(cache["layers"][0]["x"], X)
+        for k, (entry, ref) in enumerate(zip(cache["layers"], ref_cache["layers"])):
+            assert entry["x"].shape == (n, steps, features if k == 0 else hidden)
+            assert_rel_close(entry["x"], ref["x"])
+            mask = entry["mask"]
+            # inverted dropout sits between stacked layers only
+            assert (mask is not None) == (dropout > 0.0 and k < layers - 1)
+            if mask is not None:
+                assert mask.shape == (n, steps, hidden)
+                assert np.array_equal(mask, ref["mask"])
+
+
 class TestForward:
     def test_zero_weights_predict_dense_bias(self):
         config = TrainConfig(hidden_units=3, lstm_layers=2, look_back=4,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pyrokin.errors import InputError, TrainingError
+from pyrokin.errors import ConfigError, InputError, TrainingError
 from pyrokin.seqmodel.features import FeatureRow, SequenceSample, window_sequences
 from pyrokin.seqmodel.metrics import evaluate, metrics_from_arrays
 from pyrokin.seqmodel.search import SearchSpace, random_search
@@ -39,6 +39,18 @@ def quick_config(**overrides):
     )
     base.update(overrides)
     return TrainConfig(**base)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("value", [4.0, True])
+    @pytest.mark.parametrize("field", ["batch_size", "epochs", "hidden_units", "lstm_layers",
+                                       "look_back", "early_stop_patience", "seed"])
+    def test_integer_fields_reject_floats_and_bools(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            quick_config(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        assert quick_config(hidden_units=np.int64(8)).hidden_units == 8
 
 
 class TestTrain:
