@@ -70,6 +70,7 @@ from .seqmodel import (
     train,
     window_sequences,
 )
+from .seqmodel.features import FEATURE_COLUMNS
 from .seqmodel.lstm import predict_scaled
 from .seqmodel.metrics import metrics_from_arrays
 from .svgplot import emit_svg
@@ -185,11 +186,8 @@ def _curve_id(curve) -> str:
 
 
 def _assemble_dataset(curves, mode, look_back, dt=None):
-    rows_by_curve = {}
-    for curve in curves:
-        prepared = resample_uniform(curve, dt) if dt else curve
-        rows_by_curve[_curve_id(prepared)] = build_features(prepared, mode)
-    samples = window_sequences(rows_by_curve, look_back)
+    prepared = (resample_uniform(curve, dt) if dt else curve for curve in curves)
+    samples = window_sequences({_curve_id(c): c for c in prepared}, mode, look_back)
     if not samples:
         raise InputError(
             f"no training windows: curves are shorter than look_back={look_back}"
@@ -324,21 +322,14 @@ def cmd_synth(args) -> int:
 
 def cmd_features(args) -> int:
     curves = _load_curves(args.curves)
-    header = "curve_id,ds_pct,scg_pct,heating_rate,temperature"
-    if args.mode == MODEL2:
-        header += ",cellulose_t,hemicellulose_t,lignin_t"
-    header += ",mass_pct"
-    lines = [header]
+    lines = [",".join(["curve_id", *FEATURE_COLUMNS[args.mode], "mass_pct"])]
     for curve in curves:
         prepared = resample_uniform(curve, args.dt) if args.dt else curve
         cid = _curve_id(prepared)
-        for row in build_features(prepared, args.mode):
-            values = [row.ds_pct, row.scg_pct, row.heating_rate, row.temperature]
-            if args.mode == MODEL2:
-                values += [row.cellulose_t, row.hemicellulose_t, row.lignin_t]
-            values.append(row.mass_pct)
-            # float() first: numpy 2 scalars repr as "np.float64(...)"
-            lines.append(",".join([cid, *(repr(float(v)) for v in values)]))
+        table = np.column_stack([build_features(prepared, args.mode),
+                                 prepared.mass_fraction * 100.0])
+        # tolist() first: numpy 2 scalars repr as "np.float64(...)"
+        lines.extend(",".join([cid, *map(repr, row)]) for row in table.tolist())
     config = {"mode": args.mode, "dt": args.dt}
     out = _manifest(args, "features", args.curves, config)
     _write(out / "features.csv", "\n".join(lines) + "\n")
@@ -421,17 +412,16 @@ def cmd_predict(args) -> int:
     model = load_model(Path(args.model).read_text(encoding="utf-8"))
     curve = _load_curve_file(Path(args.curve))
     prepared = resample_uniform(curve, args.dt) if args.dt else curve
-    rows = build_features(prepared, model.feature_mode)
     look_back = model.config.look_back
-    if len(rows) <= look_back:
+    samples = window_sequences({_curve_id(prepared): prepared}, model.feature_mode, look_back)
+    if not samples:
         raise InputError(
-            f"curve has {len(rows)} rows; need more than look_back={look_back}"
+            f"curve has {prepared.n_points} rows; need more than look_back={look_back}"
         )
-    samples = window_sequences({_curve_id(prepared): rows}, look_back)
-    X = model.scaler.scale_window(np.stack([s.window for s in samples]))
+    X = samples.windows(model.scaler)
     predicted = model.scaler.unscale_target(predict_scaled(model, X))
-    actual = np.array([s.target for s in samples])
-    temps = np.array([r.temperature for r in rows[look_back:]])
+    actual = samples.targets
+    temps = prepared.temperature_k[look_back:] - KELVIN_OFFSET
     out = _manifest(args, "predict", [args.model, args.curve],
                     {"dt": args.dt, "model": str(args.model)})
     _write(out / "predictions.csv", predictions_to_csv(temps, actual, predicted))
@@ -496,14 +486,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master random seed")
     common.add_argument("--out-dir", default=None,
                         help="output directory (default: $PYROKIN_OUT or .)")
-    common.add_argument("--format", choices=("csv", "text", "svg"), default="text",
+    charts = argparse.ArgumentParser(add_help=False)
+    charts.add_argument("--format", choices=("csv", "text", "svg"), default="text",
                         help="csv: machine output only; text: plus aligned tables; "
                              "svg: plus charts")
 
-    p = sub.add_parser("analyze", parents=[common],
+    p = sub.add_parser("analyze", parents=[common, charts],
                        help="isoconversional kinetics over >=3 heating rates")
     p.add_argument("curves", nargs="+", help="curve CSVs (each with a .json sidecar)")
     p.add_argument("--alpha-grid", default="0.1:0.7:0.1")
@@ -514,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=float, default=1.0, help="assumed reaction order")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("thermo", parents=[common],
+    p = sub.add_parser("thermo", parents=[common, charts],
                        help="activation thermodynamics from a kinetics table")
     p.add_argument("--kinetics", required=True, help="kinetics.csv from analyze")
     p.add_argument("--tm", type=float, default=None, help="reference peak temperature (K)")
@@ -547,6 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_features)
 
     train_common = argparse.ArgumentParser(add_help=False)
+    train_common.add_argument("--seed", type=int, default=0, help="master random seed")
     train_common.add_argument("--mode", choices=(MODEL1, MODEL2), default=MODEL2)
     train_common.add_argument("--dt", type=float, default=None)
     train_common.add_argument("--look-back", type=int, default=20)

@@ -3,15 +3,14 @@
 from .features import (
     MODEL1,
     MODEL2,
-    FeatureRow,
     MinMaxScaler,
-    SequenceSample,
+    WindowDataset,
     build_features,
     lignocellulosic_remaining,
     split_dataset,
     window_sequences,
 )
-from .lstm import LstmModel, forward, load_model, save_model
+from .lstm import LstmModel, load_model, save_model
 from .metrics import EvalMetrics, evaluate, metrics_from_arrays
 from .search import SearchSpace, random_search
 from .training import TrainConfig, gradient_check, train
@@ -19,15 +18,13 @@ from .training import TrainConfig, gradient_check, train
 __all__ = [
     "MODEL1",
     "MODEL2",
-    "FeatureRow",
     "MinMaxScaler",
-    "SequenceSample",
+    "WindowDataset",
     "build_features",
     "lignocellulosic_remaining",
     "split_dataset",
     "window_sequences",
     "LstmModel",
-    "forward",
     "load_model",
     "save_model",
     "EvalMetrics",

@@ -22,6 +22,7 @@ MODEL2 = "model2"
 
 MODEL1_FEATURES = ("ds_pct", "scg_pct", "heating_rate", "temperature")
 MODEL2_FEATURES = MODEL1_FEATURES + ("cellulose_t", "hemicellulose_t", "lignin_t")
+FEATURE_COLUMNS = {MODEL1: MODEL1_FEATURES, MODEL2: MODEL2_FEATURES}
 
 # Decomposition windows in degrees Celsius used for the dynamic fibre features.
 FIBRE_WINDOWS_C = {
@@ -33,56 +34,8 @@ FIBRE_WINDOWS_C = {
 DEFAULT_LOOK_BACK = 20
 
 
-@dataclass(frozen=True)
-class FeatureRow:
-    """One TGA measurement turned into model features plus its mass target."""
-
-    ds_pct: float
-    scg_pct: float
-    heating_rate: float  # C/min
-    temperature: float  # C
-    mass_pct: float  # target, percent of initial mass
-    cellulose_t: float | None = None
-    hemicellulose_t: float | None = None
-    lignin_t: float | None = None
-
-    @property
-    def mode(self) -> str:
-        return MODEL1 if self.cellulose_t is None else MODEL2
-
-    def as_vector(self) -> np.ndarray:
-        if self.cellulose_t is None:
-            return np.array(
-                [self.ds_pct, self.scg_pct, self.heating_rate, self.temperature]
-            )
-        return np.array(
-            [
-                self.ds_pct,
-                self.scg_pct,
-                self.heating_rate,
-                self.temperature,
-                self.cellulose_t,
-                self.hemicellulose_t,
-                self.lignin_t,
-            ]
-        )
-
-
-@dataclass(frozen=True)
-class SequenceSample:
-    """A look-back window of feature vectors and the next-step mass target.
-
-    Windows never span two curves. Values are raw (percent / Celsius) until
-    a fitted scaler transforms them for training or inference.
-    """
-
-    window: np.ndarray  # (look_back, n_features)
-    target: float
-    curve_id: str
-
-
-def lignocellulosic_remaining(temperature_c: float, window: tuple[float, float]) -> float:
-    """Fraction of a fibre component not yet decomposed at a temperature.
+def lignocellulosic_remaining(temperature_c, window: tuple[float, float]):
+    """Fraction of a fibre component not yet decomposed at each temperature.
 
     1 below the window, 0 above it, and a linear ramp in between; continuous
     and non-increasing in temperature.
@@ -90,100 +43,129 @@ def lignocellulosic_remaining(temperature_c: float, window: tuple[float, float])
     t_start, t_end = window
     if t_start >= t_end:
         raise DomainError(f"window start must precede end, got {window}")
-    if temperature_c <= t_start:
-        return 1.0
-    if temperature_c >= t_end:
-        return 0.0
-    return (t_end - temperature_c) / (t_end - t_start)
+    return np.clip((t_end - temperature_c) / (t_end - t_start), 0.0, 1.0)
 
 
-def build_features(curve: TgaCurve, mode: str = MODEL1) -> list[FeatureRow]:
-    """Convert one curve into per-measurement feature rows.
+def build_features(curve: TgaCurve, mode: str = MODEL1) -> np.ndarray:
+    """Convert one curve into a ``(rows, F)`` feature array.
 
-    The extended mode multiplies each initial fibre percentage by its
-    remaining fraction at the row's temperature, so fibre features deplete
-    as the corresponding stage progresses.
+    The columns are ``FEATURE_COLUMNS[mode]``. The extended mode multiplies
+    each initial fibre percentage by its remaining fraction at the row's
+    temperature, so fibre features deplete as the corresponding stage
+    progresses.
     """
-    if mode not in (MODEL1, MODEL2):
+    if mode not in FEATURE_COLUMNS:
         raise DomainError(f"unknown feature mode {mode!r}")
     spec = curve.spec
-    if mode == MODEL2 and (
-        spec.cellulose_pct is None or spec.hemicellulose_pct is None or spec.lignin_pct is None
-    ):
+    fibres = {"cellulose": spec.cellulose_pct, "hemicellulose": spec.hemicellulose_pct,
+              "lignin": spec.lignin_pct}
+    if mode == MODEL2 and None in fibres.values():
         raise InputError(f"sample {spec.sample_id!r} lacks fibre metadata for extended features")
-    rows = []
-    for temp_k, mass in zip(curve.temperature_k, curve.mass_fraction):
-        temp_c = temp_k - KELVIN_OFFSET
-        fibre = {}
-        if mode == MODEL2:
-            fibre = {
-                "cellulose_t": spec.cellulose_pct
-                * lignocellulosic_remaining(temp_c, FIBRE_WINDOWS_C["cellulose"]),
-                "hemicellulose_t": spec.hemicellulose_pct
-                * lignocellulosic_remaining(temp_c, FIBRE_WINDOWS_C["hemicellulose"]),
-                "lignin_t": spec.lignin_pct
-                * lignocellulosic_remaining(temp_c, FIBRE_WINDOWS_C["lignin"]),
-            }
-        rows.append(
-            FeatureRow(
-                ds_pct=spec.ds_fraction * 100.0,
-                scg_pct=spec.scg_fraction * 100.0,
-                heating_rate=curve.heating_rate_beta,
-                temperature=temp_c,
-                mass_pct=mass * 100.0,
-                **fibre,
-            )
-        )
-    return rows
+    temp_c = curve.temperature_k - KELVIN_OFFSET
+    columns = [spec.ds_fraction * 100.0, spec.scg_fraction * 100.0,
+               curve.heating_rate_beta, temp_c]
+    if mode == MODEL2:
+        columns += [pct * lignocellulosic_remaining(temp_c, FIBRE_WINDOWS_C[name])
+                    for name, pct in fibres.items()]
+    return np.column_stack(np.broadcast_arrays(*columns))
 
 
-def window_sequences(rows_by_curve, look_back: int = DEFAULT_LOOK_BACK):
-    """Slide a look-back window over each curve's rows independently.
+@dataclass(frozen=True)
+class WindowDataset:
+    """Look-back windows over raw feature rows, held as start indices.
 
-    ``rows_by_curve`` maps curve id -> feature rows. A curve with n rows
-    yields max(0, n - look_back) samples; windows never mix curves.
+    ``rows`` (R, F) and ``mass_pct`` (R,) are the feature rows and mass
+    percents of every curve, concatenated. Window k covers the
+    ``look_back`` rows from ``starts[k]`` on, all of curve ``curve_ids[k]``;
+    its target is the mass percent of the next row. Indexing by a slice or
+    an index array selects windows and shares the row arrays, so a split
+    costs two index arrays; ``windows`` gathers the ``(n, look_back, F)``
+    stack only for the split being trained or scored.
+    """
+
+    rows: np.ndarray
+    mass_pct: np.ndarray
+    starts: np.ndarray
+    curve_ids: np.ndarray
+    look_back: int
+    feature_mode: str
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, index) -> "WindowDataset":
+        return replace(self, starts=self.starts[index], curve_ids=self.curve_ids[index])
+
+    @property
+    def targets(self) -> np.ndarray:
+        return self.mass_pct[self.starts + self.look_back]
+
+    def row_index(self) -> np.ndarray:
+        """``(n, look_back)`` indices into ``rows`` of every window."""
+        return self.starts[:, None] + np.arange(self.look_back)
+
+    def windows(self, scaler: "MinMaxScaler | None" = None) -> np.ndarray:
+        """The raw windows, or the scaled ones when a scaler is given.
+
+        Scaling the rows before the gather is the same per-element
+        arithmetic as scaling each window after it.
+        """
+        rows = self.rows if scaler is None else scaler.scale_window(self.rows)
+        return rows[self.row_index()]
+
+
+def window_sequences(curves, mode: str = MODEL1,
+                     look_back: int = DEFAULT_LOOK_BACK) -> WindowDataset:
+    """Slide a look-back window over each curve's feature rows independently.
+
+    ``curves`` maps curve id -> TgaCurve, featurised in ``mode``. A curve
+    with n rows yields max(0, n - look_back) windows; windows never mix
+    curves.
     """
     if look_back < 1:
         raise DomainError(f"look_back must be >= 1, got {look_back}")
-    samples = []
-    for curve_id, rows in rows_by_curve.items():
-        if len(rows) <= look_back:
-            continue
-        vectors = np.stack([r.as_vector() for r in rows])
-        targets = np.array([r.mass_pct for r in rows])
-        for start in range(len(rows) - look_back):
-            samples.append(
-                SequenceSample(
-                    window=vectors[start : start + look_back],
-                    target=float(targets[start + look_back]),
-                    curve_id=curve_id,
-                )
-            )
-    return samples
+    rows, mass, starts, ids = [], [], [], []
+    offset = 0
+    for curve_id, curve in curves.items():
+        rows.append(build_features(curve, mode))
+        mass.append(curve.mass_fraction * 100.0)
+        count = max(0, curve.n_points - look_back)
+        starts.append(offset + np.arange(count))
+        ids.append(np.full(count, curve_id, dtype=object))
+        offset += curve.n_points
+    return WindowDataset(
+        rows=np.concatenate(rows),
+        mass_pct=np.concatenate(mass),
+        starts=np.concatenate(starts),
+        curve_ids=np.concatenate(ids),
+        look_back=look_back,
+        feature_mode=mode,
+    )
 
 
-def split_dataset(samples, fractions=(0.70, 0.15, 0.15), holdout_curves=(), seed: int = 0):
+def split_dataset(samples: WindowDataset, fractions=(0.70, 0.15, 0.15), holdout_curves=(),
+                  seed: int = 0):
     """Deterministic train/val/test split with curve-level holdout.
 
-    Samples from held-out curves are excluded from train/val entirely and
+    Windows of held-out curves are excluded from train/val entirely and
     prepended to the test set; the rest are shuffled by ``seed`` and divided
     by ``fractions``, whose third share becomes the in-distribution test
     remainder.
     """
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise DomainError(f"fractions must sum to 1, got {fractions}")
-    holdout_set = set(holdout_curves)
-    held = [s for s in samples if s.curve_id in holdout_set]
-    rest = [s for s in samples if s.curve_id not in holdout_set]
-    if not rest:
+    held = np.isin(samples.curve_ids, list(holdout_curves))
+    rest = np.flatnonzero(~held)
+    if not len(rest):
         raise InputError("holdout covers every curve; nothing left to train on")
-    perm = np.random.default_rng(seed).permutation(len(rest))
+    order = rest[np.random.default_rng(seed).permutation(len(rest))]
     n_train = int(len(rest) * fractions[0])
     n_val = int(len(rest) * fractions[1])
-    train = [rest[i] for i in perm[:n_train]]
-    val = [rest[i] for i in perm[n_train : n_train + n_val]]
-    remainder = [rest[i] for i in perm[n_train + n_val :]]
-    return train, val, held + remainder
+    return (
+        samples[order[:n_train]],
+        samples[order[n_train : n_train + n_val]],
+        samples[np.concatenate([np.flatnonzero(held), order[n_train + n_val :]])],
+    )
 
 
 @dataclass(frozen=True)
@@ -192,7 +174,7 @@ class MinMaxScaler:
 
     Fit on the training split only; validation and test data may legitimately
     map outside [0, 1] and are not clamped. Degenerate (constant) features
-    scale to 0 and round-trip back to their constant value.
+    scale to 0. The feature ranges cover the rows the windows span.
     """
 
     feature_min: np.ndarray
@@ -201,29 +183,26 @@ class MinMaxScaler:
     target_max: float
 
     @classmethod
-    def fit(cls, samples) -> "MinMaxScaler":
+    def fit(cls, samples: WindowDataset) -> "MinMaxScaler":
         if not samples:
-            raise InputError("cannot fit a scaler on an empty sample list")
-        stacked = np.concatenate([s.window for s in samples])
-        targets = np.array([s.target for s in samples])
+            raise InputError("cannot fit a scaler on an empty dataset")
+        # a mask rather than np.unique, whose first call imports numpy.ma
+        covered = np.zeros(len(samples.rows), dtype=bool)
+        covered[samples.row_index()] = True
+        rows = samples.rows[covered]
+        targets = samples.targets
         return cls(
-            feature_min=stacked.min(axis=0),
-            feature_max=stacked.max(axis=0),
+            feature_min=rows.min(axis=0),
+            feature_max=rows.max(axis=0),
             target_min=float(targets.min()),
             target_max=float(targets.max()),
         )
 
-    def _feature_range(self) -> np.ndarray:
-        return self.feature_max - self.feature_min
-
     def scale_window(self, window: np.ndarray) -> np.ndarray:
-        span = self._feature_range()
+        span = self.feature_max - self.feature_min
         safe = np.where(span > 0.0, span, 1.0)
         scaled = (window - self.feature_min) / safe
         return np.where(span > 0.0, scaled, 0.0)
-
-    def unscale_window(self, scaled: np.ndarray) -> np.ndarray:
-        return scaled * self._feature_range() + self.feature_min
 
     def scale_target(self, value):
         value = np.asarray(value, dtype=float)
@@ -235,10 +214,3 @@ class MinMaxScaler:
     def unscale_target(self, value):
         span = self.target_max - self.target_min
         return np.asarray(value, dtype=float) * span + self.target_min
-
-    def transform(self, sample: SequenceSample) -> SequenceSample:
-        return replace(
-            sample,
-            window=self.scale_window(sample.window),
-            target=float(self.scale_target(sample.target)),
-        )

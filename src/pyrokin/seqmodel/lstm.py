@@ -34,14 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..errors import ConfigError, InputError
-from .features import (
-    MODEL1,
-    MODEL1_FEATURES,
-    MODEL2,
-    MODEL2_FEATURES,
-    MinMaxScaler,
-    SequenceSample,
-)
+from .features import FEATURE_COLUMNS, MinMaxScaler
 
 if TYPE_CHECKING:
     from .training import TrainConfig
@@ -268,28 +261,6 @@ class LstmModel:
     feature_count: int
 
 
-def forward(model: LstmModel, sample, training_mode: bool = False,
-            rng: np.random.Generator | None = None) -> float:
-    """Predict the scaled next-step mass for one already-scaled window.
-
-    Deterministic whenever ``training_mode`` is off: dropout only exists
-    during training.
-    """
-    window = sample.window if isinstance(sample, SequenceSample) else np.asarray(sample)
-    if window.ndim != 2:
-        raise InputError("sample window must be a 2-D array (look_back, features)")
-    if window.shape[0] != model.config.look_back:
-        raise InputError(
-            f"window length {window.shape[0]} != configured look-back "
-            f"{model.config.look_back}"
-        )
-    pred, _ = forward_batch(
-        model.params, window[None, :, :], model.config,
-        training=training_mode, rng=rng,
-    )
-    return float(pred[0])
-
-
 def predict_scaled(model: LstmModel, X: np.ndarray, chunk: int = 512) -> np.ndarray:
     """Inference over a stack of scaled windows, chunked to bound memory."""
     preds = []
@@ -371,11 +342,11 @@ def load_model(text: str) -> LstmModel:
         config = TrainConfig.from_dict(doc["config"])
     except (TypeError, ConfigError) as exc:
         raise InputError(f"checkpoint config is malformed: {exc}") from None
-    widths = {MODEL1: len(MODEL1_FEATURES), MODEL2: len(MODEL2_FEATURES)}
     feature_mode = doc["feature_mode"]
-    if not isinstance(feature_mode, str) or feature_mode not in widths:
-        raise InputError(f"checkpoint feature_mode {feature_mode!r} not one of {sorted(widths)}")
-    feature_count = widths[feature_mode]
+    if not isinstance(feature_mode, str) or feature_mode not in FEATURE_COLUMNS:
+        raise InputError(
+            f"checkpoint feature_mode {feature_mode!r} not one of {sorted(FEATURE_COLUMNS)}")
+    feature_count = len(FEATURE_COLUMNS[feature_mode])
     if doc["feature_count"] != feature_count:
         raise InputError(
             f"checkpoint feature_count {doc['feature_count']!r} != {feature_count} "

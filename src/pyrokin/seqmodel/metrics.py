@@ -9,6 +9,7 @@ import numpy as np
 
 from ..errors import InputError
 from ..kinetics import r_squared
+from .features import WindowDataset
 from .lstm import LstmModel, predict_scaled
 
 
@@ -39,8 +40,8 @@ def metrics_from_arrays(actual, predicted) -> EvalMetrics:
     )
 
 
-def evaluate(model: LstmModel, test_samples) -> EvalMetrics:
-    """Score a model on raw (unscaled) samples.
+def evaluate(model: LstmModel, test_samples: WindowDataset) -> EvalMetrics:
+    """Score a model on raw (unscaled) windows.
 
     Windows are scaled with the model's stored scaler, predictions are
     mapped back to mass percent, and all metrics are computed in those
@@ -48,7 +49,6 @@ def evaluate(model: LstmModel, test_samples) -> EvalMetrics:
     """
     if not test_samples:
         raise InputError("test set must be non-empty")
-    X = model.scaler.scale_window(np.stack([s.window for s in test_samples]))
+    X = test_samples.windows(model.scaler)
     predicted = model.scaler.unscale_target(predict_scaled(model, X))
-    actual = np.array([s.target for s in test_samples], dtype=float)
-    return metrics_from_arrays(actual, predicted)
+    return metrics_from_arrays(test_samples.targets, predicted)

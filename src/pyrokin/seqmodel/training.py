@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from ..errors import ConfigError, InputError, TrainingError
-from .features import DEFAULT_LOOK_BACK, MinMaxScaler
+from .features import DEFAULT_LOOK_BACK, MinMaxScaler, WindowDataset
 from .lstm import ACTIVATIONS, LstmModel, backward_batch, forward_batch, init_params
 
 OPTIMIZERS = ("adam", "sgd", "rmsprop")
@@ -52,8 +52,10 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.learning_rate <= 0.0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        lr = self.learning_rate
+        if (isinstance(lr, bool) or not isinstance(lr, numbers.Real)
+                or not math.isfinite(lr) or lr <= 0.0):
+            raise ConfigError(f"learning_rate must be a finite positive number, got {lr!r}")
         if self.batch_size < 1 or self.epochs < 1 or self.hidden_units < 1:
             raise ConfigError("batch_size, epochs, and hidden_units must be >= 1")
         if self.lstm_layers < 1:
@@ -131,12 +133,6 @@ def _make_optimizer(config: TrainConfig):
     )
 
 
-def _stack(samples, scaler):
-    X = scaler.scale_window(np.stack([s.window for s in samples]).astype(float))
-    y = np.asarray(scaler.scale_target([s.target for s in samples]))
-    return X, y
-
-
 def _dataset_loss(params, X, y, config, chunk: int = 512) -> float:
     total = 0.0
     for start in range(0, len(X), chunk):
@@ -152,8 +148,8 @@ class EpochRecord:
     val_loss: float
 
 
-def train(train_samples, val_samples, config: TrainConfig):
-    """Fit the network on raw (unscaled) sequence samples.
+def train(train_samples: WindowDataset, val_samples: WindowDataset, config: TrainConfig):
+    """Fit the network on raw (unscaled) windows.
 
     The feature scaler is fit on the training split only, then applied to
     both splits. Mini-batch gradients are averaged within each batch and
@@ -166,16 +162,15 @@ def train(train_samples, val_samples, config: TrainConfig):
     """
     if not train_samples or not val_samples:
         raise InputError("train and validation sets must be non-empty")
-    look_back = train_samples[0].window.shape[0]
-    if look_back != config.look_back:
+    if train_samples.look_back != config.look_back:
         raise ConfigError(
-            f"sample look-back {look_back} != configured {config.look_back}"
+            f"sample look-back {train_samples.look_back} != configured {config.look_back}"
         )
-    feature_count = train_samples[0].window.shape[1]
+    feature_count = train_samples.rows.shape[1]
 
     scaler = MinMaxScaler.fit(train_samples)
-    X_train, y_train = _stack(train_samples, scaler)
-    X_val, y_val = _stack(val_samples, scaler)
+    X_train, y_train = train_samples.windows(scaler), scaler.scale_target(train_samples.targets)
+    X_val, y_val = val_samples.windows(scaler), scaler.scale_target(val_samples.targets)
 
     rng = np.random.default_rng(config.seed)
     params = init_params(feature_count, config, rng)
@@ -213,31 +208,32 @@ def train(train_samples, val_samples, config: TrainConfig):
             if bad_epochs > config.early_stop_patience:
                 break
 
-    feature_mode = "model2" if feature_count == 7 else "model1"
     model = LstmModel(
         params=best_params,
         config=config,
         scaler=scaler,
-        feature_mode=feature_mode,
+        feature_mode=train_samples.feature_mode,
         feature_count=feature_count,
     )
     return model, history
 
 
-def gradient_check(config: TrainConfig, sample, epsilon: float = 1e-5) -> float:
+def gradient_check(config: TrainConfig, window, target: float,
+                   epsilon: float = 1e-5) -> float:
     """Analytic vs central-finite-difference gradients over every parameter.
 
-    Uses squared error on a single window. Only small models are accepted
-    (hidden <= 8) and dropout must be off, since a stochastic forward pass
-    would make the numeric reference meaningless.
+    Uses squared error of one ``(look_back, features)`` window against
+    ``target``. Only small models are accepted (hidden <= 8) and dropout
+    must be off, since a stochastic forward pass would make the numeric
+    reference meaningless.
     """
     if config.hidden_units > 8:
         raise ConfigError("gradient check is limited to hidden_units <= 8")
     if config.dropout > 0.0:
         raise ConfigError("gradient check requires dropout = 0 (training-mode "
                           "dropout makes the loss stochastic)")
-    window = np.asarray(sample.window, dtype=float)
-    target = float(sample.target)
+    window = np.asarray(window, dtype=float)
+    target = float(target)
     X = window[None, :, :]
     check_config = replace(config, look_back=window.shape[0])
 

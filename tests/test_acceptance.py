@@ -25,14 +25,12 @@ from pyrokin.constants import GAS_CONSTANT as R
 from pyrokin.preprocess import compute_dtg
 from pyrokin.seqmodel import (
     TrainConfig,
-    build_features,
     evaluate,
     split_dataset,
     train,
     window_sequences,
 )
 from pyrokin.seqmodel.training import gradient_check
-from pyrokin.seqmodel.features import SequenceSample
 from pyrokin.synthkin import (
     PseudoComponent,
     PseudoComponentModel,
@@ -202,11 +200,11 @@ def test_c05_dtg_kissinger_cross_check():
 def test_c06_gradient_check():
     t0 = time.time()
     rng = np.random.default_rng(7)
-    sample = SequenceSample(window=rng.random((10, 4)), target=0.42, curve_id="g")
+    window = rng.random((10, 4))
     config = TrainConfig(
         hidden_units=4, lstm_layers=1, dropout=0.0, look_back=10, seed=3
     )
-    err = gradient_check(config, sample, epsilon=1e-5)
+    err = gradient_check(config, window, 0.42, epsilon=1e-5)
     elapsed = time.time() - t0
     report(6, err < 1e-4 and elapsed < 10.0,
            f"max rel err {err:.2e}, runtime {elapsed:.2f}s")
@@ -231,13 +229,12 @@ def generalization_run():
     )
     results = {}
     for mode in ("model2", "model1"):
-        rows = {cid: build_features(c, mode) for cid, c in curves.items()}
-        samples = window_sequences(rows, look_back=20)
+        samples = window_sequences(curves, mode, look_back=20)
         train_set, val_set, test_set = split_dataset(
             samples, holdout_curves=holdout, seed=11
         )
         model, _ = train(train_set, val_set, config)
-        held = [s for s in test_set if s.curve_id in holdout]
+        held = test_set[np.isin(test_set.curve_ids, holdout)]
         results[mode] = evaluate(model, held)
     return results, time.time() - t0
 

@@ -5,6 +5,8 @@ import pytest
 from pyrokin.cli import check_mass_balance, main, vm_from_char
 from pyrokin.errors import DomainError
 from pyrokin.report import predictions_to_csv
+import numpy as np
+
 from pyrokin.seqmodel import MODEL2, build_features
 from pyrokin.synthkin import simulate, suite_models
 from pyrokin.tga_io import (
@@ -246,11 +248,11 @@ class TestFeatureCommand:
         path = synth_dir / "single-step_beta10.csv"
         spec, beta = sidecar_to_spec(path.with_suffix(".json").read_text())
         curve = resample_uniform(load_curve(path.read_text(), spec, beta), 1.0)
-        rows = build_features(curve, MODEL2)
-        assert len(rows) == len(lines) - 1
-        for line, row in zip(lines[1:], rows):
+        table = np.column_stack([build_features(curve, MODEL2), curve.mass_fraction * 100.0])
+        assert len(table) == len(lines) - 1
+        for line, row in zip(lines[1:], table.tolist()):
             cells = [float(c) for c in line.split(",")[1:]]
-            assert cells == [*row.as_vector(), row.mass_pct]
+            assert cells == row
 
 
 @pytest.fixture(scope="module")
@@ -275,8 +277,7 @@ class TestTrainPredictEvaluate:
     def test_predict_writes_overlay(self, synth_dir, trained, tmp_path, capsys):
         rc = main(
             ["predict", curve_paths(synth_dir, (15,))[0], "--model",
-             str(trained / "model.json"), "--dt", "4.0", "--out-dir", str(tmp_path),
-             "--format", "svg"]
+             str(trained / "model.json"), "--dt", "4.0", "--out-dir", str(tmp_path)]
         )
         assert rc == 0
         svg = (tmp_path / "predictions.svg").read_text()
@@ -332,6 +333,8 @@ BAD_CHECKPOINTS = {
     "float-hidden-units": _edited(
         lambda doc: doc["config"].update(hidden_units=float(doc["config"]["hidden_units"]))),
     "negative-learning-rate": _edited(lambda doc: doc["config"].update(learning_rate=-0.01)),
+    "nan-learning-rate": _edited(
+        lambda doc: doc["config"].update(learning_rate=float("nan"))),
 }
 
 
@@ -406,6 +409,33 @@ class TestTuneCommand:
         )
         assert rc == 4
         assert "look_back" in capsys.readouterr().err
+
+
+    def test_nan_learning_rate_in_config_exits_4(self, synth_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"learning_rate": float("nan")}))
+        rc = main(
+            ["train", *curve_paths(synth_dir, (5, 10, 20)), "--dt", "6.0",
+             "--config", str(bad), "--out-dir", str(tmp_path)]
+        )
+        assert rc == 4
+        assert "learning_rate" in capsys.readouterr().err
+
+
+class TestFlagScope:
+    """--format belongs to analyze and thermo, --seed to train and tune."""
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--seed", "1"],
+        ["predict", "curve.csv", "--model", "model.json", "--format", "svg"],
+        ["massbalance", "--char", "27.74", "--seed", "1"],
+        ["features", "curve.csv", "--format", "csv"],
+    ])
+    def test_flag_the_command_ignores_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestManifest:

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pyrokin.errors import ConfigError, InputError
-from pyrokin.seqmodel.features import MinMaxScaler, SequenceSample
+from pyrokin.seqmodel.features import MinMaxScaler
 from pyrokin.seqmodel.lstm import (
     LstmModel,
     backward_batch,
-    forward,
     forward_batch,
     init_params,
     load_model,
+    predict_scaled,
     save_model,
 )
 from pyrokin.seqmodel.training import TrainConfig, gradient_check
@@ -28,6 +28,11 @@ def tiny_scaler(n_features):
         target_min=0.0,
         target_max=1.0,
     )
+
+
+def predict_one(model, window):
+    """Scaled prediction for one already-scaled (look_back, features) window."""
+    return float(predict_scaled(model, window[None])[0])
 
 
 def zero_params(feature_count, config):
@@ -99,6 +104,12 @@ def ref_forward_batch(params, X, config, training=False, rng=None):
 
 
 def ref_backward_batch(params, cache, dpred):
+    """Reference gradients plus, per key, the sums of the absolute terms.
+
+    Every gradient entry is a sum over batch and steps; the second dict holds
+    the same sums taken over the terms' magnitudes (|x|.T @ |dpre| and so
+    on), the scale of the rounding error of any summation order.
+    """
     config = cache["config"]
     layers = cache["layers"]
     hidden = config.hidden_units
@@ -106,6 +117,9 @@ def ref_backward_batch(params, cache, dpred):
     grads = {k: np.zeros_like(v) for k, v in params.items()}
     grads["dense.w"] = cache["z"].T @ dpred
     grads["dense.b"] = np.array([dpred.sum()])
+    scales = {k: np.zeros_like(v) for k, v in params.items()}
+    scales["dense.w"] = np.abs(cache["z"]).T @ np.abs(dpred)
+    scales["dense.b"] = np.array([np.abs(dpred).sum()])
     dh_last = np.outer(dpred, params["dense.w"]) * act_deriv(cache["h_last"])
     n, steps, _ = layers[0]["x"].shape
     d_output = None
@@ -141,17 +155,26 @@ def ref_backward_batch(params, cache, dpred):
                 grads[f"l{layer}.W{g}"] += x_t.T @ dpre[g]
                 grads[f"l{layer}.U{g}"] += h_prev.T @ dpre[g]
                 grads[f"l{layer}.b{g}"] += dpre[g].sum(axis=0)
+                scales[f"l{layer}.W{g}"] += np.abs(x_t).T @ np.abs(dpre[g])
+                scales[f"l{layer}.U{g}"] += np.abs(h_prev).T @ np.abs(dpre[g])
+                scales[f"l{layer}.b{g}"] += np.abs(dpre[g]).sum(axis=0)
                 dx_seq[:, t] += dpre[g] @ W[g].T
                 dh_rec += dpre[g] @ U[g].T
         d_output = dx_seq
-    return grads
+    return grads, scales
 
 
-def assert_rel_close(actual, expected, rel=1e-12):
-    """Largest deviation at most ``rel`` times the largest reference magnitude."""
+def assert_rel_close(actual, expected, rel=1e-12, scale=None):
+    """Largest deviation at most ``rel`` times the largest reference magnitude.
+
+    ``scale``, when given, replaces ``|expected|`` as the magnitude: for a
+    sum, the sum of its terms' magnitudes bounds the rounding error of every
+    summation order (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 4.2), while a sum that nearly cancels can be far smaller.
+    """
     assert actual.shape == expected.shape
-    scale = np.abs(expected).max(initial=0.0)
-    assert np.abs(actual - expected).max(initial=0.0) <= rel * scale
+    magnitude = np.abs(expected) if scale is None else scale
+    assert np.abs(actual - expected).max(initial=0.0) <= rel * magnitude.max(initial=0.0)
 
 
 def assert_matches_reference(n, steps, features, hidden, layers, activation,
@@ -172,10 +195,10 @@ def assert_matches_reference(n, steps, features, hidden, layers, activation,
     assert_rel_close(infer, ref_infer)
 
     grads = backward_batch(params, cache, dpred)
-    ref_grads = ref_backward_batch(params, ref_cache, dpred)
+    ref_grads, scales = ref_backward_batch(params, ref_cache, dpred)
     assert grads.keys() == params.keys()
     for key, ref in ref_grads.items():
-        assert_rel_close(grads[key], ref)
+        assert_rel_close(grads[key], ref, scale=scales[key])
 
 
 class TestFusedMatchesReference:
@@ -198,6 +221,11 @@ class TestFusedMatchesReference:
         dropout=st.sampled_from([0.0, 0.25]),
         seed=st.integers(0, 2**16),
     )
+    # l0.bi is a 5-step sum that nearly cancels: 1.2776e-07 from terms whose
+    # magnitudes sum to far more, so the summation orders of the fused and
+    # per-gate kernels differ by 2.3e-12 of the result
+    @example(n=1, steps=5, features=1, hidden=1, layers=1, activation="sigmoid",
+             dropout=0.0, seed=42554)
     def test_any_shape(self, n, steps, features, hidden, layers, activation,
                        dropout, seed):
         assert_matches_reference(n, steps, features, hidden, layers, activation,
@@ -241,7 +269,7 @@ class TestForward:
         params["dense.b"][0] = 0.73
         model = LstmModel(params, config, tiny_scaler(5), "model1", 5)
         window = np.ones((4, 5))
-        assert forward(model, window) == pytest.approx(0.73, abs=1e-15)
+        assert predict_one(model, window) == pytest.approx(0.73, abs=1e-15)
 
     def test_hand_computed_single_unit_cell(self):
         config = TrainConfig(hidden_units=1, lstm_layers=1, look_back=2,
@@ -260,21 +288,14 @@ class TestForward:
         params["dense.b"][0] = 0.5
         model = LstmModel(params, config, tiny_scaler(1), "model1", 1)
         window = np.array([[1.0], [-0.5]])
-        assert forward(model, window) == pytest.approx(HAND_FORWARD_VALUE, abs=1e-12)
+        assert predict_one(model, window) == pytest.approx(HAND_FORWARD_VALUE, abs=1e-12)
 
     def test_inference_is_bitwise_deterministic(self):
         config = TrainConfig(hidden_units=6, lstm_layers=2, look_back=8, dropout=0.3)
         params = init_params(4, config, np.random.default_rng(11))
         model = LstmModel(params, config, tiny_scaler(4), "model1", 4)
         window = np.random.default_rng(2).random((8, 4))
-        assert forward(model, window) == forward(model, window)
-
-    def test_window_length_mismatch_rejected(self):
-        config = TrainConfig(hidden_units=2, lstm_layers=1, look_back=5)
-        params = init_params(3, config, np.random.default_rng(0))
-        model = LstmModel(params, config, tiny_scaler(3), "model1", 3)
-        with pytest.raises(InputError, match="look-back"):
-            forward(model, np.ones((4, 3)))
+        assert predict_one(model, window) == predict_one(model, window)
 
     def test_training_dropout_needs_rng(self):
         config = TrainConfig(hidden_units=2, lstm_layers=2, look_back=3, dropout=0.5)
@@ -291,7 +312,7 @@ class TestCheckpoint:
         model = LstmModel(params, config, tiny_scaler(4), "model1", 4)
         again = load_model(save_model(model))
         window = np.random.default_rng(3).random((6, 4))
-        assert forward(model, window) == forward(again, window)
+        assert predict_one(model, window) == predict_one(again, window)
         assert again.config == model.config
         assert again.feature_mode == "model1"
 
@@ -305,21 +326,18 @@ class TestCheckpoint:
 
 
 class TestGradients:
-    def sample(self, look_back=5, features=4, seed=7):
-        rng = np.random.default_rng(seed)
-        return SequenceSample(
-            window=rng.random((look_back, features)), target=0.42, curve_id="t"
-        )
+    def window(self, look_back=5, features=4, seed=7):
+        return np.random.default_rng(seed).random((look_back, features))
 
     def test_small_model_gradients_match_finite_differences(self):
         config = TrainConfig(hidden_units=4, lstm_layers=1, dropout=0.0,
                              look_back=5, seed=3)
-        assert gradient_check(config, self.sample(), epsilon=1e-5) < 1e-4
+        assert gradient_check(config, self.window(), 0.42, epsilon=1e-5) < 1e-4
 
     def test_two_layer_gradients_match(self):
         config = TrainConfig(hidden_units=3, lstm_layers=2, dropout=0.0,
                              look_back=4, activation="relu", seed=5)
-        assert gradient_check(config, self.sample(look_back=4), epsilon=1e-5) < 1e-4
+        assert gradient_check(config, self.window(look_back=4), 0.42, epsilon=1e-5) < 1e-4
 
     def test_dense_bias_gradient_sign_convention(self):
         config = TrainConfig(hidden_units=3, lstm_layers=1, look_back=4, dropout=0.0)
@@ -335,9 +353,9 @@ class TestGradients:
     def test_dropout_must_be_off(self):
         config = TrainConfig(hidden_units=4, lstm_layers=2, dropout=0.2, look_back=5)
         with pytest.raises(ConfigError, match="dropout"):
-            gradient_check(config, self.sample())
+            gradient_check(config, self.window(), 0.42)
 
     def test_large_models_rejected(self):
         config = TrainConfig(hidden_units=64, lstm_layers=1, dropout=0.0, look_back=5)
         with pytest.raises(ConfigError, match="hidden"):
-            gradient_check(config, self.sample())
+            gradient_check(config, self.window(), 0.42)

@@ -1,26 +1,33 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from pyrokin.constants import KELVIN_OFFSET
 from pyrokin.errors import ConfigError, InputError, TrainingError
-from pyrokin.seqmodel.features import FeatureRow, SequenceSample, window_sequences
+from pyrokin.seqmodel.features import MODEL1, MODEL2, window_sequences
 from pyrokin.seqmodel.metrics import evaluate, metrics_from_arrays
 from pyrokin.seqmodel.search import SearchSpace, random_search
 from pyrokin.seqmodel.training import TrainConfig, train
+from pyrokin.tga_io import DATE_SEEDS, TgaCurve
 
 
-def linear_mass_samples(n_rows=120, look_back=10, beta=10.0, curve_id="lin"):
+def linear_mass_samples(n_rows=120, look_back=10, beta=10.0, curve_id="lin", mode=MODEL1):
     """Mass falling linearly with temperature: an easy sequence task."""
-    rows = [
-        FeatureRow(
-            ds_pct=100.0,
-            scg_pct=0.0,
-            heating_rate=beta,
-            temperature=25.0 + 5.0 * i,
-            mass_pct=100.0 - 70.0 * i / (n_rows - 1),
-        )
-        for i in range(n_rows)
-    ]
-    return window_sequences({curve_id: rows}, look_back)
+    T = 25.0 + KELVIN_OFFSET + 5.0 * np.arange(n_rows)
+    curve = TgaCurve(
+        spec=DATE_SEEDS,
+        heating_rate_beta=beta,
+        time_s=(T - T[0]) * 60.0 / beta,
+        temperature_k=T,
+        mass_fraction=1.0 - 0.7 * np.arange(n_rows) / (n_rows - 1),
+    )
+    return window_sequences({curve_id: curve}, mode, look_back)
+
+
+def far_targets(samples):
+    """The same windows with every target at -500 mass percent."""
+    return replace(samples, mass_pct=np.full_like(samples.mass_pct, -500.0))
 
 
 def quick_config(**overrides):
@@ -49,6 +56,11 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match=field):
             quick_config(**{field: value})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), True])
+    def test_learning_rate_must_be_finite_positive_real(self, value):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            quick_config(learning_rate=value)
+
     def test_numpy_integers_accepted(self):
         assert quick_config(hidden_units=np.int64(8)).hidden_units == 8
 
@@ -71,10 +83,7 @@ class TestTrain:
         # validation targets sit far from the training targets, so fitting
         # the training data strictly worsens validation loss every epoch
         train_set = linear_mass_samples()
-        val_set = [
-            SequenceSample(window=s.window, target=-500.0, curve_id=s.curve_id)
-            for s in train_set[:20]
-        ]
+        val_set = far_targets(train_set[:20])
         config = quick_config(early_stop_patience=0, epochs=40, optimizer="sgd",
                               learning_rate=0.01)
         _, history = train(train_set, val_set, config)
@@ -93,10 +102,7 @@ class TestTrain:
 
     def test_best_weights_returned_not_last(self):
         train_set = linear_mass_samples()
-        val_set = [
-            SequenceSample(window=s.window, target=-500.0, curve_id=s.curve_id)
-            for s in train_set[:20]
-        ]
+        val_set = far_targets(train_set[:20])
         config = quick_config(early_stop_patience=3, epochs=6)
         model, history = train(train_set, val_set, config)
         best = min(r.val_loss for r in history)
@@ -112,9 +118,16 @@ class TestTrain:
     def test_empty_sets_rejected(self):
         samples = linear_mass_samples()
         with pytest.raises(InputError):
-            train([], samples[:5], quick_config())
+            train(samples[:0], samples[:5], quick_config())
         with pytest.raises(InputError):
-            train(samples[:5], [], quick_config())
+            train(samples[:5], samples[:0], quick_config())
+
+    @pytest.mark.parametrize("mode", [MODEL1, MODEL2])
+    def test_feature_mode_comes_from_the_dataset(self, mode):
+        samples = linear_mass_samples(mode=mode)
+        model, _ = train(samples[:40], samples[40:60], quick_config(epochs=1))
+        assert model.feature_mode == mode
+        assert model.feature_count == samples.rows.shape[1]
 
 
 def evaluate_scaled_loss(model, samples):
@@ -122,8 +135,8 @@ def evaluate_scaled_loss(model, samples):
     bookkeeping (independent of evaluate's unscaled metrics)."""
     from pyrokin.seqmodel.lstm import predict_scaled
 
-    X = np.stack([model.scaler.scale_window(s.window) for s in samples])
-    y = model.scaler.scale_target(np.array([s.target for s in samples]))
+    X = np.stack([model.scaler.scale_window(w) for w in samples.windows()])
+    y = model.scaler.scale_target(samples.targets)
     pred = predict_scaled(model, X)
     return float(((pred - y) ** 2).mean())
 
