@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -79,6 +80,7 @@ from .tga_io import (
     DATE_SEEDS,
     SPENT_COFFEE_GROUNDS,
     blend_spec,
+    csv_text,
     curve_to_csv,
     load_curve,
     resample_uniform,
@@ -101,6 +103,9 @@ _INPUT_ERRORS = (
     IsADirectoryError,
 )
 _NUMERIC_ERRORS = (RankError, BracketError, TrainingError)
+
+# kinetics.txt prints conversion to two decimals; finer levels would collide there
+MIN_ALPHA_STEP = 0.01
 
 
 def vm_from_char(eta_pct: float) -> float:
@@ -142,6 +147,17 @@ def _load_curves(paths):
     return [_load_curve_file(Path(p)) for p in paths]
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for every float flag: NaN and infinities are rejected."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_alpha_grid(text: str):
     try:
         start, stop, step = (float(tok) for tok in text.split(":"))
@@ -149,21 +165,31 @@ def _parse_alpha_grid(text: str):
         raise InputError(
             f"bad --alpha-grid {text!r}; expected start:stop:step"
         ) from None
-    if step <= 0.0 or stop < start:
-        raise InputError(f"bad --alpha-grid {text!r}")
+    if not (0.0 < start <= stop < 1.0 and MIN_ALPHA_STEP <= step < math.inf):
+        raise InputError(
+            f"bad --alpha-grid {text!r}; need 0 < start <= stop < 1 and a finite "
+            f"step of at least {MIN_ALPHA_STEP}"
+        )
     n = int(round((stop - start) / step))
-    return tuple(round(start + i * step, 10) for i in range(n + 1))
+    grid = tuple(round(start + i * step, 10) for i in range(n + 1))
+    if not 0.0 < grid[0] <= grid[-1] < 1.0:
+        raise InputError(f"bad --alpha-grid {text!r}; levels {grid[0]}..{grid[-1]} "
+                         f"leave (0, 1)")
+    return grid
 
 
 def _parse_float_list(text: str):
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise InputError(f"bad numeric list {text!r}") from None
+        return tuple(_finite_float(tok) for tok in text.split(",") if tok.strip())
+    except argparse.ArgumentTypeError as exc:
+        raise InputError(f"bad numeric list {text!r}: {exc}") from None
 
 
 def _parse_int_list(text: str):
-    return tuple(int(v) for v in _parse_float_list(text))
+    try:
+        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise InputError(f"bad integer list {text!r}") from None
 
 
 def _parse_stage_windows(text: str):
@@ -322,18 +348,18 @@ def cmd_synth(args) -> int:
 
 def cmd_features(args) -> int:
     curves = _load_curves(args.curves)
-    lines = [",".join(["curve_id", *FEATURE_COLUMNS[args.mode], "mass_pct"])]
+    rows = []
     for curve in curves:
         prepared = resample_uniform(curve, args.dt) if args.dt else curve
         cid = _curve_id(prepared)
         table = np.column_stack([build_features(prepared, args.mode),
                                  prepared.mass_fraction * 100.0])
-        # tolist() first: numpy 2 scalars repr as "np.float64(...)"
-        lines.extend(",".join([cid, *map(repr, row)]) for row in table.tolist())
+        rows.extend([cid, *row] for row in table.tolist())
     config = {"mode": args.mode, "dt": args.dt}
     out = _manifest(args, "features", args.curves, config)
-    _write(out / "features.csv", "\n".join(lines) + "\n")
-    print(f"wrote {len(lines) - 1} feature rows")
+    header = ",".join(["curve_id", *FEATURE_COLUMNS[args.mode], "mass_pct"])
+    _write(out / "features.csv", csv_text(header, rows))
+    print(f"wrote {len(rows)} feature rows")
     return EXIT_OK
 
 
@@ -498,16 +524,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("curves", nargs="+", help="curve CSVs (each with a .json sidecar)")
     p.add_argument("--alpha-grid", default="0.1:0.7:0.1")
     p.add_argument("--smooth-window", type=int, default=DEFAULT_SMOOTH_WINDOW)
-    p.add_argument("--m0-at", type=float, default=DEFAULT_M0_AT_C,
+    p.add_argument("--m0-at", type=_finite_float, default=DEFAULT_M0_AT_C,
                    help="temperature (C) whose mass defines conversion zero")
-    p.add_argument("--dt", type=float, default=0.5, help="resampling step (K)")
-    p.add_argument("--order", type=float, default=1.0, help="assumed reaction order")
+    p.add_argument("--dt", type=_finite_float, default=0.5, help="resampling step (K)")
+    p.add_argument("--order", type=_finite_float, default=1.0, help="assumed reaction order")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("thermo", parents=[common, charts],
                        help="activation thermodynamics from a kinetics table")
     p.add_argument("--kinetics", required=True, help="kinetics.csv from analyze")
-    p.add_argument("--tm", type=float, default=None, help="reference peak temperature (K)")
+    p.add_argument("--tm", type=_finite_float, default=None,
+                   help="reference peak temperature (K)")
     p.add_argument("--curve", default=None,
                    help="curve CSV whose DTG peak supplies the reference temperature")
     p.add_argument("--stage", default="hemicellulose",
@@ -515,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stage-windows", default=None,
                    help="override stage windows: name:lo_c:hi_c[,...]")
     p.add_argument("--smooth-window", type=int, default=DEFAULT_SMOOTH_WINDOW)
-    p.add_argument("--dt", type=float, default=0.5)
+    p.add_argument("--dt", type=_finite_float, default=0.5)
     p.set_defaults(func=cmd_thermo)
 
     p = sub.add_parser("synth", parents=[common],
@@ -523,8 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", default="single-step",
                    help="single-step, three-component-ds, three-component-scg, or blend")
     p.add_argument("--beta", default="5,10,15,20", help="heating rates (K/min)")
-    p.add_argument("--dt", type=float, default=0.5)
-    p.add_argument("--frac", type=float, default=0.75,
+    p.add_argument("--dt", type=_finite_float, default=0.5)
+    p.add_argument("--frac", type=_finite_float, default=0.75,
                    help="first-parent fraction for the blend preset")
     p.set_defaults(func=cmd_synth)
 
@@ -532,14 +559,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit model feature rows for curves")
     p.add_argument("curves", nargs="+")
     p.add_argument("--mode", choices=(MODEL1, MODEL2), default=MODEL1)
-    p.add_argument("--dt", type=float, default=None,
+    p.add_argument("--dt", type=_finite_float, default=None,
                    help="optional resampling step (K) before featurization")
     p.set_defaults(func=cmd_features)
 
     train_common = argparse.ArgumentParser(add_help=False)
     train_common.add_argument("--seed", type=int, default=0, help="master random seed")
     train_common.add_argument("--mode", choices=(MODEL1, MODEL2), default=MODEL2)
-    train_common.add_argument("--dt", type=float, default=None)
+    train_common.add_argument("--dt", type=_finite_float, default=None)
     train_common.add_argument("--look-back", type=int, default=20)
     train_common.add_argument("--holdout", default=None,
                               help="comma-separated curve ids excluded from train/val")
@@ -551,10 +578,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None,
                    help="JSON training config (e.g. best_config.json from tune); "
                         "overrides the individual hyperparameter flags")
-    p.add_argument("--lr", type=float, default=0.005)
+    p.add_argument("--lr", type=_finite_float, default=0.005)
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--dropout", type=float, default=0.0)
+    p.add_argument("--dropout", type=_finite_float, default=0.0)
     p.add_argument("--hidden", type=int, default=32)
     p.add_argument("--layers", type=int, default=1)
     p.add_argument("--activation", choices=("relu", "sigmoid", "tanh"), default="tanh")
@@ -579,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="predicted-vs-actual mass curve for one run")
     p.add_argument("curve")
     p.add_argument("--model", required=True, help="model.json checkpoint")
-    p.add_argument("--dt", type=float, default=None)
+    p.add_argument("--dt", type=_finite_float, default=None)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", parents=[common],
@@ -587,13 +614,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("curves", nargs="*")
     p.add_argument("--model", default=None)
     p.add_argument("--predictions", default=None)
-    p.add_argument("--dt", type=float, default=None)
+    p.add_argument("--dt", type=_finite_float, default=None)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("massbalance", parents=[common],
                        help="volatile matter from char yield (sum identity)")
-    p.add_argument("--char", type=float, required=True, help="char yield, percent")
-    p.add_argument("--vm", type=float, default=None,
+    p.add_argument("--char", type=_finite_float, required=True, help="char yield, percent")
+    p.add_argument("--vm", type=_finite_float, default=None,
                    help="reported VM percent to check for consistency")
     p.set_defaults(func=cmd_massbalance)
 

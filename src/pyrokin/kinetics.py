@@ -43,7 +43,6 @@ DOYLE_INTERCEPT = 5.331
 class KineticModelAssumption:
     """Reaction model f/g pair used to pull A out of regression intercepts."""
 
-    tag: str = "F1"
     order: float = 1.0
 
     def __post_init__(self):
@@ -263,13 +262,12 @@ def run_analysis(curves, alpha_grid=DEFAULT_ALPHA_GRID,
                  model: KineticModelAssumption = FIRST_ORDER,
                  smooth_window: int = DEFAULT_SMOOTH_WINDOW,
                  m0_at_c: float = DEFAULT_M0_AT_C,
-                 resample_dt: float = 0.5,
-                 methods=METHODS) -> AnalysisTable:
+                 resample_dt: float = 0.5) -> AnalysisTable:
     """Full isoconversional analysis over >= 3 runs at distinct heating rates.
 
     Each curve is resampled to a uniform grid, converted to a conversion
     curve with moisture-free mass bounds, and sliced at the conversion grid;
-    every requested method is fitted per slice.
+    every method is fitted per slice.
     """
     if len(curves) < 3:
         raise InputError(f"need >= 3 heating rates, got {len(curves)}")
@@ -289,7 +287,7 @@ def run_analysis(curves, alpha_grid=DEFAULT_ALPHA_GRID,
     slices, excluded, warnings = build_slices(alpha_curves, alpha_grid)
     estimates = []
     for sl in slices:
-        for method in methods:
+        for method in METHODS:
             estimates.append(_METHOD_FUNCS[method](sl, model))
     return AnalysisTable(
         sample_id=curves[0].spec.sample_id,

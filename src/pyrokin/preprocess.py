@@ -170,11 +170,11 @@ def rate_at_temperature(alpha_curve: AlphaCurve, temperature_k: float) -> float:
     )
 
 
-def find_peaks(dtg, windows=None, threshold_frac: float = PEAK_THRESHOLD_FRAC):
+def find_peaks(dtg, windows=None):
     """Per stage window, the temperature of maximum mass-loss rate.
 
     ``dtg`` is the ``(temperature_k, dm_dT)`` pair from compute_dtg. A window
-    only yields a peak when its maximum |dm/dT| reaches ``threshold_frac`` of
+    only yields a peak when its maximum |dm/dT| reaches ``PEAK_THRESHOLD_FRAC`` of
     the global maximum, so stages masked at high heating rates simply drop
     out of the result. Absence of a peak is a valid outcome, not an error.
     """
@@ -194,7 +194,7 @@ def find_peaks(dtg, windows=None, threshold_frac: float = PEAK_THRESHOLD_FRAC):
             continue
         local = np.where(mask, magnitude, -np.inf)
         k = int(np.argmax(local))
-        if magnitude[k] < threshold_frac * global_max or magnitude[k] <= 0.0:
+        if magnitude[k] < PEAK_THRESHOLD_FRAC * global_max or magnitude[k] <= 0.0:
             continue
         peaks.append(
             DtgPeak(

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError, ParseError
 from .kinetics import METHODS, AnalysisTable, KineticEstimate
 from .seqmodel.metrics import EvalMetrics
+from .tga_io import csv_text, read_csv
 
 ANALYSIS_CSV_HEADER = "alpha,method,ea_kj_mol,a_per_s,r_squared"
 THERMO_CSV_HEADER = "alpha,method,quantity,value"
@@ -16,18 +16,17 @@ LEADERBOARD_CSV_HEADER = (
     "hidden_units,lstm_layers,activation,optimizer,look_back,seed"
 )
 PREDICTIONS_CSV_HEADER = "temperature_c,actual_mass_pct,predicted_mass_pct"
+EA_PLOT_CSV_HEADER = "alpha,method,ea_kj_mol"
 METRICS_CSV_HEADER = "mae,mse,rmse,r_squared"
 
 _METHOD_LABELS = {"friedman": "Friedman", "kas": "KAS", "fwo": "FWO"}
 
 
 def analysis_to_csv(table: AnalysisTable) -> str:
-    lines = [ANALYSIS_CSV_HEADER]
-    for est in table.estimates:
-        lines.append(
-            f"{est.alpha!r},{est.method},{est.ea / 1000.0!r},{est.a!r},{est.r_squared!r}"
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(ANALYSIS_CSV_HEADER, [
+        (est.alpha, est.method, est.ea / 1000.0, est.a, est.r_squared)
+        for est in table.estimates
+    ])
 
 
 def analysis_from_csv(text: str) -> AnalysisTable:
@@ -36,33 +35,17 @@ def analysis_from_csv(text: str) -> AnalysisTable:
     Regression internals are not stored in the CSV, so slope/intercept come
     back as NaN; averages and downstream thermodynamics are unaffected.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise InputError("empty analysis CSV")
-    if lines[0].strip() != ANALYSIS_CSV_HEADER:
-        raise ParseError(f"unexpected header {lines[0]!r}", line=1)
-    estimates = []
-    for no, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise ParseError(f"expected 5 columns, got {len(parts)}", line=no)
-        try:
-            estimates.append(
-                KineticEstimate(
-                    method=parts[1],
-                    alpha=float(parts[0]),
-                    ea=float(parts[2]) * 1000.0,
-                    a=float(parts[3]),
-                    r_squared=float(parts[4]),
-                    slope=float("nan"),
-                    intercept=float("nan"),
-                )
-            )
-        except ValueError as exc:
-            raise ParseError(str(exc), line=no) from None
+    t = read_csv(text, (ANALYSIS_CSV_HEADER,), text_columns=("method",))
+    estimates = tuple(
+        KineticEstimate(method=method, alpha=alpha, ea=ea_kj * 1000.0, a=a,
+                        r_squared=r_squared, slope=float("nan"), intercept=float("nan"))
+        for method, alpha, ea_kj, a, r_squared in zip(
+            t["method"], t["alpha"].tolist(), t["ea_kj_mol"].tolist(),
+            t["a_per_s"].tolist(), t["r_squared"].tolist())
+    )
     alphas = tuple(dict.fromkeys(e.alpha for e in estimates))
     return AnalysisTable(
-        sample_id="", betas=(), estimates=tuple(estimates), included_alphas=alphas
+        sample_id="", betas=(), estimates=estimates, included_alphas=alphas
     )
 
 
@@ -114,73 +97,51 @@ def ea_plot_series(table: AnalysisTable):
 
 
 def ea_plot_csv(table: AnalysisTable) -> str:
-    lines = ["alpha,method,ea_kj_mol"]
-    for est in table.estimates:
-        lines.append(f"{est.alpha!r},{est.method},{est.ea / 1000.0!r}")
-    return "\n".join(lines) + "\n"
+    return csv_text(EA_PLOT_CSV_HEADER, [
+        (est.alpha, est.method, est.ea / 1000.0) for est in table.estimates
+    ])
 
 
 def thermo_to_csv(profile) -> str:
     """Three rows (dH, dG, dS) per thermodynamic estimate, in kJ-based units."""
-    lines = [THERMO_CSV_HEADER]
-    for est in profile:
-        lines.append(f"{est.alpha!r},{est.method},dH,{est.delta_h / 1000.0!r}")
-        lines.append(f"{est.alpha!r},{est.method},dG,{est.delta_g / 1000.0!r}")
-        lines.append(f"{est.alpha!r},{est.method},dS,{est.delta_s!r}")
-    return "\n".join(lines) + "\n"
+    return csv_text(THERMO_CSV_HEADER, [
+        (est.alpha, est.method, quantity, value)
+        for est in profile
+        for quantity, value in (("dH", est.delta_h / 1000.0),
+                                ("dG", est.delta_g / 1000.0),
+                                ("dS", est.delta_s))
+    ])
 
 
 def history_to_csv(history) -> str:
-    lines = [HISTORY_CSV_HEADER]
-    for rec in history:
-        lines.append(f"{rec.epoch},{rec.train_loss!r},{rec.val_loss!r}")
-    return "\n".join(lines) + "\n"
+    return csv_text(HISTORY_CSV_HEADER, [
+        (rec.epoch, rec.train_loss, rec.val_loss) for rec in history
+    ])
 
 
 def leaderboard_to_csv(leaderboard) -> str:
-    lines = [LEADERBOARD_CSV_HEADER]
-    for rank, result in enumerate(leaderboard, start=1):
-        c = result.config
-        lines.append(
-            f"{rank},{result.trial},{result.val_loss!r},{c.learning_rate!r},"
-            f"{c.batch_size},{c.epochs},{c.dropout!r},{c.hidden_units},"
-            f"{c.lstm_layers},{c.activation},{c.optimizer},{c.look_back},{c.seed}"
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(LEADERBOARD_CSV_HEADER, [
+        (rank, r.trial, r.val_loss, r.config.learning_rate, r.config.batch_size,
+         r.config.epochs, r.config.dropout, r.config.hidden_units, r.config.lstm_layers,
+         r.config.activation, r.config.optimizer, r.config.look_back, r.config.seed)
+        for rank, r in enumerate(leaderboard, start=1)
+    ])
 
 
 def predictions_to_csv(temperatures_c, actual_pct, predicted_pct) -> str:
-    lines = [PREDICTIONS_CSV_HEADER]
-    for T, a, p in zip(temperatures_c, actual_pct, predicted_pct):
-        lines.append(f"{float(T)!r},{float(a)!r},{float(p)!r}")
-    return "\n".join(lines) + "\n"
+    columns = np.array([temperatures_c, actual_pct, predicted_pct], dtype=float)
+    return csv_text(PREDICTIONS_CSV_HEADER, columns.T.tolist())
 
 
 def predictions_from_csv(text: str):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise InputError("empty predictions CSV")
-    if lines[0].strip() != PREDICTIONS_CSV_HEADER:
-        raise ParseError(f"unexpected header {lines[0]!r}", line=1)
-    temps, actual, predicted = [], [], []
-    for no, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ParseError(f"expected 3 columns, got {len(parts)}", line=no)
-        try:
-            temps.append(float(parts[0]))
-            actual.append(float(parts[1]))
-            predicted.append(float(parts[2]))
-        except ValueError as exc:
-            raise ParseError(str(exc), line=no) from None
-    return np.array(temps), np.array(actual), np.array(predicted)
+    t = read_csv(text, (PREDICTIONS_CSV_HEADER,))
+    return t["temperature_c"], t["actual_mass_pct"], t["predicted_mass_pct"]
 
 
 def metrics_to_csv(metrics: EvalMetrics) -> str:
-    return (
-        METRICS_CSV_HEADER + "\n"
-        f"{metrics.mae!r},{metrics.mse!r},{metrics.rmse!r},{metrics.r_squared!r}\n"
-    )
+    return csv_text(METRICS_CSV_HEADER, [
+        (metrics.mae, metrics.mse, metrics.rmse, metrics.r_squared)
+    ])
 
 
 def metrics_to_text(metrics: EvalMetrics) -> str:

@@ -13,7 +13,7 @@ from .features import (
 from .lstm import LstmModel, load_model, save_model
 from .metrics import EvalMetrics, evaluate, metrics_from_arrays
 from .search import SearchSpace, random_search
-from .training import TrainConfig, gradient_check, train
+from .training import TrainConfig, train
 
 __all__ = [
     "MODEL1",
@@ -33,6 +33,5 @@ __all__ = [
     "SearchSpace",
     "random_search",
     "TrainConfig",
-    "gradient_check",
     "train",
 ]

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,6 +31,18 @@ class SearchSpace:
     optimizers: tuple[str, ...] = ("adam", "sgd", "rmsprop")
     look_back_choices: tuple[int, ...] = (20,)
     early_stop_patience: int = 5
+
+    def __post_init__(self):
+        bounds = self.learning_rate_bounds
+        if not (len(bounds) == 2 and all(0.0 < b < math.inf for b in bounds)
+                and bounds[0] <= bounds[1]):
+            raise ConfigError(
+                f"learning_rate_bounds must be two finite positive numbers lo <= hi, "
+                f"got {bounds}"
+            )
+        empty = [f.name for f in fields(self) if getattr(self, f.name) == ()]
+        if empty:
+            raise ConfigError(f"empty search choices: {', '.join(empty)}")
 
     def sample(self, rng: np.random.Generator, seed: int) -> TrainConfig:
         lo, hi = self.learning_rate_bounds

@@ -1,11 +1,10 @@
-"""Training configuration, from-scratch optimizers, the BPTT training loop,
-and the finite-difference gradient harness."""
+"""Training configuration, from-scratch optimizers and the BPTT training loop."""
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -216,50 +215,3 @@ def train(train_samples: WindowDataset, val_samples: WindowDataset, config: Trai
         feature_count=feature_count,
     )
     return model, history
-
-
-def gradient_check(config: TrainConfig, window, target: float,
-                   epsilon: float = 1e-5) -> float:
-    """Analytic vs central-finite-difference gradients over every parameter.
-
-    Uses squared error of one ``(look_back, features)`` window against
-    ``target``. Only small models are accepted (hidden <= 8) and dropout
-    must be off, since a stochastic forward pass would make the numeric
-    reference meaningless.
-    """
-    if config.hidden_units > 8:
-        raise ConfigError("gradient check is limited to hidden_units <= 8")
-    if config.dropout > 0.0:
-        raise ConfigError("gradient check requires dropout = 0 (training-mode "
-                          "dropout makes the loss stochastic)")
-    window = np.asarray(window, dtype=float)
-    target = float(target)
-    X = window[None, :, :]
-    check_config = replace(config, look_back=window.shape[0])
-
-    rng = np.random.default_rng(check_config.seed)
-    params = init_params(window.shape[1], check_config, rng)
-
-    pred, cache = forward_batch(params, X, check_config, want_cache=True)
-    analytic = backward_batch(params, cache, 2.0 * (pred - target))
-
-    def loss_at() -> float:
-        p, _ = forward_batch(params, X, check_config)
-        return float((p[0] - target) ** 2)
-
-    worst = 0.0
-    for key in sorted(params):
-        tensor = params[key]
-        flat = tensor.reshape(-1)
-        grad_flat = analytic[key].reshape(-1)
-        for j in range(flat.size):
-            original = flat[j]
-            flat[j] = original + epsilon
-            up = loss_at()
-            flat[j] = original - epsilon
-            down = loss_at()
-            flat[j] = original
-            numeric = (up - down) / (2.0 * epsilon)
-            denom = max(abs(grad_flat[j]) + abs(numeric), 1e-8)
-            worst = max(worst, abs(grad_flat[j] - numeric) / denom)
-    return worst

@@ -7,7 +7,6 @@ percent, K/min) and are converted on the way in and out.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, replace
@@ -132,21 +131,78 @@ class TgaCurve:
     def temperature_span(self) -> float:
         return float(self.temperature_k[-1] - self.temperature_k[0])
 
-    def is_uniform_grid(self, rel_tol: float = 1e-9) -> bool:
+    def is_uniform_grid(self) -> bool:
         steps = np.diff(self.temperature_k)
         if len(steps) == 0 or steps[0] <= 0.0:
             return False
-        return bool(np.all(np.abs(steps - steps[0]) <= rel_tol * abs(steps[0])))
+        return bool(np.all(np.abs(steps - steps[0]) <= 1e-9 * abs(steps[0])))
 
 
-def _parse_float(token: str, line_no: int, column: str) -> float:
+def csv_text(header: str, rows) -> str:
+    """Write rows in the package's CSV dialect: the header line, then one line per row.
+
+    Rows hold Python values (call ``tolist()`` on arrays first). Each cell is
+    written as ``str(value)``, which for a float is the shortest text that
+    reads back to the same double. The text ends in a newline.
+    """
+    columns = [list(map(str, column)) for column in zip(*rows)]
+    return "\n".join([header, *map(",".join, zip(*columns)), ""])
+
+
+def read_csv(data_stream, headers, text_columns=()) -> dict:
+    """Read text written in the package's CSV dialect (see ``csv_text``).
+
+    ``data_stream`` is a string or a text file object; ``headers`` lists the
+    accepted header lines. Blank lines are skipped, and the header matches
+    without regard to case or surrounding spaces. Returns a dict from each
+    column name of the matched header to a float array, or to a list of
+    stripped strings for the columns named in ``text_columns``. Every
+    numeric cell must be finite: a bad cell or column count raises
+    ``ParseError`` with its physical line number.
+    """
+    text = data_stream if isinstance(data_stream, str) else data_stream.read()
+    lines = text.split("\n")
+    rows = [line for line in lines if line.strip()]
+    if not rows:
+        raise InputError("empty input: no CSV rows found")
+    found = [cell.strip().lower() for cell in rows[0].split(",")]
+    names = next((h.split(",") for h in headers if h.lower().split(",") == found), None)
+    if names is None:
+        expected = " or ".join(map(repr, headers))
+        raise ParseError(f"unrecognized header {rows[0].strip()!r}; expected {expected}",
+                         line=lines.index(rows[0]) + 1)
+    numeric = [k for k, name in enumerate(names) if name not in text_columns]
+    cells = [row.split(",") for row in rows[1:]]
     try:
-        value = float(token)
-    except ValueError:
-        raise ParseError(f"cannot parse {column} value {token!r}", line=line_no) from None
-    if not math.isfinite(value):
-        raise ParseError(f"non-finite {column} value {token!r}", line=line_no)
-    return value
+        columns = list(zip(*cells, strict=True)) if cells else [()] * len(names)
+        values = np.array([columns[k] for k in numeric], dtype=float)
+        valid = len(columns) == len(names) and bool(np.isfinite(values).all())
+    except (ValueError, IndexError):
+        valid = False
+    if not valid:
+        raise _bad_row(lines, lines.index(rows[0]) + 1, names, numeric)
+    table = {names[k]: column for k, column in zip(numeric, values)}
+    for name in text_columns:
+        table[name] = [cell.strip() for cell in columns[names.index(name)]]
+    return table
+
+
+def _bad_row(lines, header_no, names, numeric) -> ParseError:
+    """The error for the first data row ``read_csv`` rejects (error path only)."""
+    for line_no, row in enumerate(lines[header_no:], start=header_no + 1):
+        if not row.strip():
+            continue
+        parts = row.split(",")
+        if len(parts) != len(names):
+            return ParseError(f"expected {len(names)} columns, got {len(parts)}", line=line_no)
+        for k in numeric:
+            try:
+                value = float(parts[k])
+            except ValueError:
+                return ParseError(f"cannot parse {names[k]} value {parts[k]!r}", line=line_no)
+            if not math.isfinite(value):
+                return ParseError(f"non-finite {names[k]} value {parts[k]!r}", line=line_no)
+    return ParseError("malformed CSV data")
 
 
 def load_curve(data_stream, meta: SampleSpec, beta: float) -> TgaCurve:
@@ -166,47 +222,13 @@ def load_curve(data_stream, meta: SampleSpec, beta: float) -> TgaCurve:
     The first mass value becomes 1 after normalization; temperatures are
     converted from Celsius to kelvin.
     """
-    if isinstance(data_stream, str):
-        data_stream = io.StringIO(data_stream)
-    lines = [ln.strip() for ln in data_stream]
-    lines = [(i + 1, ln) for i, ln in enumerate(lines) if ln]
-    if not lines:
-        raise InputError("empty input: no CSV rows found")
-
-    header_no, header = lines[0]
-    header_cols = [c.strip().lower() for c in header.split(",")]
-    if header_cols == CSV_HEADER_3COL.split(","):
-        has_time = True
-    elif header_cols == CSV_HEADER_2COL.split(","):
-        has_time = False
+    table = read_csv(data_stream, (CSV_HEADER_3COL, CSV_HEADER_2COL))
+    temp_c, mass = table["temperature_c"], table["mass_pct"]
+    if len(mass) < MIN_ROWS:
+        raise InputError(f"need at least {MIN_ROWS} data rows, got {len(mass)}")
+    if "time_s" in table:
+        time_s = table["time_s"]
     else:
-        raise ParseError(
-            f"unrecognized header {header!r}; expected "
-            f"{CSV_HEADER_3COL!r} or {CSV_HEADER_2COL!r}",
-            line=header_no,
-        )
-
-    rows = lines[1:]
-    if len(rows) < MIN_ROWS:
-        raise InputError(f"need at least {MIN_ROWS} data rows, got {len(rows)}")
-
-    n_cols = 3 if has_time else 2
-    time_s = np.empty(len(rows))
-    temp_c = np.empty(len(rows))
-    mass = np.empty(len(rows))
-    for k, (line_no, line) in enumerate(rows):
-        parts = line.split(",")
-        if len(parts) != n_cols:
-            raise ParseError(f"expected {n_cols} columns, got {len(parts)}", line=line_no)
-        if has_time:
-            time_s[k] = _parse_float(parts[0], line_no, "time_s")
-            temp_c[k] = _parse_float(parts[1], line_no, "temperature_c")
-            mass[k] = _parse_float(parts[2], line_no, "mass_pct")
-        else:
-            temp_c[k] = _parse_float(parts[0], line_no, "temperature_c")
-            mass[k] = _parse_float(parts[1], line_no, "mass_pct")
-
-    if not has_time:
         # beta in K/min; reconstruct elapsed seconds from the temperature ramp
         time_s = (temp_c - temp_c[0]) * 60.0 / beta
 
@@ -223,12 +245,10 @@ def load_curve(data_stream, meta: SampleSpec, beta: float) -> TgaCurve:
 
 def curve_to_csv(curve: TgaCurve) -> str:
     """Serialize a curve to the three-column CSV dialect (shortest round-trip floats)."""
-    out = [CSV_HEADER_3COL]
-    temp_c = (curve.temperature_k - KELVIN_OFFSET).tolist()
-    mass_pct = (curve.mass_fraction * 100.0).tolist()
-    for t, T, m in zip(curve.time_s.tolist(), temp_c, mass_pct):
-        out.append(f"{t!r},{T!r},{m!r}")
-    return "\n".join(out) + "\n"
+    temp_c = curve.temperature_k - KELVIN_OFFSET
+    mass_pct = curve.mass_fraction * 100.0
+    return csv_text(CSV_HEADER_3COL,
+                    zip(curve.time_s.tolist(), temp_c.tolist(), mass_pct.tolist()))
 
 
 def spec_to_sidecar(spec: SampleSpec, beta: float) -> str:

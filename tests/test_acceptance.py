@@ -30,7 +30,6 @@ from pyrokin.seqmodel import (
     train,
     window_sequences,
 )
-from pyrokin.seqmodel.training import gradient_check
 from pyrokin.synthkin import (
     PseudoComponent,
     PseudoComponentModel,
@@ -40,6 +39,8 @@ from pyrokin.synthkin import (
 )
 from pyrokin.tga_io import curve_to_csv, resample_uniform, spec_to_sidecar
 from pyrokin.thermo import delta_g, delta_h, delta_s
+
+from test_lstm import gradient_check
 
 _MODULE_T0 = time.time()
 

@@ -1,9 +1,11 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pyrokin.cli import check_mass_balance, main, vm_from_char
-from pyrokin.errors import DomainError
+from pyrokin.cli import _parse_alpha_grid, check_mass_balance, main, vm_from_char
+from pyrokin.errors import DomainError, InputError
 from pyrokin.report import predictions_to_csv
 import numpy as np
 
@@ -436,6 +438,79 @@ class TestFlagScope:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects a flag value
+        return exc.code
+
+
+BAD_NUMBERS = [
+    (["analyze", "CURVES", "--dt", "nan"], 2),
+    (["analyze", "CURVES", "--order", "nan"], 2),
+    (["analyze", "CURVES", "--m0-at", "-inf"], 2),
+    (["features", "CURVES", "--dt", "nan"], 2),
+    (["synth", "--dt", "nan"], 2),
+    (["synth", "--beta", "nan"], 2),
+    (["synth", "--beta", "5,inf"], 2),
+    (["thermo", "--kinetics", "KINETICS", "--tm", "nan"], 2),
+    (["train", "CURVES", "--lr", "inf"], 2),
+    (["massbalance", "--char", "27.74", "--vm", "nan"], 2),
+    (["analyze", "CURVES", "--alpha-grid", "nan:0.7:0.1"], 2),
+    (["analyze", "CURVES", "--alpha-grid", "0.1:inf:0.1"], 2),
+    (["analyze", "CURVES", "--alpha-grid", "0.1:0.7:1e-300"], 2),
+    (["analyze", "CURVES", "--alpha-grid", "0.1:0.7:0.005"], 2),
+    (["analyze", "CURVES", "--alpha-grid", "0.1:0.7:nan"], 2),
+    (["analyze", "CURVES", "--alpha-grid", "0:0.7:0.1"], 2),
+    (["analyze", "CURVES", "--alpha-grid", "0.1:0.96:0.1"], 2),  # last level 1.0
+    (["tune", "CURVES", "--lr-bounds", "0.01"], 4),
+    (["tune", "CURVES", "--lr-bounds", "0.01,0.001"], 4),
+    (["tune", "CURVES", "--batch-choices", ""], 4),
+    (["tune", "CURVES", "--hidden-choices", "2.7"], 2),
+    (["tune", "CURVES", "--lr-bounds", "0.001,nan"], 2),
+]
+
+
+class TestRejectsBadNumbers:
+    """Every malformed number ends in its exit code, never a traceback."""
+
+    @pytest.mark.parametrize("argv, code", BAD_NUMBERS,
+                             ids=[" ".join(argv[:1] + argv[-2:]) for argv, _ in BAD_NUMBERS])
+    def test_exit_code(self, synth_dir, tmp_path, capsys, argv, code):
+        if "KINETICS" in argv:
+            assert main(["analyze", *curve_paths(synth_dir), "--format", "csv",
+                         "--out-dir", str(tmp_path)]) == 0
+        inputs = {"CURVES": curve_paths(synth_dir),
+                  "KINETICS": [str(tmp_path / "kinetics.csv")]}
+        argv = [a for arg in argv for a in inputs.get(arg, [arg])]
+        if argv[0] == "tune":
+            argv += ["--dt", "6.0", "--look-back", "5"]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert exit_code([*argv, "--out-dir", str(out)]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "error" in err
+        assert not out.exists() or not list(out.iterdir())  # nothing written
+
+
+FIELDS = st.one_of(st.floats().map(repr), st.text(max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(st.text(max_size=30),
+                      st.lists(FIELDS, min_size=1, max_size=4).map(":".join),
+                      st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 0.5))
+                      .map(lambda t: "%r:%r:%r" % t)))
+@example(text="3.364006594571162e-130:0.5:0.5")  # start rounds to level 0.0
+def test_alpha_grid_is_bounded_or_rejected(text):
+    try:
+        grid = _parse_alpha_grid(text)
+    except InputError:
+        return
+    assert 0.0 < grid[0] and grid[-1] < 1.0 and len(grid) <= 101
+    assert all(a < b for a, b in zip(grid, grid[1:]))
 
 
 class TestManifest:

@@ -199,6 +199,22 @@ class TestRandomSearch:
         assert losses == sorted(losses)
         assert losses[0] <= float(np.median(losses))
 
+    @pytest.mark.parametrize("change", [
+        {"learning_rate_bounds": (0.01,)},
+        {"learning_rate_bounds": (0.001, 0.01, 0.1)},
+        {"learning_rate_bounds": (0.01, 0.001)},
+        {"learning_rate_bounds": (0.0, 0.01)},
+        {"learning_rate_bounds": (float("nan"), 0.01)},
+        {"learning_rate_bounds": (0.001, float("inf"))},
+        {"batch_sizes": ()},
+        {"hidden_choices": ()},
+        {"optimizers": ()},
+        {"look_back_choices": ()},
+    ])
+    def test_malformed_space_is_config_error(self, change):
+        with pytest.raises(ConfigError):
+            replace(self.space_point(), **change)
+
 
 class TestMetrics:
     def test_perfect_predictions(self):
