@@ -335,9 +335,9 @@ def cmd_synth(args) -> int:
         )
     config = {"preset": args.preset, "betas": list(betas), "dt": args.dt,
               "frac": args.frac}
+    curves = [simulate(model, beta, args.dt, spec=spec) for beta in betas]
     out = _manifest(args, "synth", [], config)
-    for beta in betas:
-        curve = simulate(model, beta, args.dt, spec=spec)
+    for beta, curve in zip(betas, curves):
         stem = f"{name}_beta{beta:g}"
         _write(out / f"{stem}.csv", curve_to_csv(curve))
         _write(out / f"{stem}.json", spec_to_sidecar(spec, beta))
@@ -627,9 +627,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: main() only parses and dispatches.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .errors import InputError
 from .kinetics import METHODS, AnalysisTable, KineticEstimate
 from .seqmodel.metrics import EvalMetrics
 from .tga_io import csv_text, read_csv
@@ -36,6 +39,9 @@ def analysis_from_csv(text: str) -> AnalysisTable:
     back as NaN; averages and downstream thermodynamics are unaffected.
     """
     t = read_csv(text, (ANALYSIS_CSV_HEADER,), text_columns=("method",))
+    for ea_kj in t["ea_kj_mol"].tolist():
+        if not math.isfinite(ea_kj * 1000.0):
+            raise InputError(f"ea_kj_mol value {ea_kj!r} overflows when scaled to J/mol")
     estimates = tuple(
         KineticEstimate(method=method, alpha=alpha, ea=ea_kj * 1000.0, a=a,
                         r_squared=r_squared, slope=float("nan"), intercept=float("nan"))

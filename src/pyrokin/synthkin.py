@@ -22,6 +22,7 @@ from .tga_io import (
     SampleSpec,
     TgaCurve,
     blend_spec,
+    grid_intervals,
 )
 
 # 4-point Gauss-Legendre rule on [-1, 1], correctly rounded; written out so
@@ -91,7 +92,8 @@ def simulate(model: PseudoComponentModel, beta: float, dT: float,
         pre-exponential factors keep 1/s units).
     dT : float
         Grid step in K, at most 1 K. The step is adjusted to the nearest
-        value dividing the span evenly.
+        value dividing the span evenly; the grid may hold at most
+        ``tga_io.MAX_GRID_POINTS`` points.
     spec : SampleSpec, optional
         Metadata attached to the returned curve; a generic synthetic spec
         is used when omitted.
@@ -105,7 +107,7 @@ def simulate(model: PseudoComponentModel, beta: float, dT: float,
         raise DomainError(f"beta must be positive, got {beta}")
     beta_s = beta / 60.0
 
-    n_steps = max(1, round((model.t_end - model.t_start) / dT))
+    n_steps = grid_intervals(model.t_end - model.t_start, dT)
     grid = np.linspace(model.t_start, model.t_end, n_steps + 1)
     h = (model.t_end - model.t_start) / n_steps
 
@@ -224,21 +226,6 @@ def model_to_json(model: PseudoComponentModel) -> str:
         "t_end_k": model.t_end,
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def model_from_json(text: str) -> PseudoComponentModel:
-    doc = json.loads(text)
-    return PseudoComponentModel(
-        components=tuple(
-            PseudoComponent(
-                fraction=c["fraction"], ea=c["ea_j_mol"], a=c["a_per_s"], order=c["order"]
-            )
-            for c in doc["components"]
-        ),
-        residue=doc["residue"],
-        t_start=doc["t_start_k"],
-        t_end=doc["t_end_k"],
-    )
 
 
 # Base kinetic triplets chosen so the 10 K/min DTG peaks fall inside the

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pyrokin import cli
 from pyrokin.cli import _parse_alpha_grid, check_mass_balance, main, vm_from_char
 from pyrokin.errors import DomainError, InputError
 from pyrokin.report import predictions_to_csv
@@ -12,6 +17,7 @@ import numpy as np
 from pyrokin.seqmodel import MODEL2, build_features
 from pyrokin.synthkin import simulate, suite_models
 from pyrokin.tga_io import (
+    MAX_GRID_POINTS,
     curve_to_csv,
     load_curve,
     resample_uniform,
@@ -447,7 +453,14 @@ def exit_code(argv):
         return exc.code
 
 
+# a step whose grid over the fixtures' 600 K span holds MAX_GRID_POINTS + 1
+# points: just over the limit, so a run that ignored it would still fit in memory
+TOO_FINE = repr(600.0 / MAX_GRID_POINTS)
+
 BAD_NUMBERS = [
+    (["analyze", "CURVES", "--dt", TOO_FINE], 2),
+    (["predict", "CURVE", "--model", "MODEL", "--dt", TOO_FINE], 2),
+    (["synth", "--beta", "10", "--dt", TOO_FINE], 2),
     (["analyze", "CURVES", "--dt", "nan"], 2),
     (["analyze", "CURVES", "--order", "nan"], 2),
     (["analyze", "CURVES", "--m0-at", "-inf"], 2),
@@ -478,12 +491,15 @@ class TestRejectsBadNumbers:
 
     @pytest.mark.parametrize("argv, code", BAD_NUMBERS,
                              ids=[" ".join(argv[:1] + argv[-2:]) for argv, _ in BAD_NUMBERS])
-    def test_exit_code(self, synth_dir, tmp_path, capsys, argv, code):
+    def test_exit_code(self, synth_dir, tmp_path, capsys, request, argv, code):
         if "KINETICS" in argv:
             assert main(["analyze", *curve_paths(synth_dir), "--format", "csv",
                          "--out-dir", str(tmp_path)]) == 0
         inputs = {"CURVES": curve_paths(synth_dir),
+                  "CURVE": curve_paths(synth_dir, (15,)),
                   "KINETICS": [str(tmp_path / "kinetics.csv")]}
+        if "MODEL" in argv:
+            inputs["MODEL"] = [str(request.getfixturevalue("trained") / "model.json")]
         argv = [a for arg in argv for a in inputs.get(arg, [arg])]
         if argv[0] == "tune":
             argv += ["--dt", "6.0", "--look-back", "5"]
@@ -511,6 +527,43 @@ def test_alpha_grid_is_bounded_or_rejected(text):
         return
     assert 0.0 < grid[0] and grid[-1] < 1.0 and len(grid) <= 101
     assert all(a < b for a, b in zip(grid, grid[1:]))
+
+
+class TestParserReuse:
+    """The parser is built once per process; main() only parses and dispatches."""
+
+    @staticmethod
+    def outputs(out_dir):
+        return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())
+                if p.name != "manifest.json"}
+
+    def test_earlier_flags_do_not_leak_into_a_later_call(self, synth_dir, tmp_path):
+        curves = curve_paths(synth_dir)
+        assert main(["analyze", *curves, "--format", "svg", "--order", "1.5",
+                     "--out-dir", str(tmp_path / "svg")]) == 0
+        assert main(["analyze", *curves, "--out-dir", str(tmp_path / "plain")]) == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        fresh = subprocess.run(
+            [sys.executable, "-m", "pyrokin.cli", "analyze", *curves,
+             "--out-dir", str(tmp_path / "fresh")], capture_output=True, text=True, env=env)
+        assert fresh.returncode == 0, fresh.stderr
+        plain = self.outputs(tmp_path / "plain")
+        assert sorted(plain) == ["ea_vs_alpha.csv", "kinetics.csv", "kinetics.txt"]
+        assert plain == self.outputs(tmp_path / "fresh")
+
+    def test_valid_call_after_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["massbalance", "--char", "not-a-number"])
+        assert exc.value.code == 2
+        assert main(["massbalance", "--char", "27.74"]) == 0
+        assert "vm_pct = 72.26" in capsys.readouterr().out
+
+    def test_main_does_not_build_a_parser(self, monkeypatch, capsys):
+        def refuse():
+            raise AssertionError("main() rebuilt the parser")
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        assert main(["massbalance", "--char", "27.74"]) == 0
+        assert "vm_pct = 72.26" in capsys.readouterr().out
 
 
 class TestManifest:

@@ -40,6 +40,7 @@ from pyrokin.tga_io import (
     csv_text,
     curve_to_csv,
     load_curve,
+    _bad_row,
     read_csv,
     spec_to_sidecar,
 )
@@ -285,6 +286,17 @@ def test_report_reader_header_is_as_tolerant_as_load_curve(reader):
     assert repr(read(loose + "\n" + body)) == repr(read(text))
 
 
+def test_thermo_on_kinetics_whose_ea_overflows_in_j_mol_exits_2(tmp_path, capsys):
+    # 1e306 kJ/mol is finite, but 1e309 J/mol is not: dH would read inf, dS nan
+    kinetics = tmp_path / "kinetics.csv"
+    kinetics.write_text(ANALYSIS_CSV_HEADER + "\n0.1,kas,1e306,1e13,0.99\n")
+    rc = main(["thermo", "--kinetics", str(kinetics), "--tm", "625.0",
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "ea_kj_mol value 1e+306 overflows" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_thermo_on_kinetics_with_nan_exits_2(tmp_path, capsys):
     kinetics = tmp_path / "kinetics.csv"
     kinetics.write_text(small_table_csv().replace("150.0", "nan", 1))
@@ -350,3 +362,78 @@ def test_finite_floats_round_trip_bitwise(values):
     table = read_csv(csv_text("a,b,c", values), ("a,b,c",))
     for k, name in enumerate("abc"):
         assert_bitwise(table[name], [v[k] for v in values])
+
+
+def reference_read_csv(data_stream, headers, text_columns=()):
+    """The row-by-row reader that ``read_csv`` replaced, kept as its reference:
+    one split per row and a transpose before the float conversion."""
+    text = data_stream if isinstance(data_stream, str) else data_stream.read()
+    lines = text.split("\n")
+    rows = [line for line in lines if line.strip()]
+    if not rows:
+        raise InputError("empty input: no CSV rows found")
+    found = [cell.strip().lower() for cell in rows[0].split(",")]
+    names = next((h.split(",") for h in headers if h.lower().split(",") == found), None)
+    if names is None:
+        expected = " or ".join(map(repr, headers))
+        raise ParseError(f"unrecognized header {rows[0].strip()!r}; expected {expected}",
+                         line=lines.index(rows[0]) + 1)
+    numeric = [k for k, name in enumerate(names) if name not in text_columns]
+    cells = [row.split(",") for row in rows[1:]]
+    try:
+        columns = list(zip(*cells, strict=True)) if cells else [()] * len(names)
+        values = np.array([columns[k] for k in numeric], dtype=float)
+        valid = len(columns) == len(names) and bool(np.isfinite(values).all())
+    except (ValueError, IndexError):
+        valid = False
+    if not valid:
+        raise _bad_row(lines, lines.index(rows[0]) + 1, names, numeric)
+    table = {names[k]: column for k, column in zip(numeric, values)}
+    for name in text_columns:
+        table[name] = [cell.strip() for cell in columns[names.index(name)]]
+    return table
+
+
+def read_outcome(read, text, headers, text_columns):
+    """What a reader makes of the text: its columns (floats as bytes, so that
+    equality is bitwise) or its error's type, message and line."""
+    try:
+        table = read(text, headers, text_columns)
+    except InputError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return {name: column if isinstance(column, list) else (column.dtype, column.tobytes())
+            for name, column in table.items()}
+
+
+ROW_CELLS = st.one_of(CELLS, st.sampled_from(["\r", "1\r", "\n", "1,2", ",", "1 , 2"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_read_csv_matches_the_row_by_row_reference(data):
+    width = data.draw(st.integers(1, 4))
+    names = [f"c{k}" for k in range(width)]
+    text_columns = tuple(data.draw(st.sets(st.sampled_from(names), max_size=2)))
+    headers = (",".join(names), "c0,c1,c2,c3,c4")
+    row = st.one_of(st.lists(ROW_CELLS, min_size=width, max_size=width),
+                    st.lists(ROW_CELLS, max_size=width + 2),
+                    st.lists(NUMBERS, min_size=width, max_size=width))
+    lines = [data.draw(st.sampled_from([*headers, " C0 ", "x"])),
+             *(",".join(r) for r in data.draw(st.lists(row, max_size=12)))]
+    newline = data.draw(st.sampled_from(["\n", "\r\n", "\n\n", "\n \t\n"]))
+    text = data.draw(st.sampled_from(["", newline])) + newline.join(lines)
+    assert (read_outcome(read_csv, text, headers, text_columns)
+            == read_outcome(reference_read_csv, text, headers, text_columns))
+
+
+@pytest.mark.parametrize("text", [
+    "c0,c1\n1,2,3\n4\n",          # widths 3 and 1: as many cells as two good rows
+    "c0,c1\n1,2\n3\n4,5,6\n",
+    "c0,c1\n\n1_0, 2\r\n\u0661,-0.0\n",
+    "c0,c1\n1,2\n3,4\n",
+    "c0,c1\n",
+])
+def test_read_csv_matches_the_reference_on_misaligned_rows(text):
+    for text_columns in ((), ("c1",)):
+        got = read_outcome(read_csv, text, ("c0,c1",), text_columns)
+        assert got == read_outcome(reference_read_csv, text, ("c0,c1",), text_columns)

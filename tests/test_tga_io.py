@@ -6,11 +6,13 @@ import pytest
 from pyrokin.errors import DomainError, InputError, ParseError, ResolutionError
 from pyrokin.tga_io import (
     DATE_SEEDS,
+    MAX_GRID_POINTS,
     SPENT_COFFEE_GROUNDS,
     SampleSpec,
     TgaCurve,
     blend_spec,
     curve_to_csv,
+    grid_intervals,
     load_curve,
     resample_uniform,
     sidecar_to_spec,
@@ -170,6 +172,12 @@ class TestResampleUniform:
         )
         with pytest.raises(ResolutionError):
             resample_uniform(curve, 50.0)
+
+    def test_grid_point_limit_is_exact(self):
+        assert grid_intervals(600.0, 600.0 / (MAX_GRID_POINTS - 1)) == MAX_GRID_POINTS - 1
+        for dT in (600.0 / MAX_GRID_POINTS, 1e-9, 5e-324):  # 5e-324: the ratio is inf
+            with pytest.raises(DomainError, match="too fine"):
+                grid_intervals(600.0, dT)
 
     def test_resampled_mass_close_to_direct_fine_integration(self, single_step_model):
         from pyrokin.synthkin import simulate
