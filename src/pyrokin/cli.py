@@ -101,6 +101,7 @@ _INPUT_ERRORS = (
     ResolutionError,
     FileNotFoundError,
     IsADirectoryError,
+    UnicodeDecodeError,
 )
 _NUMERIC_ERRORS = (RankError, BracketError, TrainingError)
 
@@ -386,7 +387,7 @@ def cmd_train(args) -> int:
             config = TrainConfig.from_dict(
                 json.loads(Path(args.config).read_text(encoding="utf-8"))
             )
-        except (json.JSONDecodeError, TypeError) as exc:
+        except (ValueError, RecursionError, TypeError) as exc:  # not UTF-8 or not JSON: ValueError
             raise ConfigError(f"bad config file {args.config}: {exc}") from None
     else:
         config = _train_config_from_args(args)

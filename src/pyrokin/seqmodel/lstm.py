@@ -261,13 +261,36 @@ class LstmModel:
     feature_count: int
 
 
-def predict_scaled(model: LstmModel, X: np.ndarray, chunk: int = 512) -> np.ndarray:
-    """Inference over a stack of scaled windows, chunked to bound memory."""
-    preds = []
-    for start in range(0, len(X), chunk):
-        p, _ = forward_batch(model.params, X[start : start + chunk], model.config)
-        preds.append(p)
-    return np.concatenate(preds) if preds else np.empty(0)
+# Inference blocks: as many windows as keep one layer's (T, 4H, block) float64
+# pre-activations within a 2 MiB per-core L2, so each recurrent step reads
+# its gates from cache. When fewer than INFER_MIN_BLOCK windows fit, even
+# that many overflow L2 and GEMM width matters more: blocks are then
+# INFER_MAX_BLOCK windows, which also caps the block for narrow layers.
+L2_BYTES = 2 * 1024 * 1024
+INFER_MIN_BLOCK = 64
+INFER_MAX_BLOCK = 512
+
+
+def infer_block(steps: int, hidden: int) -> int:
+    """Windows per inference block for look-back ``steps`` and ``hidden`` units."""
+    fit = L2_BYTES // (8 * steps * 4 * hidden)
+    return min(fit, INFER_MAX_BLOCK) if fit >= INFER_MIN_BLOCK else INFER_MAX_BLOCK
+
+
+def infer(params, X: np.ndarray, config: "TrainConfig") -> np.ndarray:
+    """Predictions for a stack of scaled windows ``X`` (n, look_back, features),
+    run through ``forward_batch`` in blocks of ``infer_block`` windows."""
+    n, steps = X.shape[:2]
+    block = infer_block(steps, config.hidden_units)
+    pred = np.empty(n)
+    for start in range(0, n, block):
+        pred[start : start + block], _ = forward_batch(params, X[start : start + block], config)
+    return pred
+
+
+def predict_scaled(model: LstmModel, X: np.ndarray) -> np.ndarray:
+    """Scaled predictions of ``model`` for a stack of scaled windows."""
+    return infer(model.params, X, model.config)
 
 
 def save_model(model: LstmModel) -> str:
@@ -296,7 +319,7 @@ def save_model(model: LstmModel) -> str:
 def _checkpoint_array(value, shape, what):
     try:
         arr = np.array(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InputError(f"checkpoint {what} is not a numeric array") from None
     if arr.shape != shape:
         raise InputError(f"checkpoint {what} has shape {arr.shape}, expected {shape}")
@@ -327,7 +350,7 @@ def load_model(text: str) -> LstmModel:
 
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an over-long integer or deep nesting
         raise InputError(f"checkpoint is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError("checkpoint must be a JSON object")
@@ -361,6 +384,12 @@ def load_model(text: str) -> LstmModel:
         target_min=float(_checkpoint_array(ranges["target_min"], (), "target_min")),
         target_max=float(_checkpoint_array(ranges["target_max"], (), "target_max")),
     )
+    weights = doc["weights"]
+    # a layer has 12 weight tensors, so more layers than tensors cannot match;
+    # checked first, since param_shapes takes time in proportion to the layers
+    if isinstance(weights, dict) and config.lstm_layers > len(weights):
+        raise InputError(f"checkpoint config has {config.lstm_layers} layers, more than its "
+                         f"{len(weights)} weight tensors")
     shapes = param_shapes(feature_count, config)
     weights = _checkpoint_section(doc, "weights", shapes)
     unexpected = sorted(set(weights) - set(shapes))

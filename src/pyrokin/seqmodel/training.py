@@ -10,7 +10,7 @@ import numpy as np
 
 from ..errors import ConfigError, InputError, TrainingError
 from .features import DEFAULT_LOOK_BACK, MinMaxScaler, WindowDataset
-from .lstm import ACTIVATIONS, LstmModel, backward_batch, forward_batch, init_params
+from .lstm import ACTIVATIONS, LstmModel, backward_batch, forward_batch, infer, init_params
 
 OPTIMIZERS = ("adam", "sgd", "rmsprop")
 
@@ -132,11 +132,16 @@ def _make_optimizer(config: TrainConfig):
     )
 
 
-def _dataset_loss(params, X, y, config, chunk: int = 512) -> float:
+# Validation squared errors are summed in groups of this many windows, the
+# order history.csv's losses have always been accumulated in.
+LOSS_GROUP = 512
+
+
+def _dataset_loss(params, X, y, config) -> float:
+    sq_err = (infer(params, X, config) - y) ** 2
     total = 0.0
-    for start in range(0, len(X), chunk):
-        pred, _ = forward_batch(params, X[start : start + chunk], config)
-        total += float(((pred - y[start : start + chunk]) ** 2).sum())
+    for start in range(0, len(X), LOSS_GROUP):
+        total += float(sq_err[start : start + LOSS_GROUP].sum())
     return total / len(X)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import InputError
 
 WIDTH = 800
@@ -45,12 +47,6 @@ def emit_svg(series, style=None) -> str:
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
-    def sx(x):
-        return MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
-
-    def sy(y):
-        return HEIGHT - MARGIN_BOTTOM - (y - y_lo) / (y_hi - y_lo) * plot_h
-
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
@@ -84,7 +80,11 @@ def emit_svg(series, style=None) -> str:
 
     for idx, (name, xs, ys) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+        px = MARGIN_LEFT + (np.asarray(xs, dtype=float) - x_lo) / (x_hi - x_lo) * plot_w
+        py = HEIGHT - MARGIN_BOTTOM - (np.asarray(ys, dtype=float) - y_lo) / (y_hi - y_lo) * plot_h
+        # one % over a "%.2f,%.2f" template per point, x and y interleaved
+        coords = tuple(np.column_stack((px, py)).ravel().tolist())
+        points = " ".join(["%.2f,%.2f"] * len(px)) % coords
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
             f'points="{points}"/>'

@@ -286,7 +286,7 @@ def sidecar_to_spec(text: str) -> tuple[SampleSpec, float]:
     """Parse a JSON sidecar; returns the sample spec and the heating rate (K/min)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an over-long integer or deep nesting
         raise ParseError(f"invalid sidecar JSON: {exc}") from None
     required = (
         "sample_id",
@@ -306,9 +306,13 @@ def sidecar_to_spec(text: str) -> tuple[SampleSpec, float]:
     def number(key):
         try:
             return float(doc[key])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise InputError(f"sidecar field {key} is not a number: {doc[key]!r}") from None
 
+    if not isinstance(doc["sample_id"], str):
+        raise InputError(f"sidecar field sample_id is not a string: {doc['sample_id']!r}")
+    optional = {key: number(key) for key in ("ash_pct", "vm_pct", "fc_pct")
+                if doc.get(key) is not None}
     spec = SampleSpec(
         sample_id=doc["sample_id"],
         ds_fraction=number("ds_fraction"),
@@ -316,9 +320,7 @@ def sidecar_to_spec(text: str) -> tuple[SampleSpec, float]:
         cellulose_pct=number("cellulose_pct"),
         hemicellulose_pct=number("hemicellulose_pct"),
         lignin_pct=number("lignin_pct"),
-        ash_pct=doc.get("ash_pct"),
-        vm_pct=doc.get("vm_pct"),
-        fc_pct=doc.get("fc_pct"),
+        **optional,
     )
     beta = number("heating_rate_c_per_min")
     if not (math.isfinite(beta) and beta > 0.0):

@@ -169,6 +169,9 @@ class TestAnalyzeCommand:
         ("heating_rate_c_per_min", 0.0),
         ("ds_fraction", [1.0]),
         ("cellulose_pct", float("nan")),
+        ("heating_rate_c_per_min", 10**400),
+        ("sample_id", ["DS"]),
+        ("ash_pct", "some"),
     ])
     def test_bad_sidecar_field_exits_2(self, synth_dir, tmp_path, capsys, field, value):
         bad = tmp_path / "bad.csv"
@@ -343,6 +346,10 @@ BAD_CHECKPOINTS = {
     "negative-learning-rate": _edited(lambda doc: doc["config"].update(learning_rate=-0.01)),
     "nan-learning-rate": _edited(
         lambda doc: doc["config"].update(learning_rate=float("nan"))),
+    "huge-layer-count": _edited(lambda doc: doc["config"].update(lstm_layers=10**12)),
+    "overflowing-weight": _edited(lambda doc: doc["weights"].update({"dense.b": [10**400]})),
+    "over-long-integer": lambda text: text.replace('"format_version": 1',
+                                                   '"format_version": 1' + "0" * 5000),
 }
 
 
@@ -357,6 +364,16 @@ class TestPredictRejectsBadCheckpoint:
         )
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_undecodable_bytes_exit_2(self, synth_dir, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_bytes(b'{"format_version": 1, "\xff\xfe": 0}')
+        rc = main(
+            ["predict", curve_paths(synth_dir, (15,))[0], "--model", str(model),
+             "--out-dir", str(tmp_path / "out")]
+        )
+        assert rc == 2
+        assert "utf-8" in capsys.readouterr().err
 
 
 class TestTuneCommand:
@@ -402,6 +419,20 @@ class TestTuneCommand:
     def test_malformed_config_file_exits_4(self, synth_dir, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
+        rc = main(
+            ["train", *curve_paths(synth_dir, (5, 10, 20)), "--dt", "6.0",
+             "--config", str(bad), "--out-dir", str(tmp_path)]
+        )
+        assert rc == 4
+
+    @pytest.mark.parametrize("content", [
+        b'{"look_back": 1' + b"0" * 5000 + b"}",
+        b"[" * 5000,
+        b'{"look_back": "\xff"}',
+    ], ids=["past-integer-digit-limit", "deep-nesting", "not-utf8"])
+    def test_undecodable_config_file_exits_4(self, synth_dir, tmp_path, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
         rc = main(
             ["train", *curve_paths(synth_dir, (5, 10, 20)), "--dt", "6.0",
              "--config", str(bad), "--out-dir", str(tmp_path)]

@@ -8,9 +8,14 @@ from hypothesis import strategies as st
 from pyrokin.errors import ConfigError, InputError
 from pyrokin.seqmodel.features import MinMaxScaler
 from pyrokin.seqmodel.lstm import (
+    INFER_MAX_BLOCK,
+    INFER_MIN_BLOCK,
+    L2_BYTES,
     LstmModel,
     backward_batch,
     forward_batch,
+    infer,
+    infer_block,
     init_params,
     load_model,
     predict_scaled,
@@ -383,6 +388,44 @@ class TestForward:
         params = init_params(3, config, np.random.default_rng(0))
         with pytest.raises(ConfigError, match="RNG"):
             forward_batch(params, np.ones((1, 3, 3)), config, training=True)
+
+
+class TestInfer:
+    @pytest.mark.parametrize("hidden, block", [
+        (8, 409), (16, 204), (32, 102), (48, 68), (51, 64),  # pre-activations fit L2
+        (52, 512), (64, 512), (256, 512),                   # 64 windows overflow it
+        (1, 512), (4, 512),                                 # capped at 512
+    ])
+    def test_block_rule_at_look_back_20(self, hidden, block):
+        assert infer_block(20, hidden) == block
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(steps=st.integers(1, 400), hidden=st.integers(1, 600))
+    def test_block_bounds(self, steps, hidden):
+        block = infer_block(steps, hidden)
+        assert INFER_MIN_BLOCK <= block <= INFER_MAX_BLOCK
+        preact_bytes = 8 * steps * 4 * hidden
+        if preact_bytes * INFER_MIN_BLOCK > L2_BYTES:
+            assert block == INFER_MAX_BLOCK
+        else:
+            assert preact_bytes * block <= L2_BYTES
+            assert block == INFER_MAX_BLOCK or preact_bytes * (block + 1) > L2_BYTES
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_several_blocks_and_a_remainder_match_one_batch(self, layers):
+        config = TrainConfig(hidden_units=48, lstm_layers=layers, look_back=20,
+                             activation="sigmoid")
+        block = infer_block(20, 48)
+        X = np.random.default_rng(5).random((3 * block + 5, 20, 7))
+        params = init_params(7, config, np.random.default_rng(9))
+        whole, _ = forward_batch(params, X, config)
+        assert np.allclose(infer(params, X, config), whole, rtol=1e-12, atol=0.0)
+
+    def test_empty_stack(self):
+        config = TrainConfig(hidden_units=4, look_back=6)
+        params = init_params(3, config, np.random.default_rng(0))
+        pred = infer(params, np.empty((0, 6, 3)), config)
+        assert pred.shape == (0,)
 
 
 class TestCheckpoint:

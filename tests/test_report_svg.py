@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pyrokin.errors import InputError
 from pyrokin.kinetics import AnalysisTable, KineticEstimate
@@ -15,7 +19,16 @@ from pyrokin.report import (
     predictions_to_csv,
 )
 from pyrokin.seqmodel.metrics import metrics_from_arrays
-from pyrokin.svgplot import emit_svg
+from pyrokin.svgplot import (
+    HEIGHT,
+    MARGIN_BOTTOM,
+    MARGIN_LEFT,
+    MARGIN_RIGHT,
+    MARGIN_TOP,
+    WIDTH,
+    _axis_range,
+    emit_svg,
+)
 
 
 def small_table():
@@ -115,3 +128,48 @@ class TestSvg:
     def test_constant_series_still_renders(self):
         svg = emit_svg([("flat", [0.0, 1.0], [3.0, 3.0])])
         assert svg.count("<polyline") == 1
+
+
+def reference_points(series):
+    """Each polyline's points attribute, formatted one point at a time with
+    an f-string: the reference emit_svg's array formatting must match."""
+    x_lo, x_hi = _axis_range([x for _, xs, _ in series for x in xs])
+    y_lo, y_hi = _axis_range([y for _, _, ys in series for y in ys])
+    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+
+    def sx(x):
+        return MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
+
+    def sy(y):
+        return HEIGHT - MARGIN_BOTTOM - (y - y_lo) / (y_hi - y_lo) * plot_h
+
+    return [" ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+            for _, xs, ys in series]
+
+
+FLOATS = st.floats(-1e12, 1e12, allow_nan=False)
+INTS = st.integers(-10**9, 10**9)
+SVG_VALUES = {
+    "float": FLOATS,
+    "int": INTS,
+    "np.float64": FLOATS.map(np.float64),
+    "np.int64": INTS.map(np.int64),
+}
+SVG_VALUES["mixed"] = st.one_of(*SVG_VALUES.values())
+
+
+@pytest.mark.parametrize("kind", SVG_VALUES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_polyline_points_match_the_per_point_reference(kind, data):
+    values = SVG_VALUES[kind]
+    series = []
+    for k in range(data.draw(st.integers(1, 3))):
+        size = data.draw(st.integers(2, 60))
+        xs = data.draw(st.lists(values, min_size=size, max_size=size))
+        ys = data.draw(st.lists(values, min_size=size, max_size=size))
+        series.append((f"s{k}", xs, ys))
+    svg = emit_svg(series)
+    assert re.findall(r'points="([^"]*)"', svg) == reference_points(series)
+

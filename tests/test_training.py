@@ -8,7 +8,8 @@ from pyrokin.errors import ConfigError, InputError, TrainingError
 from pyrokin.seqmodel.features import MODEL1, MODEL2, window_sequences
 from pyrokin.seqmodel.metrics import evaluate, metrics_from_arrays
 from pyrokin.seqmodel.search import SearchSpace, random_search
-from pyrokin.seqmodel.training import TrainConfig, train
+from pyrokin.seqmodel.lstm import infer, init_params
+from pyrokin.seqmodel.training import TrainConfig, _dataset_loss, train
 from pyrokin.tga_io import DATE_SEEDS, TgaCurve
 
 
@@ -128,6 +129,15 @@ class TestTrain:
         model, _ = train(samples[:40], samples[40:60], quick_config(epochs=1))
         assert model.feature_mode == mode
         assert model.feature_count == samples.rows.shape[1]
+
+    def test_validation_loss_is_the_mse_of_infer(self):
+        # 1,100 windows: two 512-window loss groups and a remainder
+        config = quick_config(hidden_units=4, look_back=5)
+        params = init_params(3, config, np.random.default_rng(8))
+        rng = np.random.default_rng(6)
+        X, y = rng.random((1100, 5, 3)), rng.random(1100)
+        mse = float(((infer(params, X, config) - y) ** 2).mean())
+        assert _dataset_loss(params, X, y, config) == pytest.approx(mse, rel=1e-15, abs=0.0)
 
 
 def evaluate_scaled_loss(model, samples):
