@@ -6,8 +6,9 @@ directory (``--out-dir``, or the PYROKIN_OUT environment variable, or the
 working directory) together with a run manifest; all outputs except the
 manifest's timestamp are byte-identical across reruns with equal inputs.
 
-Exit codes: 0 success, 2 input problem, 3 numerical failure, 4 bad
-configuration.
+Exit codes: 0 success, else the ``exit_code`` of the raised error class
+(see ``errors``); a file that cannot be read or written exits like an input
+problem, with a message naming it.
 """
 
 from __future__ import annotations
@@ -23,18 +24,8 @@ import numpy as np
 
 from . import __version__
 from .constants import KELVIN_OFFSET
-from .errors import (
-    BracketError,
-    ConfigError,
-    DomainError,
-    InputError,
-    PyrokinError,
-    RangeError,
-    RankError,
-    ResolutionError,
-    TrainingError,
-)
-from .kinetics import KineticModelAssumption, run_analysis
+from .errors import ConfigError, DomainError, InputError, PyrokinError
+from .kinetics import METHODS, KineticModelAssumption, run_analysis
 from .manifest import build_manifest, write_manifest
 from .preprocess import (
     DEFAULT_M0_AT_C,
@@ -62,7 +53,6 @@ from .seqmodel import (
     MODEL2,
     SearchSpace,
     TrainConfig,
-    build_features,
     evaluate,
     load_model,
     random_search,
@@ -72,7 +62,6 @@ from .seqmodel import (
     window_sequences,
 )
 from .seqmodel.features import FEATURE_COLUMNS
-from .seqmodel.lstm import predict_scaled
 from .seqmodel.metrics import metrics_from_arrays
 from .svgplot import emit_svg
 from .synthkin import blend_models, model_to_json, simulate, suite_models
@@ -89,24 +78,10 @@ from .tga_io import (
 )
 from .thermo import thermo_profile
 
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_NUMERIC = 3
-EXIT_CONFIG = 4
-
-_INPUT_ERRORS = (
-    InputError,
-    DomainError,
-    RangeError,
-    ResolutionError,
-    FileNotFoundError,
-    IsADirectoryError,
-    UnicodeDecodeError,
-)
-_NUMERIC_ERRORS = (RankError, BracketError, TrainingError)
-
 # kinetics.txt prints conversion to two decimals; finer levels would collide there
 MIN_ALPHA_STEP = 0.01
+
+MASS_BALANCE_TOL = 0.005
 
 
 def vm_from_char(eta_pct: float) -> float:
@@ -116,13 +91,13 @@ def vm_from_char(eta_pct: float) -> float:
     return 100.0 - eta_pct
 
 
-def check_mass_balance(vm_pct: float, eta_pct: float, tol: float = 0.005) -> bool:
+def check_mass_balance(vm_pct: float, eta_pct: float) -> bool:
     """True when a reported (VM, char) pair satisfies the sum identity.
 
-    The tolerance defaults to half the last printed decimal of two-decimal
-    percentage tables.
+    The tolerance, MASS_BALANCE_TOL, is half the last printed decimal of
+    two-decimal percentage tables.
     """
-    return abs(vm_pct - vm_from_char(eta_pct)) <= tol
+    return abs(vm_pct - vm_from_char(eta_pct)) <= MASS_BALANCE_TOL
 
 
 def _out_dir(args) -> Path:
@@ -136,16 +111,21 @@ def _write(path: Path, text: str):
     path.write_text(text, encoding="utf-8")
 
 
-def _load_curve_file(path: Path):
-    sidecar = path.with_suffix(".json")
+def _read_text(path, error=InputError) -> str:
+    """Every input file is read here. Bytes that are not UTF-8 raise
+    ``error`` naming the file; an OSError already names it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"cannot read {path}: {exc}") from None
+
+
+def _load_curve_file(path):
+    sidecar = Path(path).with_suffix(".json")
     if not sidecar.exists():
         raise InputError(f"missing metadata sidecar {sidecar} for {path}")
-    spec, beta = sidecar_to_spec(sidecar.read_text(encoding="utf-8"))
-    return load_curve(path.read_text(encoding="utf-8"), spec, beta)
-
-
-def _load_curves(paths):
-    return [_load_curve_file(Path(p)) for p in paths]
+    spec, beta = sidecar_to_spec(_read_text(sidecar))
+    return load_curve(_read_text(path), spec, beta)
 
 
 def _finite_float(text: str) -> float:
@@ -179,11 +159,17 @@ def _parse_alpha_grid(text: str):
     return grid
 
 
-def _parse_float_list(text: str):
+def _finite_field(text: str, flag: str) -> float:
+    """One number of a list-valued flag, by the rule of ``_finite_float``."""
     try:
-        return tuple(_finite_float(tok) for tok in text.split(",") if tok.strip())
+        return _finite_float(text)
     except argparse.ArgumentTypeError as exc:
-        raise InputError(f"bad numeric list {text!r}: {exc}") from None
+        raise InputError(f"bad {flag}: {exc}") from None
+
+
+def _parse_float_list(text: str):
+    return tuple(_finite_field(tok, f"numeric list {text!r}")
+                 for tok in text.split(",") if tok.strip())
 
 
 def _parse_int_list(text: str):
@@ -194,17 +180,17 @@ def _parse_int_list(text: str):
 
 
 def _parse_stage_windows(text: str):
-    """Format: name:lo_c:hi_c[,name:lo_c:hi_c...]; returns kelvin windows."""
+    """Format: name:lo_c:hi_c[,name:lo_c:hi_c...] with finite lo_c < hi_c;
+    returns kelvin windows."""
     windows = {}
     for part in text.split(","):
-        try:
-            name, lo, hi = part.split(":")
-            windows[name.strip()] = (
-                float(lo) + KELVIN_OFFSET,
-                float(hi) + KELVIN_OFFSET,
-            )
-        except ValueError:
-            raise InputError(f"bad --stage-windows entry {part!r}") from None
+        name, *bounds = part.split(":")
+        if len(bounds) != 2:
+            raise InputError(f"bad --stage-windows entry {part!r}; expected name:lo_c:hi_c")
+        lo, hi = (_finite_field(b, f"--stage-windows entry {part!r}") for b in bounds)
+        if not lo < hi:
+            raise InputError(f"bad --stage-windows entry {part!r}; need lo_c < hi_c")
+        windows[name.strip()] = (lo + KELVIN_OFFSET, hi + KELVIN_OFFSET)
     return windows
 
 
@@ -212,14 +198,25 @@ def _curve_id(curve) -> str:
     return f"{curve.spec.sample_id}@{curve.heating_rate_beta:g}"
 
 
-def _assemble_dataset(curves, mode, look_back, dt=None):
-    prepared = (resample_uniform(curve, dt) if dt else curve for curve in curves)
-    samples = window_sequences({_curve_id(c): c for c in prepared}, mode, look_back)
+def _windows(paths, mode, look_back, dt=None):
+    """Curve files to model inputs, for every command that featurises curves.
+
+    Each curve is resampled onto a ``dt`` grid when one is given, and its
+    feature rows are windowed. Returns the prepared curves by curve id and
+    their windows.
+    """
+    curves = {}
+    for path in paths:
+        curve = _load_curve_file(path)
+        curve = resample_uniform(curve, dt) if dt else curve
+        cid = _curve_id(curve)
+        if cid in curves:
+            raise InputError(f"two curves have curve id {cid!r}; the second is {path}")
+        curves[cid] = curve
+    samples = window_sequences(curves, mode, look_back)
     if not samples:
-        raise InputError(
-            f"no training windows: curves are shorter than look_back={look_back}"
-        )
-    return samples
+        raise InputError(f"no windows: every curve has at most look_back={look_back} rows")
+    return curves, samples
 
 
 def _manifest(args, command, inputs, config: dict):
@@ -229,10 +226,8 @@ def _manifest(args, command, inputs, config: dict):
     return out
 
 
-def cmd_analyze(args) -> int:
-    curves = _load_curves(args.curves)
-    if len(curves) < 3:
-        raise InputError(f"need >=3 heating rates, got {len(curves)}")
+def cmd_analyze(args):
+    curves = [_load_curve_file(p) for p in args.curves]
     alpha_grid = _parse_alpha_grid(args.alpha_grid)
     table = run_analysis(
         curves,
@@ -265,15 +260,14 @@ def cmd_analyze(args) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     for method, ea in table.ea_averages().items():
         print(f"{method}: average Ea = {ea / 1000.0:.2f} kJ/mol")
-    return EXIT_OK
 
 
-def cmd_thermo(args) -> int:
-    table = analysis_from_csv(Path(args.kinetics).read_text(encoding="utf-8"))
+def cmd_thermo(args):
+    table = analysis_from_csv(_read_text(args.kinetics))
     if args.tm is not None:
         t_m = args.tm
     elif args.curve:
-        curve = resample_uniform(_load_curve_file(Path(args.curve)), args.dt)
+        curve = resample_uniform(_load_curve_file(args.curve), args.dt)
         windows = (
             _parse_stage_windows(args.stage_windows)
             if args.stage_windows
@@ -299,7 +293,7 @@ def cmd_thermo(args) -> int:
             ("dS", lambda e: e.delta_s, "J/(mol K)"),
         ):
             series = []
-            for method in ("friedman", "kas", "fwo"):
+            for method in METHODS:
                 ests = [e for e in profile if e.method == method]
                 if ests:
                     series.append(
@@ -312,10 +306,9 @@ def cmd_thermo(args) -> int:
             )
             _write(out / f"thermo_{quantity.lower()}.svg", svg)
     print(f"thermo profile at Tm = {t_m:.2f} K: {len(profile)} estimates")
-    return EXIT_OK
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args):
     betas = _parse_float_list(args.beta)
     if not betas:
         raise InputError("need at least one heating rate")
@@ -344,24 +337,18 @@ def cmd_synth(args) -> int:
         _write(out / f"{stem}.json", spec_to_sidecar(spec, beta))
     _write(out / f"{name}_model.json", model_to_json(model))
     print(f"wrote {len(betas)} curves for preset {name}")
-    return EXIT_OK
 
 
-def cmd_features(args) -> int:
-    curves = _load_curves(args.curves)
-    rows = []
-    for curve in curves:
-        prepared = resample_uniform(curve, args.dt) if args.dt else curve
-        cid = _curve_id(prepared)
-        table = np.column_stack([build_features(prepared, args.mode),
-                                 prepared.mass_fraction * 100.0])
-        rows.extend([cid, *row] for row in table.tolist())
+def cmd_features(args):
+    curves, samples = _windows(args.curves, args.mode, 1, args.dt)
+    ids = [cid for cid, curve in curves.items() for _ in range(curve.n_points)]
+    table = np.column_stack([samples.rows, samples.mass_pct]).tolist()
+    rows = [[cid, *row] for cid, row in zip(ids, table)]
     config = {"mode": args.mode, "dt": args.dt}
     out = _manifest(args, "features", args.curves, config)
     header = ",".join(["curve_id", *FEATURE_COLUMNS[args.mode], "mass_pct"])
     _write(out / "features.csv", csv_text(header, rows))
     print(f"wrote {len(rows)} feature rows")
-    return EXIT_OK
 
 
 def _train_config_from_args(args) -> TrainConfig:
@@ -380,18 +367,13 @@ def _train_config_from_args(args) -> TrainConfig:
     )
 
 
-def cmd_train(args) -> int:
-    curves = _load_curves(args.curves)
+def cmd_train(args):
     if args.config:
-        try:
-            config = TrainConfig.from_dict(
-                json.loads(Path(args.config).read_text(encoding="utf-8"))
-            )
-        except (ValueError, RecursionError, TypeError) as exc:  # not UTF-8 or not JSON: ValueError
-            raise ConfigError(f"bad config file {args.config}: {exc}") from None
+        config = TrainConfig.from_json(_read_text(args.config, ConfigError),
+                                       f"config file {args.config}")
     else:
         config = _train_config_from_args(args)
-    samples = _assemble_dataset(curves, args.mode, config.look_back, args.dt)
+    _, samples = _windows(args.curves, args.mode, config.look_back, args.dt)
     holdout = tuple(args.holdout.split(",")) if args.holdout else ()
     train_set, val_set, _ = split_dataset(samples, holdout_curves=holdout, seed=args.seed)
     model, history = train(train_set, val_set, config)
@@ -402,12 +384,10 @@ def cmd_train(args) -> int:
     _write(out / "history.csv", history_to_csv(history))
     best = min(rec.val_loss for rec in history)
     print(f"trained {len(history)} epochs; best val loss = {best:.6g}")
-    return EXIT_OK
 
 
-def cmd_tune(args) -> int:
-    curves = _load_curves(args.curves)
-    samples = _assemble_dataset(curves, args.mode, args.look_back, args.dt)
+def cmd_tune(args):
+    _, samples = _windows(args.curves, args.mode, args.look_back, args.dt)
     holdout = tuple(args.holdout.split(",")) if args.holdout else ()
     train_set, val_set, _ = split_dataset(samples, holdout_curves=holdout, seed=args.seed)
     space = SearchSpace(
@@ -432,21 +412,14 @@ def cmd_tune(args) -> int:
     _write(out / "best_config.json",
            json.dumps(best_config.to_dict(), indent=2, sort_keys=True) + "\n")
     print(f"best trial: val loss = {leaderboard[0].val_loss:.6g}")
-    return EXIT_OK
 
 
-def cmd_predict(args) -> int:
-    model = load_model(Path(args.model).read_text(encoding="utf-8"))
-    curve = _load_curve_file(Path(args.curve))
-    prepared = resample_uniform(curve, args.dt) if args.dt else curve
+def cmd_predict(args):
+    model = load_model(_read_text(args.model))
     look_back = model.config.look_back
-    samples = window_sequences({_curve_id(prepared): prepared}, model.feature_mode, look_back)
-    if not samples:
-        raise InputError(
-            f"curve has {prepared.n_points} rows; need more than look_back={look_back}"
-        )
-    X = samples.windows(model.scaler)
-    predicted = model.scaler.unscale_target(predict_scaled(model, X))
+    curves, samples = _windows([args.curve], model.feature_mode, look_back, args.dt)
+    [(cid, prepared)] = curves.items()
+    predicted = model.predict(samples)
     actual = samples.targets
     temps = prepared.temperature_k[look_back:] - KELVIN_OFFSET
     out = _manifest(args, "predict", [args.model, args.curve],
@@ -455,27 +428,22 @@ def cmd_predict(args) -> int:
     svg = emit_svg(
         [("actual", temps.tolist(), actual.tolist()),
          ("predicted", temps.tolist(), predicted.tolist())],
-        {"title": f"mass-loss prediction: {_curve_id(prepared)}",
+        {"title": f"mass-loss prediction: {cid}",
          "xlabel": "temperature (C)", "ylabel": "mass (%)"},
     )
     _write(out / "predictions.svg", svg)
     print(metrics_to_text(metrics_from_arrays(actual, predicted)), end="")
-    return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args):
     if args.predictions:
-        _, actual, predicted = predictions_from_csv(
-            Path(args.predictions).read_text(encoding="utf-8")
-        )
+        _, actual, predicted = predictions_from_csv(_read_text(args.predictions))
         metrics = metrics_from_arrays(actual, predicted)
         inputs = [args.predictions]
     elif args.model and args.curves:
-        model = load_model(Path(args.model).read_text(encoding="utf-8"))
-        curves = _load_curves(args.curves)
-        samples = _assemble_dataset(
-            curves, model.feature_mode, model.config.look_back, args.dt
-        )
+        model = load_model(_read_text(args.model))
+        _, samples = _windows(args.curves, model.feature_mode, model.config.look_back,
+                              args.dt)
         metrics = evaluate(model, samples)
         inputs = [args.model, *args.curves]
     else:
@@ -484,10 +452,9 @@ def cmd_evaluate(args) -> int:
     _write(out / "metrics.csv", metrics_to_csv(metrics))
     _write(out / "metrics.txt", metrics_to_text(metrics))
     print(metrics_to_text(metrics), end="")
-    return EXIT_OK
 
 
-def cmd_massbalance(args) -> int:
+def cmd_massbalance(args):
     vm = vm_from_char(args.char)
     print(f"char_yield_pct = {args.char:g}")
     print(f"vm_pct = {vm:g}")
@@ -500,7 +467,6 @@ def cmd_massbalance(args) -> int:
                 f"mass balance: INCONSISTENT ({args.vm:g} + {args.char:g} "
                 f"= {total:g}, expected 100)"
             )
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -635,19 +601,14 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except _NUMERIC_ERRORS as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        args.func(args)
     except PyrokinError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:  # a file that cannot be read or written; names the path
+        print(f"{InputError.prefix}: {exc}", file=sys.stderr)
+        return InputError.exit_code
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,12 +1,17 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto its exit-code scheme: input problems exit 2,
-numerical failures exit 3, configuration problems exit 4.
+Each class declares the exit code and the message prefix the CLI uses for
+it: input problems exit 2 (the default), numerical failures exit 3,
+configuration problems exit 4. ``cli.main`` reads them from the raised
+error and writes no code of its own.
 """
 
 
 class PyrokinError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 2
+    prefix = "error"
 
 
 class InputError(PyrokinError):
@@ -31,21 +36,31 @@ class ResolutionError(PyrokinError):
     """Data too coarse (or a window too wide) for the requested operation."""
 
 
-class RankError(PyrokinError):
-    """Degenerate regression input (e.g. zero variance in the regressor)."""
-
-
-class BracketError(PyrokinError):
-    """Root finding failed: no sign change inside the search bracket."""
-
-
 class RangeError(PyrokinError):
     """Requested value outside the achievable range of a curve."""
 
 
-class TrainingError(PyrokinError):
+class NumericalError(PyrokinError):
+    """A computation on valid input could not produce a result."""
+
+    exit_code = 3
+    prefix = "numerical error"
+
+
+class RankError(NumericalError):
+    """Degenerate regression input (e.g. zero variance in the regressor)."""
+
+
+class BracketError(NumericalError):
+    """Root finding failed: no sign change inside the search bracket."""
+
+
+class TrainingError(NumericalError):
     """Model training diverged or could not proceed."""
 
 
 class ConfigError(PyrokinError):
     """Invalid configuration value or combination."""
+
+    exit_code = 4
+    prefix = "config error"

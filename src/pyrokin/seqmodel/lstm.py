@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..errors import ConfigError, InputError
-from .features import FEATURE_COLUMNS, MinMaxScaler
+from .features import FEATURE_COLUMNS, MinMaxScaler, WindowDataset
 
 if TYPE_CHECKING:
     from .training import TrainConfig
@@ -260,6 +260,12 @@ class LstmModel:
     feature_mode: str
     feature_count: int
 
+    def predict(self, samples: WindowDataset) -> np.ndarray:
+        """Mass-percent predictions for raw windows: scaled with the stored
+        scaler, run through ``infer`` and mapped back to target units."""
+        scaled = infer(self.params, samples.windows(self.scaler), self.config)
+        return self.scaler.unscale_target(scaled)
+
 
 # Inference blocks: as many windows as keep one layer's (T, 4H, block) float64
 # pre-activations within a 2 MiB per-core L2, so each recurrent step reads
@@ -286,11 +292,6 @@ def infer(params, X: np.ndarray, config: "TrainConfig") -> np.ndarray:
     for start in range(0, n, block):
         pred[start : start + block], _ = forward_batch(params, X[start : start + block], config)
     return pred
-
-
-def predict_scaled(model: LstmModel, X: np.ndarray) -> np.ndarray:
-    """Scaled predictions of ``model`` for a stack of scaled windows."""
-    return infer(model.params, X, model.config)
 
 
 def save_model(model: LstmModel) -> str:

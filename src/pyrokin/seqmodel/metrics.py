@@ -10,7 +10,7 @@ import numpy as np
 from ..errors import InputError
 from ..kinetics import r_squared
 from .features import WindowDataset
-from .lstm import LstmModel, predict_scaled
+from .lstm import LstmModel
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,4 @@ def evaluate(model: LstmModel, test_samples: WindowDataset) -> EvalMetrics:
     """
     if not test_samples:
         raise InputError("test set must be non-empty")
-    X = test_samples.windows(model.scaler)
-    predicted = model.scaler.unscale_target(predict_scaled(model, X))
-    return metrics_from_arrays(test_samples.targets, predicted)
+    return metrics_from_arrays(test_samples.targets, model.predict(test_samples))

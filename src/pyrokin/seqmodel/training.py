@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 from dataclasses import asdict, dataclass
@@ -76,6 +77,19 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
         return cls(**doc)
+
+    @classmethod
+    def from_json(cls, text: str, source: str) -> "TrainConfig":
+        """A config from a JSON object such as tune's ``best_config.json``.
+
+        Raises ConfigError, naming ``source``, for text that is not JSON, is
+        nested or numbered past the parser's limits, or is not an object of
+        known fields; invalid values raise it from ``__post_init__``.
+        """
+        try:
+            return cls.from_dict(json.loads(text))
+        except (ValueError, RecursionError, TypeError) as exc:
+            raise ConfigError(f"bad {source}: {exc}") from None
 
 
 class _Sgd:

@@ -266,6 +266,25 @@ class TestFeatureCommand:
             assert cells == row
 
 
+@pytest.mark.parametrize("argv", [
+    ["features"],
+    ["train", "--dt", "6.0", "--epochs", "1", "--hidden", "4"],
+], ids=["features", "train"])
+def test_two_curves_with_one_curve_id_exit_2(synth_dir, tmp_path, capsys, argv):
+    """A second run of one sample at one heating rate would share its windows'
+    curve id, so holdout and features could not tell the two apart."""
+    twin = tmp_path / "twin.csv"
+    source = synth_dir / "single-step_beta10.csv"
+    twin.write_bytes(source.read_bytes())
+    twin.with_suffix(".json").write_bytes(source.with_suffix(".json").read_bytes())
+    out = tmp_path / "out"
+    rc = main([argv[0], *curve_paths(synth_dir, (5, 10)), str(twin), *argv[1:],
+               "--out-dir", str(out)])
+    assert rc == 2
+    assert str(twin) in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def trained(synth_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("model")
@@ -514,6 +533,9 @@ BAD_NUMBERS = [
     (["tune", "CURVES", "--batch-choices", ""], 4),
     (["tune", "CURVES", "--hidden-choices", "2.7"], 2),
     (["tune", "CURVES", "--lr-bounds", "0.001,nan"], 2),
+    *((["thermo", "--kinetics", "KINETICS", "--curve", "CURVE", "--stage-windows",
+        f"hemicellulose:{window}"], 2)
+      for window in ("-inf:inf", "200:1e400", "nan:325")),
 ]
 
 
@@ -540,6 +562,107 @@ class TestRejectsBadNumbers:
         err = capsys.readouterr().err
         assert "Traceback" not in err and "error" in err
         assert not out.exists() or not list(out.iterdir())  # nothing written
+
+
+# Each file a command reads, as its argv with BAD where that file goes. A curve
+# row also covers the curve's sidecar, which is found next to BAD.
+READS = [
+    (["analyze", "BAD", "CURVE10", "CURVE15"], ("curve", "sidecar")),
+    (["thermo", "--kinetics", "BAD", "--tm", "625.0"], ("kinetics",)),
+    (["thermo", "--kinetics", "KINETICS", "--curve", "BAD"], ("curve", "sidecar")),
+    (["features", "BAD"], ("curve", "sidecar")),
+    (["train", "BAD", "CURVE10", "CURVE15", "--dt", "6.0"], ("curve", "sidecar")),
+    (["train", "CURVE10", "CURVE15", "CURVE20", "--dt", "6.0", "--config", "BAD"],
+     ("config",)),
+    (["tune", "BAD", "CURVE10", "CURVE15", "--dt", "6.0"], ("curve", "sidecar")),
+    (["predict", "BAD", "--model", "MODEL"], ("curve", "sidecar")),
+    (["predict", "CURVE15", "--model", "BAD"], ("model",)),
+    (["evaluate", "BAD", "--model", "MODEL"], ("curve", "sidecar")),
+    (["evaluate", "CURVE15", "--model", "BAD"], ("model",)),
+    (["evaluate", "--predictions", "BAD"], ("predictions",)),
+]
+# A sidecar's path follows from its curve's, so it has no under-a-file form of
+# its own. Every row exits 2 except undecodable --config bytes, a config error.
+BAD_PATHS = [
+    (argv, role, form, 4 if (role, form) == ("config", "not-utf8") else 2)
+    for argv, roles in READS for role in roles
+    for form in ("directory", "under-a-file", "not-utf8")
+    if (role, form) != ("sidecar", "under-a-file")
+]
+
+
+def unreadable(tmp_path, synth_dir, role, form):
+    """Make the file for ``role`` unreadable in ``form``.
+
+    Returns the path that goes on the command line and the path of the file
+    that cannot be read, which differ for a sidecar.
+    """
+    name = "bad.csv" if role in ("curve", "sidecar") else "bad"
+    if form == "under-a-file":
+        (tmp_path / "afile").write_text("a regular file\n")
+        path = tmp_path / "afile" / name
+        return path, path
+    path = tmp_path / name
+    if role in ("curve", "sidecar"):
+        good = synth_dir / "single-step_beta5.csv"
+        path.write_bytes(good.read_bytes())
+        path.with_suffix(".json").write_bytes(good.with_suffix(".json").read_bytes())
+    target = path.with_suffix(".json") if role == "sidecar" else path
+    target.unlink(missing_ok=True)
+    if form == "directory":
+        target.mkdir()
+    else:
+        target.write_bytes(b"\xff\xfe not utf-8\n")
+    return path, target
+
+
+def assert_refused(capsys, code, argv, named, out):
+    """``argv`` exits ``code`` with no traceback, names ``named`` in its
+    message and writes nothing into ``out``."""
+    capsys.readouterr()
+    assert exit_code(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "error" in err
+    assert str(named) in err
+    assert not out.exists() or not list(out.iterdir())
+
+
+class TestRejectsBadPaths:
+    """A file a command cannot read or write exits 2 and its message names it."""
+
+    @pytest.mark.parametrize("argv, role, form, code", BAD_PATHS,
+                             ids=[f"{argv[0]}-{role}-{form}" for argv, role, form, _ in BAD_PATHS])
+    def test_unreadable_input(self, synth_dir, tmp_path, capsys, request,
+                              argv, role, form, code):
+        inputs = {f"CURVE{b}": curve_paths(synth_dir, (b,))[0] for b in (10, 15, 20)}
+        if "MODEL" in argv:
+            inputs["MODEL"] = str(request.getfixturevalue("trained") / "model.json")
+        if "KINETICS" in argv:
+            inputs["KINETICS"] = str(request.getfixturevalue("kinetics_csv"))
+        inputs["BAD"], named = unreadable(tmp_path, synth_dir, role, form)
+        out = tmp_path / "out"
+        argv = [str(inputs.get(arg, arg)) for arg in argv]
+        assert_refused(capsys, code, [*argv, "--out-dir", str(out)], named, out)
+
+    @pytest.mark.parametrize("form", ["existing-file", "under-a-file", "name-too-long"])
+    @pytest.mark.parametrize("command", ["analyze", "synth"])
+    def test_unwritable_out_dir(self, synth_dir, tmp_path, capsys, command, form):
+        afile = tmp_path / "afile"
+        afile.write_text("a regular file\n")
+        out = {"existing-file": afile, "under-a-file": afile / "out",
+               "name-too-long": tmp_path / ("x" * 300)}[form]
+        argv = ["analyze", *curve_paths(synth_dir)] if command == "analyze" else ["synth"]
+        assert_refused(capsys, 2, [*argv, "--out-dir", str(out)], out, tmp_path / "none")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+        assert afile.read_text() == "a regular file\n"
+
+
+@pytest.fixture(scope="module")
+def kinetics_csv(synth_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("kinetics")
+    assert main(["analyze", *curve_paths(synth_dir), "--format", "csv",
+                 "--out-dir", str(out)]) == 0
+    return out / "kinetics.csv"
 
 
 FIELDS = st.one_of(st.floats().map(repr), st.text(max_size=6))

@@ -18,7 +18,6 @@ from pyrokin.seqmodel.lstm import (
     infer_block,
     init_params,
     load_model,
-    predict_scaled,
     save_model,
 )
 from pyrokin.seqmodel.training import TrainConfig
@@ -86,7 +85,7 @@ def tiny_scaler(n_features):
 
 def predict_one(model, window):
     """Scaled prediction for one already-scaled (look_back, features) window."""
-    return float(predict_scaled(model, window[None])[0])
+    return float(infer(model.params, window[None], model.config)[0])
 
 
 def zero_params(feature_count, config):

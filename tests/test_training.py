@@ -143,11 +143,11 @@ class TestTrain:
 def evaluate_scaled_loss(model, samples):
     """Validation-style MSE in scaled units, replicating the training loop's
     bookkeeping (independent of evaluate's unscaled metrics)."""
-    from pyrokin.seqmodel.lstm import predict_scaled
+    from pyrokin.seqmodel.lstm import infer
 
     X = np.stack([model.scaler.scale_window(w) for w in samples.windows()])
     y = model.scaler.scale_target(samples.targets)
-    pred = predict_scaled(model, X)
+    pred = infer(model.params, X, model.config)
     return float(((pred - y) ** 2).mean())
 
 
