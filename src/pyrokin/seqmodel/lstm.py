@@ -16,6 +16,13 @@ recurrence, each step does one ``U @ h`` and one tanh over all four gates,
 and the weight gradients are computed once over the whole sequence
 (Appleyard, Kocisky & Blunsom, arXiv:1604.01946).
 
+Inference takes feature rows and window starts. A row sits in ``look_back``
+consecutive windows of its curve, at a different step of each, so for a
+block of consecutive windows (a zero-copy sliding view of the rows) layer 0
+projects its ``block + T - 1`` rows once, ``(4H, block + T - 1)``, in place
+of a ``(T, 4H, block)`` projection of a window stack: the projection is
+hoisted out of the window overlap as well as out of the recurrence.
+
 Inside the kernels the layout is gate-major and batch-minor: a layer's
 pre-activations are ``(T, 4H, N)`` and its states ``h``, ``c`` are
 ``(T, H, N)``. Each gate of a step is then one contiguous ``(H, N)`` block,
@@ -32,6 +39,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from ..errors import ConfigError, InputError
 from .features import FEATURE_COLUMNS, MinMaxScaler, WindowDataset
@@ -116,8 +124,13 @@ def forward_batch(params, X, config, training: bool = False,
     ``X`` has shape (batch, look_back, features). Returns ``(pred, cache)``
     with ``pred`` of shape (batch,). Inverted dropout is applied between
     stacked layers when ``training`` is set and the config asks for it.
+
+    When ``X.strides[0] == X.strides[1]``, window j's step t is row j + t of
+    one sequence of ``batch + look_back - 1`` rows (a sliding view, such as
+    ``infer`` passes): layer 0 then projects each of those rows once, and
+    step t reads columns t .. t + batch of the projection.
     """
-    n, steps, _ = X.shape
+    n, steps, features = X.shape
     hidden = config.hidden_units
     bi, bf, bo, bg = _gate_blocks(hidden)
     sig = slice(0, 3 * hidden)
@@ -133,18 +146,34 @@ def forward_batch(params, X, config, training: bool = False,
         # (exact in binary floating point) lets one tanh cover all four gates
         for m in (W, U, b):
             m[sig] *= 0.5
-        # pre-activations of every step, overwritten step by step with the
-        # gate activations i, f, o (sigmoid) and g (tanh)
-        acts = np.matmul(W, seq)
-        acts += b
+        # (one window stays on the per-step path: its gathered projection is
+        # a matrix-vector product, which rounds unlike a GEMM column)
+        if layer == 0 and n > 1 and X.strides[0] == X.strides[1]:
+            spanned = as_strided(X, (n + steps - 1, features), X.strides[::2],
+                                 writeable=False)
+            proj = W @ spanned.T
+            proj += b
+            # the projection is shared by every step, so the gate
+            # activations go to their own buffer: one step's when no cache
+            # is kept
+            acts = np.empty((steps if want_cache else 1, 4 * hidden, n))
+        else:
+            # pre-activations of every step, overwritten step by step with
+            # the gate activations i, f, o (sigmoid) and g (tanh)
+            proj = None
+            acts = np.matmul(W, seq)
+            acts += b
         h_s = np.empty((steps, hidden, n))
         if want_cache:
             c_s = np.empty((steps, hidden, n))
             tc_s = np.empty((steps, hidden, n))
         h = c = np.zeros((hidden, n))
         for t in range(steps):
-            a = acts[t]
-            a += U @ h
+            if proj is None:
+                a = acts[t]
+                a += U @ h
+            else:
+                a = np.add(proj[:, t : t + n], U @ h, out=acts[t if want_cache else 0])
             np.tanh(a, out=a)
             s = a[sig]
             s *= 0.5
@@ -263,7 +292,8 @@ class LstmModel:
     def predict(self, samples: WindowDataset) -> np.ndarray:
         """Mass-percent predictions for raw windows: scaled with the stored
         scaler, run through ``infer`` and mapped back to target units."""
-        scaled = infer(self.params, samples.windows(self.scaler), self.config)
+        rows = self.scaler.scale_window(samples.rows)
+        scaled = infer(self.params, rows, samples.starts, self.config)
         return self.scaler.unscale_target(scaled)
 
 
@@ -272,6 +302,13 @@ class LstmModel:
 # its gates from cache. When fewer than INFER_MIN_BLOCK windows fit, even
 # that many overflow L2 and GEMM width matters more: blocks are then
 # INFER_MAX_BLOCK windows, which also caps the block for narrow layers.
+# Gathered blocks and every layer past the first still allocate that buffer;
+# layer 0 of a consecutive block does not (it keeps a (4H, block + T - 1)
+# projection and one step's gates). On that path the block size matters
+# little: at H=48, T=20, 7 features, 1,024 consecutive windows (3 sweeps of
+# 30 rotated rounds, 2 vCPUs, 1 BLAS thread), the rule's 68 windows ran
+# 1.06-1.10x the gathered path and 96-512 windows 1.03-1.14x, so the rule
+# stands for both paths.
 L2_BYTES = 2 * 1024 * 1024
 INFER_MIN_BLOCK = 64
 INFER_MAX_BLOCK = 512
@@ -283,14 +320,30 @@ def infer_block(steps: int, hidden: int) -> int:
     return min(fit, INFER_MAX_BLOCK) if fit >= INFER_MIN_BLOCK else INFER_MAX_BLOCK
 
 
-def infer(params, X: np.ndarray, config: "TrainConfig") -> np.ndarray:
-    """Predictions for a stack of scaled windows ``X`` (n, look_back, features),
-    run through ``forward_batch`` in blocks of ``infer_block`` windows."""
-    n, steps = X.shape[:2]
+def infer(params, rows: np.ndarray, starts: np.ndarray, config: "TrainConfig") -> np.ndarray:
+    """Predictions for the windows of scaled feature ``rows`` (R, features)
+    that start at ``starts``, each ``look_back`` rows long.
+
+    Blocks of ``infer_block`` windows go through ``forward_batch``. A block
+    of consecutive starts is a zero-copy sliding view of the rows, whose
+    input projection ``forward_batch`` computes once per row; any other
+    block (a shuffled split, or one straddling two curves) is gathered.
+    Both give the same bits where the BLAS rounds each column of a GEMM
+    independent of the matrix width: OpenBLAS's AVX-512 small-matrix
+    kernel (M * N * K <= 1e6) does, which at T=20 and 7 features covers
+    every block up to 67 hidden units.
+    """
+    steps = config.look_back
     block = infer_block(steps, config.hidden_units)
-    pred = np.empty(n)
-    for start in range(0, n, block):
-        pred[start : start + block], _ = forward_batch(params, X[start : start + block], config)
+    pred = np.empty(len(starts))
+    for k in range(0, len(starts), block):
+        s = starts[k : k + block]
+        if np.all(np.diff(s) == 1):
+            span = rows[s[0] : s[0] + len(s) + steps - 1]
+            X = sliding_window_view(span, steps, axis=0).transpose(0, 2, 1)
+        else:
+            X = rows[s[:, None] + np.arange(steps)]
+        pred[k : k + block], _ = forward_batch(params, X, config)
     return pred
 
 

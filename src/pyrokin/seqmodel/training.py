@@ -151,12 +151,12 @@ def _make_optimizer(config: TrainConfig):
 LOSS_GROUP = 512
 
 
-def _dataset_loss(params, X, y, config) -> float:
-    sq_err = (infer(params, X, config) - y) ** 2
+def _dataset_loss(params, rows, starts, y, config) -> float:
+    sq_err = (infer(params, rows, starts, config) - y) ** 2
     total = 0.0
-    for start in range(0, len(X), LOSS_GROUP):
+    for start in range(0, len(starts), LOSS_GROUP):
         total += float(sq_err[start : start + LOSS_GROUP].sum())
-    return total / len(X)
+    return total / len(starts)
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,8 @@ def train(train_samples: WindowDataset, val_samples: WindowDataset, config: Trai
 
     scaler = MinMaxScaler.fit(train_samples)
     X_train, y_train = train_samples.windows(scaler), scaler.scale_target(train_samples.targets)
-    X_val, y_val = val_samples.windows(scaler), scaler.scale_target(val_samples.targets)
+    val_rows = scaler.scale_window(val_samples.rows)
+    y_val = scaler.scale_target(val_samples.targets)
 
     rng = np.random.default_rng(config.seed)
     params = init_params(feature_count, config, rng)
@@ -213,7 +214,7 @@ def train(train_samples: WindowDataset, val_samples: WindowDataset, config: Trai
             grads = backward_batch(params, cache, 2.0 * err / len(idx))
             optimizer.step(params, grads)
         train_loss = sq_err_total / n
-        val_loss = _dataset_loss(params, X_val, y_val, config)
+        val_loss = _dataset_loss(params, val_rows, val_samples.starts, y_val, config)
         if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
             raise TrainingError(f"loss diverged at epoch {epoch}")
         history.append(EpochRecord(epoch, train_loss, val_loss))

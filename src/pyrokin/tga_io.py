@@ -311,6 +311,11 @@ def sidecar_to_spec(text: str) -> tuple[SampleSpec, float]:
 
     if not isinstance(doc["sample_id"], str):
         raise InputError(f"sidecar field sample_id is not a string: {doc['sample_id']!r}")
+    try:  # JSON escapes can spell lone surrogates, which no output file can hold
+        doc["sample_id"].encode("utf-8")
+    except UnicodeEncodeError:
+        raise InputError(
+            f"sidecar field sample_id is not UTF-8 encodable: {doc['sample_id']!r}") from None
     optional = {key: number(key) for key in ("ash_pct", "vm_pct", "fc_pct")
                 if doc.get(key) is not None}
     spec = SampleSpec(

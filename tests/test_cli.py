@@ -171,6 +171,7 @@ class TestAnalyzeCommand:
         ("cellulose_pct", float("nan")),
         ("heating_rate_c_per_min", 10**400),
         ("sample_id", ["DS"]),
+        ("sample_id", "\ud800x"),  # a lone surrogate: valid JSON, not encodable as UTF-8
         ("ash_pct", "some"),
     ])
     def test_bad_sidecar_field_exits_2(self, synth_dir, tmp_path, capsys, field, value):
@@ -179,12 +180,13 @@ class TestAnalyzeCommand:
         doc = json.loads((synth_dir / "single-step_beta5.json").read_text())
         doc[field] = value
         bad.with_suffix(".json").write_text(json.dumps(doc))
-        rc = main(
-            ["analyze", str(bad), *curve_paths(synth_dir, (10, 15)),
-             "--out-dir", str(tmp_path / "out")]
-        )
-        assert rc == 2
-        assert field in capsys.readouterr().err
+        for command in ("analyze", "features"):
+            out = tmp_path / command
+            rc = main([command, str(bad), *curve_paths(synth_dir, (10, 15)),
+                       "--out-dir", str(out)])
+            assert rc == 2
+            assert field in capsys.readouterr().err
+            assert not out.exists()
 
     def test_degenerate_regression_exits_3(self, synth_dir, tmp_path, capsys):
         # identical curve data under three different claimed heating rates

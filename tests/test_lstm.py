@@ -2,10 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pyrokin.errors import ConfigError, InputError
+from pyrokin.seqmodel import lstm
 from pyrokin.seqmodel.features import MinMaxScaler
 from pyrokin.seqmodel.lstm import (
     INFER_MAX_BLOCK,
@@ -85,7 +87,7 @@ def tiny_scaler(n_features):
 
 def predict_one(model, window):
     """Scaled prediction for one already-scaled (look_back, features) window."""
-    return float(infer(model.params, window[None], model.config)[0])
+    return float(infer(model.params, window, np.array([0]), model.config)[0])
 
 
 def zero_params(feature_count, config):
@@ -415,16 +417,137 @@ class TestInfer:
         config = TrainConfig(hidden_units=48, lstm_layers=layers, look_back=20,
                              activation="sigmoid")
         block = infer_block(20, 48)
-        X = np.random.default_rng(5).random((3 * block + 5, 20, 7))
+        n = 3 * block + 5
+        rows = np.random.default_rng(5).random((n + 19, 7))
+        starts = np.arange(n)
         params = init_params(7, config, np.random.default_rng(9))
-        whole, _ = forward_batch(params, X, config)
-        assert np.allclose(infer(params, X, config), whole, rtol=1e-12, atol=0.0)
+        whole, _ = forward_batch(params, gathered(rows, starts, 20), config)
+        assert np.allclose(infer(params, rows, starts, config), whole, rtol=1e-12, atol=0.0)
 
     def test_empty_stack(self):
         config = TrainConfig(hidden_units=4, look_back=6)
         params = init_params(3, config, np.random.default_rng(0))
-        pred = infer(params, np.empty((0, 6, 3)), config)
+        pred = infer(params, np.random.default_rng(1).random((10, 3)),
+                     np.array([], dtype=int), config)
         assert pred.shape == (0,)
+
+
+def gathered(rows, starts, look_back):
+    """The ``(n, look_back, features)`` stack of the windows at ``starts``."""
+    return rows[starts[:, None] + np.arange(look_back)]
+
+
+def blockwise_reference(params, rows, starts, config):
+    """``forward_batch`` on each ``infer_block`` slice of the gathered windows,
+    concatenated: what ``infer`` computed before it took rows and starts."""
+    X = gathered(rows, starts, config.look_back)
+    block = infer_block(config.look_back, config.hidden_units)
+    preds = [forward_batch(params, X[k : k + block], config)[0]
+             for k in range(0, len(X), block)]
+    return np.concatenate(preds)
+
+
+def two_curve_starts(rows_a, rows_b, look_back):
+    """Window starts of two curves of ``rows_a`` and ``rows_b`` rows, laid out
+    as ``window_sequences`` lays them out."""
+    return np.concatenate([np.arange(rows_a - look_back),
+                           rows_a + np.arange(rows_b - look_back)])
+
+
+class TestSlidingInfer:
+    """``infer`` on rows and starts against the gathered blockwise reference,
+    bitwise; a block of consecutive starts runs as a view of the rows."""
+
+    def check(self, rows, starts, config, monkeypatch):
+        params = init_params(rows.shape[1], config, np.random.default_rng(4))
+        views = []
+
+        def spy(params, X, config, **kwargs):
+            views.append(np.shares_memory(X, rows))
+            return forward_batch(params, X, config, **kwargs)
+
+        monkeypatch.setattr(lstm, "forward_batch", spy)
+        got = infer(params, rows, starts, config)
+        monkeypatch.undo()
+        assert np.array_equal(got, blockwise_reference(params, rows, starts, config))
+        return views
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_one_curve(self, layers, monkeypatch):
+        config = TrainConfig(hidden_units=48, lstm_layers=layers, look_back=20)
+        block = infer_block(20, 48)
+        n = 2 * block + 9
+        rows = np.random.default_rng(1).random((n + 19, 7))
+        views = self.check(rows, np.arange(n), config, monkeypatch)
+        assert views == [True, True, True]
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_two_curves(self, layers, monkeypatch):
+        config = TrainConfig(hidden_units=16, lstm_layers=layers, look_back=10,
+                             activation="relu")
+        block = infer_block(10, 16)
+        rows_a = block + 30  # the first curve ends inside the second block
+        rows = np.random.default_rng(2).random((rows_a + 400, 4))
+        starts = two_curve_starts(rows_a, 400, 10)
+        assert np.diff(starts).max() == 11
+        views = self.check(rows, starts, config, monkeypatch)
+        assert views == [True, False, True]
+
+    def test_permuted_block_is_gathered(self, monkeypatch):
+        # first and last start differ by len - 1, yet the windows are not in order
+        config = TrainConfig(hidden_units=8, lstm_layers=2, look_back=5)
+        rows = np.random.default_rng(3).random((8, 3))
+        views = self.check(rows, np.array([0, 2, 1, 3]), config, monkeypatch)
+        assert views == [False]
+
+    def test_shuffled_split(self, monkeypatch):
+        config = TrainConfig(hidden_units=32, look_back=20, activation="sigmoid")
+        rows = np.random.default_rng(6).random((300, 7))
+        starts = np.random.default_rng(7).permutation(two_curve_starts(120, 180, 20))
+        views = self.check(rows, starts, config, monkeypatch)
+        assert not any(views)
+
+
+class TestSlidingView:
+    """``forward_batch`` on a sliding view of rows, whose layer-0 input
+    projection is computed once per row, against its contiguous copy."""
+
+    def views(self, n, steps, features, seed=0):
+        rows = np.random.default_rng(seed).random((n + steps - 1, features))
+        view = sliding_window_view(rows, steps, axis=0).transpose(0, 2, 1)
+        assert view.strides[0] == view.strides[1]
+        # gathered, not np.ascontiguousarray: numpy counts a one-window view
+        # as contiguous already and would return it as it is
+        copy = gathered(rows, np.arange(n), steps)
+        assert copy.flags.c_contiguous and (steps == 1 or copy.strides[0] != copy.strides[1])
+        return view, copy
+
+    @pytest.mark.parametrize("n, steps, features, hidden, layers, activation", [
+        (68, 20, 7, 48, 1, "tanh"),
+        (40, 20, 7, 48, 2, "sigmoid"),
+        (25, 7, 4, 6, 3, "relu"),
+        (9, 1, 3, 5, 1, "tanh"),
+        (1, 20, 7, 48, 1, "tanh"),  # one window: its projection stays a GEMV
+    ])
+    def test_predictions_and_gradients(self, n, steps, features, hidden, layers, activation):
+        config = TrainConfig(hidden_units=hidden, lstm_layers=layers, look_back=steps,
+                             activation=activation)
+        params = init_params(features, config, np.random.default_rng(n))
+        view, copy = self.views(n, steps, features)
+        assert np.array_equal(forward_batch(params, view, config)[0],
+                              forward_batch(params, copy, config)[0])
+        pred_v, cache_v = forward_batch(params, view, config, want_cache=True)
+        pred_c, cache_c = forward_batch(params, copy, config, want_cache=True)
+        assert np.array_equal(pred_v, pred_c)
+        for entry_v, entry_c in zip(cache_v["layers"], cache_c["layers"]):
+            for key in ("x", "h", "acts", "c", "tc"):
+                assert np.array_equal(entry_v[key], entry_c[key]), key
+        dpred = np.random.default_rng(1).standard_normal(n)
+        grads_v = backward_batch(params, cache_v, dpred)
+        grads_c = backward_batch(params, cache_c, dpred)
+        assert grads_v.keys() == grads_c.keys()
+        for key in grads_c:
+            assert np.array_equal(grads_v[key], grads_c[key]), key
 
 
 class TestCheckpoint:

@@ -135,9 +135,11 @@ class TestTrain:
         config = quick_config(hidden_units=4, look_back=5)
         params = init_params(3, config, np.random.default_rng(8))
         rng = np.random.default_rng(6)
-        X, y = rng.random((1100, 5, 3)), rng.random(1100)
-        mse = float(((infer(params, X, config) - y) ** 2).mean())
-        assert _dataset_loss(params, X, y, config) == pytest.approx(mse, rel=1e-15, abs=0.0)
+        rows, y = rng.random((1104, 3)), rng.random(1100)
+        starts = rng.permutation(1100)
+        mse = float(((infer(params, rows, starts, config) - y) ** 2).mean())
+        assert _dataset_loss(params, rows, starts, y, config) == pytest.approx(
+            mse, rel=1e-15, abs=0.0)
 
 
 def evaluate_scaled_loss(model, samples):
@@ -147,7 +149,9 @@ def evaluate_scaled_loss(model, samples):
 
     X = np.stack([model.scaler.scale_window(w) for w in samples.windows()])
     y = model.scaler.scale_target(samples.targets)
-    pred = infer(model.params, X, model.config)
+    # each window as its own rows: starts look_back apart, so every block is gathered
+    n, steps, features = X.shape
+    pred = infer(model.params, X.reshape(-1, features), np.arange(n) * steps, model.config)
     return float(((pred - y) ** 2).mean())
 
 
