@@ -481,13 +481,12 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", default=None,
                         help="output directory (default: $PYROKIN_OUT or .)")
-    charts = argparse.ArgumentParser(add_help=False)
-    charts.add_argument("--format", choices=("csv", "text", "svg"), default="text",
-                        help="csv: machine output only; text: plus aligned tables; "
-                             "svg: plus charts")
 
-    p = sub.add_parser("analyze", parents=[common, charts],
+    p = sub.add_parser("analyze", parents=[common],
                        help="isoconversional kinetics over >=3 heating rates")
+    p.add_argument("--format", choices=("csv", "text", "svg"), default="text",
+                   help="csv: machine output only; text: plus aligned tables; "
+                        "svg: plus charts")
     p.add_argument("curves", nargs="+", help="curve CSVs (each with a .json sidecar)")
     p.add_argument("--alpha-grid", default="0.1:0.7:0.1")
     p.add_argument("--smooth-window", type=int, default=DEFAULT_SMOOTH_WINDOW)
@@ -497,8 +496,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=_finite_float, default=1.0, help="assumed reaction order")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("thermo", parents=[common, charts],
+    p = sub.add_parser("thermo", parents=[common],
                        help="activation thermodynamics from a kinetics table")
+    p.add_argument("--format", choices=("csv", "svg"), default="csv",
+                   help="csv: machine output only; svg: plus charts")
     p.add_argument("--kinetics", required=True, help="kinetics.csv from analyze")
     p.add_argument("--tm", type=_finite_float, default=None,
                    help="reference peak temperature (K)")

@@ -34,7 +34,9 @@ batch-major ``(N, T, .)`` like ``X``.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -50,7 +52,7 @@ if TYPE_CHECKING:
 GATES = ("i", "f", "g", "o")
 FUSED_GATES = ("i", "f", "o", "g")  # row blocks of the fused kernels
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # format_version 1 (decimal weights) still loads
 
 
 def _sigmoid(x):
@@ -76,6 +78,9 @@ def param_shapes(feature_count: int, config: "TrainConfig") -> dict:
     hidden), ``l<k>.U<g>`` (hidden, hidden) and ``l<k>.b<g>`` (hidden,) for
     gates g in i/f/g/o, then ``dense.w`` (hidden,) and ``dense.b`` (1,).
     Layer 0 takes the feature count as in_dim; deeper layers the hidden size.
+    A ``format_version`` 2 checkpoint stores each tensor as base64 of its
+    ``8 * prod(shape)`` little-endian float64 bytes, row-major; version 1
+    as nested decimal lists of this shape.
     """
     hidden = config.hidden_units
     shapes = {}
@@ -331,7 +336,8 @@ def infer(params, rows: np.ndarray, starts: np.ndarray, config: "TrainConfig") -
     Both give the same bits where the BLAS rounds each column of a GEMM
     independent of the matrix width: OpenBLAS's AVX-512 small-matrix
     kernel (M * N * K <= 1e6) does, which at T=20 and 7 features covers
-    every block up to 67 hidden units.
+    every block up to 67 hidden units. Past that the forms agree to
+    rounding, not bit for bit (1e-12 relative in the tests at H=96).
     """
     steps = config.look_back
     block = infer_block(steps, config.hidden_units)
@@ -348,11 +354,13 @@ def infer(params, rows: np.ndarray, starts: np.ndarray, config: "TrainConfig") -
 
 
 def save_model(model: LstmModel) -> str:
-    """Checkpoint as a self-describing JSON document.
+    """Checkpoint as a self-describing JSON document, ``format_version`` 2.
 
-    Weights are nested row-major lists, one per gate tensor, with the keys
-    and shapes of ``param_shapes``; the fused kernels never change this
-    layout.
+    The config and scaler are decimal JSON. The weights keep the keys and
+    shapes of ``param_shapes``, one tensor per gate (the fused kernels never
+    change this layout); each is one base64 string of its little-endian
+    float64 bytes in row-major order, which writes and reads every value
+    exactly without formatting or parsing a decimal float.
     """
     doc = {
         "format_version": CHECKPOINT_VERSION,
@@ -365,18 +373,34 @@ def save_model(model: LstmModel) -> str:
             "target_min": model.scaler.target_min,
             "target_max": model.scaler.target_max,
         },
-        "weights": {k: v.tolist() for k, v in sorted(model.params.items())},
+        "weights": {k: base64.b64encode(np.asarray(v, dtype="<f8").tobytes()).decode("ascii")
+                    for k, v in sorted(model.params.items())},
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _checkpoint_array(value, shape, what):
-    try:
-        arr = np.array(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"checkpoint {what} is not a numeric array") from None
-    if arr.shape != shape:
-        raise InputError(f"checkpoint {what} has shape {arr.shape}, expected {shape}")
+def _checkpoint_array(value, shape, what, packed=False):
+    """``value`` as a finite float64 array of ``shape``: nested decimal
+    lists, or with ``packed`` one base64 string of little-endian float64
+    bytes (``format_version`` 2 weights)."""
+    if packed:
+        if not isinstance(value, str):
+            raise InputError(f"checkpoint {what} is not a base64 string")
+        try:
+            raw = base64.b64decode(value, validate=True)
+        except ValueError:  # binascii.Error, or text that is not ASCII
+            raise InputError(f"checkpoint {what} is not valid base64") from None
+        size = 8 * math.prod(shape)
+        if len(raw) != size:
+            raise InputError(f"checkpoint {what} has {len(raw)} bytes, expected {size}")
+        arr = np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
+    else:
+        try:
+            arr = np.array(value, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise InputError(f"checkpoint {what} is not a numeric array") from None
+        if arr.shape != shape:
+            raise InputError(f"checkpoint {what} has shape {arr.shape}, expected {shape}")
     if not np.isfinite(arr).all():
         raise InputError(f"checkpoint {what} has non-finite values")
     return arr
@@ -393,7 +417,9 @@ def _checkpoint_section(doc, key, fields):
 
 
 def load_model(text: str) -> LstmModel:
-    """Read a ``save_model`` checkpoint.
+    """Read a ``save_model`` checkpoint of ``format_version`` 2, or of
+    version 1, whose weights are nested decimal lists of the same keys and
+    shapes. The version, not the type of a value, picks the decoding.
 
     Raises InputError for anything else: text that is not a JSON object, an
     unsupported version, a missing section, a config ``TrainConfig``
@@ -409,7 +435,7 @@ def load_model(text: str) -> LstmModel:
     if not isinstance(doc, dict):
         raise InputError("checkpoint must be a JSON object")
     version = doc.get("format_version")
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise InputError(f"unsupported checkpoint version {version!r}")
     missing = [k for k in ("config", "scaler", "weights", "feature_mode", "feature_count")
                if k not in doc]
@@ -449,7 +475,8 @@ def load_model(text: str) -> LstmModel:
     unexpected = sorted(set(weights) - set(shapes))
     if unexpected:
         raise InputError(f"checkpoint weights not in the config: {', '.join(unexpected)}")
-    params = {k: _checkpoint_array(weights[k], shape, f"weight {k}")
+    packed = version == 2
+    params = {k: _checkpoint_array(weights[k], shape, f"weight {k}", packed)
               for k, shape in shapes.items()}
     return LstmModel(
         params=params,

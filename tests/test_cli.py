@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from pyrokin.report import predictions_to_csv
 import numpy as np
 
 from pyrokin.seqmodel import MODEL2, build_features
+from pyrokin.seqmodel.lstm import CHECKPOINT_VERSION, load_model, save_model
 from pyrokin.synthkin import simulate, suite_models
 from pyrokin.tga_io import (
     MAX_GRID_POINTS,
@@ -24,6 +26,8 @@ from pyrokin.tga_io import (
     sidecar_to_spec,
     spec_to_sidecar,
 )
+
+from reference_checkpoint import save_model_v1
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +221,24 @@ class TestThermoCommand:
         assert len(text.strip().splitlines()) == 1 + 3 * 3 * 7
         assert (tmp_path / "thermo_dh.svg").exists()
 
+    def test_format_is_csv_or_svg_and_defaults_to_csv(self, synth_dir, tmp_path, capsys):
+        kin = tmp_path / "k"
+        assert main(["analyze", *curve_paths(synth_dir), "--out-dir", str(kin)]) == 0
+        argv = ["thermo", "--kinetics", str(kin / "kinetics.csv"), "--tm", "625.0"]
+        assert main([*argv, "--out-dir", str(tmp_path / "bare")]) == 0
+        assert main([*argv, "--format", "csv", "--out-dir", str(tmp_path / "csv")]) == 0
+        written = sorted(p.name for p in (tmp_path / "bare").iterdir())
+        assert written == sorted(p.name for p in (tmp_path / "csv").iterdir())
+        assert written == ["manifest.json", "thermo.csv"]
+        assert ((tmp_path / "bare" / "thermo.csv").read_bytes()
+                == (tmp_path / "csv" / "thermo.csv").read_bytes())
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", "text", "--out-dir", str(tmp_path / "text")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'text'" in capsys.readouterr().err
+        assert not (tmp_path / "text").exists()
+
     def test_tm_from_curve_peak(self, synth_dir, tmp_path):
         kin = tmp_path / "k"
         assert main(["analyze", *curve_paths(synth_dir), "--out-dir", str(kin)]) == 0
@@ -346,6 +368,21 @@ def _edited(edit):
     return mutate
 
 
+def _payload(key, edit):
+    """A format_version 2 mutation that re-encodes weight ``key`` after
+    applying ``edit`` to its float64 bytes."""
+    def apply(doc):
+        raw = base64.b64decode(doc["weights"][key])
+        doc["weights"][key] = base64.b64encode(edit(raw)).decode("ascii")
+    return _edited(apply)
+
+
+def _weight_text(key, edit):
+    """A mutation that applies ``edit`` to the stored value of weight ``key``."""
+    return _edited(lambda doc: doc["weights"].update({key: edit(doc["weights"][key])}))
+
+
+# mutations of a format_version 1 text, as tests/reference_checkpoint.py writes it
 BAD_CHECKPOINTS = {
     "version-only": lambda text: '{"format_version": 1}',
     "not-json": lambda text: text[: len(text) // 2],
@@ -369,16 +406,41 @@ BAD_CHECKPOINTS = {
         lambda doc: doc["config"].update(learning_rate=float("nan"))),
     "huge-layer-count": _edited(lambda doc: doc["config"].update(lstm_layers=10**12)),
     "overflowing-weight": _edited(lambda doc: doc["weights"].update({"dense.b": [10**400]})),
-    "over-long-integer": lambda text: text.replace('"format_version": 1',
-                                                   '"format_version": 1' + "0" * 5000),
+    # base64 of the float64 1.0: a version 2 payload in a version 1 file
+    "v1-base64-weight": _edited(lambda doc: doc["weights"].update({"dense.b": "AAAAAAAA8D8="})),
+}
+
+# mutations of the format_version 2 text that train writes
+BAD_V2_CHECKPOINTS = {
+    "over-long-integer": lambda text: text.replace(
+        f'"format_version": {CHECKPOINT_VERSION}',
+        f'"format_version": {CHECKPOINT_VERSION}' + "0" * 5000),
+    "v2-8-bytes-short": _payload("l0.Wi", lambda raw: raw[:-8]),
+    "v2-8-bytes-long": _payload("l0.Wi", lambda raw: raw + raw[:8]),
+    "v2-nan-payload": _payload("l0.Ug", lambda raw: raw[:-8] + np.array([np.nan]).tobytes()),
+    "v2-inf-payload": _payload("dense.b", lambda raw: np.array([-np.inf]).tobytes()),
+    # inserted, so a decoder that skipped it would read the right byte count
+    "v2-non-alphabet": _weight_text("l0.Wi", lambda value: value[:4] + "*" + value[4:]),
+    "v2-bad-padding": _weight_text("dense.b", lambda value: value.rstrip("=")),
+    "v2-non-ascii": _weight_text("l0.Wi", lambda value: "\u00e9" + value[1:]),
+    "v2-null-weight": _weight_text("dense.b", lambda value: None),
+    # the same values as a version 1 list: the version, not the type, decides
+    "v2-list-weight": _weight_text(
+        "dense.w", lambda value: np.frombuffer(base64.b64decode(value), "<f8").tolist()),
 }
 
 
 class TestPredictRejectsBadCheckpoint:
-    @pytest.mark.parametrize("case", sorted(BAD_CHECKPOINTS))
+    @pytest.mark.parametrize("case", sorted(BAD_CHECKPOINTS) + sorted(BAD_V2_CHECKPOINTS))
     def test_exits_2_without_traceback(self, synth_dir, trained, tmp_path, capsys, case):
+        text = (trained / "model.json").read_text()
+        if case in BAD_CHECKPOINTS:
+            bad = BAD_CHECKPOINTS[case](save_model_v1(load_model(text)))
+        else:
+            bad = BAD_V2_CHECKPOINTS[case](text)
+        assert bad != text
         model = tmp_path / "model.json"
-        model.write_text(BAD_CHECKPOINTS[case]((trained / "model.json").read_text()))
+        model.write_text(bad)
         rc = main(
             ["predict", curve_paths(synth_dir, (15,))[0], "--model", str(model),
              "--dt", "4.0", "--out-dir", str(tmp_path / "out")]
@@ -395,6 +457,32 @@ class TestPredictRejectsBadCheckpoint:
         )
         assert rc == 2
         assert "utf-8" in capsys.readouterr().err
+
+
+class TestCheckpointVersions:
+    def test_v1_file_loads_predicts_and_resaves_as_v2(self, synth_dir, trained, tmp_path):
+        v2_text = (trained / "model.json").read_text()
+        assert json.loads(v2_text)["format_version"] == CHECKPOINT_VERSION == 2
+        model = load_model(v2_text)
+        v1_text = save_model_v1(model)
+        from_v1 = load_model(v1_text)
+        assert from_v1.params.keys() == model.params.keys()
+        for key, value in model.params.items():
+            assert from_v1.params[key].dtype == value.dtype
+            assert from_v1.params[key].tobytes() == value.tobytes(), key
+        assert (from_v1.config, from_v1.feature_mode) == (model.config, model.feature_mode)
+        resaved = save_model(from_v1)
+        assert resaved == v2_text
+        assert save_model(load_model(resaved)) == resaved
+        predictions = []
+        for name, text in (("v1", v1_text), ("v2", resaved)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(text)
+            rc = main(["predict", curve_paths(synth_dir, (15,))[0], "--model", str(path),
+                       "--dt", "4.0", "--out-dir", str(tmp_path / name)])
+            assert rc == 0
+            predictions.append((tmp_path / name / "predictions.csv").read_bytes())
+        assert predictions[0] == predictions[1]
 
 
 class TestTuneCommand:

@@ -2,6 +2,7 @@
 PyrokinError, which the CLI maps to exit 2, 3 or 4, never a traceback."""
 
 import json
+import string
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from pyrokin.seqmodel.lstm import LstmModel, init_params, load_model, save_model
 from pyrokin.seqmodel.training import TrainConfig
 from pyrokin.tga_io import DATE_SEEDS, SampleSpec, sidecar_to_spec, spec_to_sidecar
 
+from reference_checkpoint import save_model_v1
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.floats() | st.text(max_size=8)
     | st.integers() | st.sampled_from([10**400, -10**400]),
@@ -23,17 +26,19 @@ JSON_VALUES = st.recursive(
 )
 
 
-def valid_checkpoint():
+def valid_model():
     config = TrainConfig(hidden_units=2, lstm_layers=2, look_back=3)
     scaler = MinMaxScaler(feature_min=np.zeros(4), feature_max=np.ones(4),
                           target_min=0.0, target_max=100.0)
     params = init_params(4, config, np.random.default_rng(0))
-    return save_model(LstmModel(params, config, scaler, "model1", 4))
+    return LstmModel(params, config, scaler, "model1", 4)
 
 
 VALID = {
     "sidecar": spec_to_sidecar(DATE_SEEDS, beta=10.0),
-    "checkpoint": valid_checkpoint(),
+    "checkpoint": save_model(valid_model()),
+    # format_version 1, whose weights are decimal lists
+    "checkpoint-v1": save_model_v1(valid_model()),
 }
 
 
@@ -53,7 +58,8 @@ def check_checkpoint(text):
     assert isinstance(load_model(text), LstmModel)
 
 
-READERS = {"sidecar": check_sidecar, "checkpoint": check_checkpoint}
+READERS = {"sidecar": check_sidecar, "checkpoint": check_checkpoint,
+           "checkpoint-v1": check_checkpoint}
 
 
 def parses_or_rejects(reader, text):
@@ -76,7 +82,7 @@ def draw_path(data, doc):
             return path
 
 
-@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("reader", ["sidecar", "checkpoint"])
 @settings(max_examples=150, deadline=None)
 @given(text=st.text(max_size=200))
 @example(text="1" * 5000)  # past the interpreter's integer-digit limit
@@ -85,14 +91,14 @@ def test_arbitrary_text(reader, text):
     parses_or_rejects(reader, text)
 
 
-@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("reader", ["sidecar", "checkpoint"])
 @settings(max_examples=100, deadline=None)
 @given(doc=JSON_VALUES)
 def test_arbitrary_json(reader, doc):
     parses_or_rejects(reader, json.dumps(doc))
 
 
-@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("reader", VALID)
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_valid_document_with_one_value_replaced_or_removed(reader, data):
@@ -108,6 +114,30 @@ def test_valid_document_with_one_value_replaced_or_removed(reader, data):
     parses_or_rejects(reader, json.dumps(doc))
 
 
-@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("reader", VALID)
 def test_valid_documents_parse(reader):
     READERS[reader](VALID[reader])
+
+
+# mostly base64 characters, so that many edits keep the text decodable
+BASE64_TEXT = st.text(
+    alphabet=st.sampled_from(string.ascii_letters + string.digits + "+/=") | st.characters(),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_base64_weight_truncated_extended_or_edited(data):
+    doc = json.loads(VALID["checkpoint"])
+    key = data.draw(st.sampled_from(sorted(doc["weights"])))
+    value = doc["weights"][key]
+    at = data.draw(st.integers(0, len(value) - 1))
+    edit = data.draw(st.sampled_from(["truncate", "append", "replace"]))
+    if edit == "truncate":
+        value = value[:at]
+    elif edit == "append":
+        value += data.draw(BASE64_TEXT)
+    else:
+        value = value[:at] + data.draw(BASE64_TEXT) + value[at + 1:]
+    doc["weights"][key] = value
+    parses_or_rejects("checkpoint", json.dumps(doc))

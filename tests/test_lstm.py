@@ -1,5 +1,8 @@
 from dataclasses import replace
 
+import base64
+import json
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -10,6 +13,7 @@ from pyrokin.errors import ConfigError, InputError
 from pyrokin.seqmodel import lstm
 from pyrokin.seqmodel.features import MinMaxScaler
 from pyrokin.seqmodel.lstm import (
+    CHECKPOINT_VERSION,
     INFER_MAX_BLOCK,
     INFER_MIN_BLOCK,
     L2_BYTES,
@@ -458,7 +462,7 @@ class TestSlidingInfer:
     """``infer`` on rows and starts against the gathered blockwise reference,
     bitwise; a block of consecutive starts runs as a view of the rows."""
 
-    def check(self, rows, starts, config, monkeypatch):
+    def check(self, rows, starts, config, monkeypatch, rtol=None):
         params = init_params(rows.shape[1], config, np.random.default_rng(4))
         views = []
 
@@ -469,7 +473,11 @@ class TestSlidingInfer:
         monkeypatch.setattr(lstm, "forward_batch", spy)
         got = infer(params, rows, starts, config)
         monkeypatch.undo()
-        assert np.array_equal(got, blockwise_reference(params, rows, starts, config))
+        expected = blockwise_reference(params, rows, starts, config)
+        if rtol is None:
+            assert np.array_equal(got, expected)
+        else:
+            assert np.allclose(got, expected, rtol=rtol, atol=0.0)
         return views
 
     @pytest.mark.parametrize("layers", [1, 2, 3])
@@ -492,6 +500,18 @@ class TestSlidingInfer:
         assert np.diff(starts).max() == 11
         views = self.check(rows, starts, config, monkeypatch)
         assert views == [True, False, True]
+
+    def test_large_model_matches_to_rounding(self, monkeypatch):
+        # the first block's projection GEMM, 4H x (block + T - 1) x 7, is past
+        # OpenBLAS's small-matrix path (M * N * K > 1e6), where a sliding and a
+        # gathered block may round differently: equal to 1e-12, not bitwise
+        config = TrainConfig(hidden_units=96, look_back=20)
+        block = infer_block(20, 96)
+        assert 4 * 96 * (block + 19) * 7 > 10**6
+        n = block + 40
+        rows = np.random.default_rng(8).random((n + 19, 7))
+        views = self.check(rows, np.arange(n), config, monkeypatch, rtol=1e-12)
+        assert views == [True, True]
 
     def test_permuted_block_is_gathered(self, monkeypatch):
         # first and last start differ by len - 1, yet the windows are not in order
@@ -566,9 +586,32 @@ class TestCheckpoint:
         config = TrainConfig(hidden_units=2, lstm_layers=1, look_back=3)
         params = init_params(2, config, np.random.default_rng(0))
         model = LstmModel(params, config, tiny_scaler(2), "model1", 2)
-        text = save_model(model).replace('"format_version": 1', '"format_version": 99')
+        text = save_model(model)
+        version = f'"format_version": {CHECKPOINT_VERSION}'
+        assert version in text
         with pytest.raises(InputError, match="version"):
-            load_model(text)
+            load_model(text.replace(version, '"format_version": 99'))
+
+    def test_weights_are_exact_row_major_little_endian_float64(self):
+        config = TrainConfig(hidden_units=3, lstm_layers=1, look_back=4)
+        params = init_params(4, config, np.random.default_rng(5))
+        # extreme finite values, in a tensor stored column-major
+        params["l0.Wi"] = np.asfortranarray([[-0.0, 5e-324, 0.1],
+                                             [1.7976931348623157e308, -2.5e-310, 1 / 3],
+                                             [-1e-300, 1e300, np.pi],
+                                             [2.0**-1074, -(2.0**1023), 0.0]])
+        model = LstmModel(params, config, tiny_scaler(4), "model1", 4)
+        text = save_model(model)
+        weights = json.loads(text)["weights"]
+        assert sorted(weights) == sorted(params)
+        raw = base64.b64decode(weights["l0.Wi"])
+        assert raw == np.ascontiguousarray(params["l0.Wi"]).astype("<f8").tobytes()
+        again = load_model(text)
+        for key, value in params.items():
+            assert again.params[key].shape == value.shape
+            assert again.params[key].tobytes() == np.ascontiguousarray(value).tobytes(), key
+            assert again.params[key].flags.writeable
+        assert save_model(again) == text
 
 
 class TestGradients:
