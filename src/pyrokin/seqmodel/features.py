@@ -79,8 +79,10 @@ class WindowDataset:
     ``look_back`` rows from ``starts[k]`` on, all of curve ``curve_ids[k]``;
     its target is the mass percent of the next row. Indexing by a slice or
     an index array selects windows and shares the row arrays, so a split
-    costs two index arrays; ``windows`` gathers the ``(n, look_back, F)``
-    stack only for the split being trained or scored.
+    costs two index arrays. Training and inference gather a ``(n,
+    look_back, F)`` window stack only per mini-batch or inference block
+    (or view one block of consecutive windows in place); ``windows``, the
+    stack of a whole split, is the accessor tests compare them against.
     """
 
     rows: np.ndarray
@@ -186,9 +188,11 @@ class MinMaxScaler:
     def fit(cls, samples: WindowDataset) -> "MinMaxScaler":
         if not samples:
             raise InputError("cannot fit a scaler on an empty dataset")
-        # a mask rather than np.unique, whose first call imports numpy.ma
+        # a mask rather than np.unique, whose first call imports numpy.ma;
+        # set one window step at a time, so no (n, look_back) row index exists
         covered = np.zeros(len(samples.rows), dtype=bool)
-        covered[samples.row_index()] = True
+        for step in range(samples.look_back):
+            covered[samples.starts + step] = True
         rows = samples.rows[covered]
         targets = samples.targets
         return cls(

@@ -23,6 +23,13 @@ projects its ``block + T - 1`` rows once, ``(4H, block + T - 1)``, in place
 of a ``(T, 4H, block)`` projection of a window stack: the projection is
 hoisted out of the window overlap as well as out of the recurrence.
 
+Training gathers each mini-batch from the scaled feature rows and keeps
+one step's buffers: ``forward_batch`` writes a step's gate activations and
+states into the previous step's cache when given it as ``reuse``, and
+``backward_batch`` writes every layer's pre-activation gradients into the
+cache's one ``(T, 4H, N)`` buffer, so a training step allocates no array of
+that size (reusing preallocated workspaces, as in arXiv:1604.01946).
+
 Inside the kernels the layout is gate-major and batch-minor: a layer's
 pre-activations are ``(T, 4H, N)`` and its states ``h``, ``c`` are
 ``(T, H, N)``. Each gate of a step is then one contiguous ``(H, N)`` block,
@@ -123,7 +130,8 @@ def _gate_blocks(hidden):
 
 
 def forward_batch(params, X, config, training: bool = False,
-                  rng: np.random.Generator | None = None, want_cache: bool = False):
+                  rng: np.random.Generator | None = None, want_cache: bool = False,
+                  reuse: dict | None = None):
     """Run a batch of windows through the network.
 
     ``X`` has shape (batch, look_back, features). Returns ``(pred, cache)``
@@ -134,6 +142,14 @@ def forward_batch(params, X, config, training: bool = False,
     one sequence of ``batch + look_back - 1`` rows (a sliding view, such as
     ``infer`` passes): layer 0 then projects each of those rows once, and
     step t reads columns t .. t + batch of the projection.
+
+    With ``want_cache`` the cache keeps every layer's gate activations
+    ``acts``, states ``h``, ``c`` and ``tanh(c)`` as ``tc``, and one
+    ``(T, 4H, N)`` buffer ``dpre`` that ``backward_batch`` fills. ``reuse``
+    is an earlier call's cache, which the caller gives up: when its arrays
+    have this batch's shapes, the new cache is written into them instead of
+    into fresh arrays, so a training loop keeps one step's buffers for all
+    its steps. A cache of another shape is left untouched.
     """
     n, steps, features = X.shape
     hidden = config.hidden_units
@@ -142,6 +158,12 @@ def forward_batch(params, X, config, training: bool = False,
     use_dropout = training and config.dropout > 0.0 and config.lstm_layers > 1
     if use_dropout and rng is None:
         raise ConfigError("training-mode dropout requires an RNG")
+    if reuse is not None and (reuse["dpre"].shape != (steps, 4 * hidden, n)
+                              or len(reuse["layers"]) != config.lstm_layers):
+        reuse = None
+    # steps whose gate activations, c and tanh(c) are kept: without a cache
+    # only the current step's are needed
+    kept = steps if want_cache else 1
 
     layers = []
     seq = X.transpose(1, 2, 0)  # every sequence below is (steps, features, batch)
@@ -153,43 +175,45 @@ def forward_batch(params, X, config, training: bool = False,
             m[sig] *= 0.5
         # (one window stays on the per-step path: its gathered projection is
         # a matrix-vector product, which rounds unlike a GEMM column)
-        if layer == 0 and n > 1 and X.strides[0] == X.strides[1]:
+        sliding = layer == 0 and n > 1 and X.strides[0] == X.strides[1]
+        if reuse is not None:
+            old = reuse["layers"][layer]
+            acts, h_s, c_s, tc_s = old["acts"], old["h"], old["c"], old["tc"]
+        else:
+            # the sliding projection is shared by every step, so the gate
+            # activations go to their own buffer: one step's when no cache
+            # is kept
+            acts = np.empty((kept if sliding else steps, 4 * hidden, n))
+            h_s = np.empty((steps, hidden, n))
+            c_s, tc_s = np.empty((kept, hidden, n)), np.empty((kept, hidden, n))
+        if sliding:
             spanned = as_strided(X, (n + steps - 1, features), X.strides[::2],
                                  writeable=False)
             proj = W @ spanned.T
             proj += b
-            # the projection is shared by every step, so the gate
-            # activations go to their own buffer: one step's when no cache
-            # is kept
-            acts = np.empty((steps if want_cache else 1, 4 * hidden, n))
         else:
             # pre-activations of every step, overwritten step by step with
             # the gate activations i, f, o (sigmoid) and g (tanh)
             proj = None
-            acts = np.matmul(W, seq)
+            np.matmul(W, seq, out=acts)
             acts += b
-        h_s = np.empty((steps, hidden, n))
-        if want_cache:
-            c_s = np.empty((steps, hidden, n))
-            tc_s = np.empty((steps, hidden, n))
         h = c = np.zeros((hidden, n))
         for t in range(steps):
+            k = t if want_cache else 0
             if proj is None:
                 a = acts[t]
                 a += U @ h
             else:
-                a = np.add(proj[:, t : t + n], U @ h, out=acts[t if want_cache else 0])
+                a = np.add(proj[:, t : t + n], U @ h, out=acts[k])
             np.tanh(a, out=a)
             s = a[sig]
             s *= 0.5
             s += 0.5
             i_t, f_t, o_t, g_t = a[bi], a[bf], a[bo], a[bg]
-            c = f_t * c
+            c = np.multiply(f_t, c, out=c_s[k])
             c += i_t * g_t
-            tc = np.tanh(c)
+            tc = np.tanh(c, out=tc_s[k])
             h = np.multiply(o_t, tc, out=h_s[t])
-            if want_cache:
-                c_s[t], tc_s[t] = c, tc
         mask = None
         output = h_s
         if use_dropout and layer < config.lstm_layers - 1:
@@ -209,7 +233,9 @@ def forward_batch(params, X, config, training: bool = False,
     pred = params["dense.w"] @ z + params["dense.b"][0]
     if not want_cache:
         return pred, None
-    return pred, {"layers": layers, "h_last": h_last, "z": z, "config": config}
+    dpre = reuse["dpre"] if reuse is not None else np.empty((steps, 4 * hidden, n))
+    return pred, {"layers": layers, "h_last": h_last, "z": z, "config": config,
+                  "dpre": dpre}
 
 
 def backward_batch(params, cache, dpred):
@@ -221,8 +247,10 @@ def backward_batch(params, cache, dpred):
     key shapes. The step loop works on the gate-major ``(4H, N)`` blocks of
     the forward cache, carries only ``dh`` and ``dc`` and does one GEMM per
     step (the recurrent ``U.T @ dpre``); the ``(T, 4H, N)`` pre-activation
-    gradients of every step are kept, so ``dW``, ``dU``, ``db`` and the
-    gradient into the layer below are each one call over the whole sequence.
+    gradients of every step go to the cache's ``dpre`` buffer, so ``dW``,
+    ``dU``, ``db`` and the gradient into the layer below are each one call
+    over the whole sequence. Every layer overwrites the same buffer: a
+    layer's gradients are taken from it before the layer below starts.
     """
     config = cache["config"]
     layers = cache["layers"]
@@ -238,7 +266,8 @@ def backward_batch(params, cache, dpred):
     }
     dh_last = np.outer(params["dense.w"], dpred) * act_deriv(cache["h_last"])
 
-    n, steps, _ = layers[0]["x"].shape
+    dpre = cache["dpre"]
+    steps = len(dpre)
     d_output = None  # gradient wrt the (possibly dropped-out) output sequence
     for layer in reversed(range(config.lstm_layers)):
         Lc = layers[layer]
@@ -251,7 +280,6 @@ def backward_batch(params, cache, dpred):
                 dH *= Lc["mask"].transpose(1, 2, 0)
         W, U, _ = _fused(params, layer)
         acts, c_s, tc_s = Lc["acts"], Lc["c"], Lc["tc"]
-        dpre = np.empty((steps, 4 * hidden, n))
         dc_rec = 0.0
         U_T = U.T
         for t in reversed(range(steps)):
@@ -421,10 +449,11 @@ def load_model(text: str) -> LstmModel:
     version 1, whose weights are nested decimal lists of the same keys and
     shapes. The version, not the type of a value, picks the decoding.
 
-    Raises InputError for anything else: text that is not a JSON object, an
-    unsupported version, a missing section, a config ``TrainConfig``
-    rejects, a feature count that does not fit the feature mode, or a weight
-    or scaler array whose shape disagrees with the config and feature count.
+    Raises InputError for anything else: text that is not a JSON object, a
+    version that is not the JSON integer 1 or 2, a missing section, a config
+    ``TrainConfig`` rejects, a feature count that does not fit the feature
+    mode, or a weight or scaler array whose shape disagrees with the config
+    and feature count.
     """
     from .training import TrainConfig
 
@@ -435,7 +464,8 @@ def load_model(text: str) -> LstmModel:
     if not isinstance(doc, dict):
         raise InputError("checkpoint must be a JSON object")
     version = doc.get("format_version")
-    if version not in (1, CHECKPOINT_VERSION):
+    # an int, not just equal to one: JSON true == 1 and 2.0 == 2 in Python
+    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
         raise InputError(f"unsupported checkpoint version {version!r}")
     missing = [k for k in ("config", "scaler", "weights", "feature_mode", "feature_count")
                if k not in doc]

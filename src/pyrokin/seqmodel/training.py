@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -53,8 +54,10 @@ class TrainConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         lr = self.learning_rate
+        # compared, not passed to math.isfinite: an int past the float range
+        # (JSON 1e400 written as digits) would raise OverflowError there
         if (isinstance(lr, bool) or not isinstance(lr, numbers.Real)
-                or not math.isfinite(lr) or lr <= 0.0):
+                or not 0.0 < lr <= sys.float_info.max):
             raise ConfigError(f"learning_rate must be a finite positive number, got {lr!r}")
         if self.batch_size < 1 or self.epochs < 1 or self.hidden_units < 1:
             raise ConfigError("batch_size, epochs, and hidden_units must be >= 1")
@@ -170,10 +173,19 @@ def train(train_samples: WindowDataset, val_samples: WindowDataset, config: Trai
     """Fit the network on raw (unscaled) windows.
 
     The feature scaler is fit on the training split only, then applied to
-    both splits. Mini-batch gradients are averaged within each batch and
-    applied as one optimizer update; epoch-level shuffling, weight
-    initialization, and dropout all derive from ``config.seed``, so a fixed
-    (data, config) pair reproduces the history bitwise.
+    the feature rows, once when both splits share them (as the splits of
+    one dataset do). Each mini-batch is gathered from the scaled rows by its
+    windows' row indices, so no window stack of a whole split is built.
+    Every step after the first writes its forward cache into the previous
+    one (``forward_batch``'s ``reuse``), which is dropped only before a
+    batch of another size (the short last batch) and before the validation
+    pass: at the peak, training holds the rows, one batch and one step's
+    buffers.
+
+    Mini-batch gradients are averaged within each batch and applied as one
+    optimizer update; epoch-level shuffling, weight initialization, and
+    dropout all derive from ``config.seed``, so a fixed (data, config) pair
+    reproduces the history bitwise.
 
     Returns ``(model, history)`` where the model carries the weights of the
     epoch with the lowest validation loss.
@@ -187,9 +199,12 @@ def train(train_samples: WindowDataset, val_samples: WindowDataset, config: Trai
     feature_count = train_samples.rows.shape[1]
 
     scaler = MinMaxScaler.fit(train_samples)
-    X_train, y_train = train_samples.windows(scaler), scaler.scale_target(train_samples.targets)
-    val_rows = scaler.scale_window(val_samples.rows)
+    rows = scaler.scale_window(train_samples.rows)
+    val_rows = (rows if val_samples.rows is train_samples.rows
+                else scaler.scale_window(val_samples.rows))
+    y_train = scaler.scale_target(train_samples.targets)
     y_val = scaler.scale_target(val_samples.targets)
+    starts, offsets = train_samples.starts, np.arange(config.look_back)
 
     rng = np.random.default_rng(config.seed)
     params = init_params(feature_count, config, rng)
@@ -199,20 +214,23 @@ def train(train_samples: WindowDataset, val_samples: WindowDataset, config: Trai
     best_val = math.inf
     best_params = {k: v.copy() for k, v in params.items()}
     bad_epochs = 0
-    n = len(X_train)
+    n = len(train_samples)
+    cache = None
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         sq_err_total = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            Xb, yb = X_train[idx], y_train[idx]
-            pred, cache = forward_batch(
-                params, Xb, config, training=True, rng=rng, want_cache=True
-            )
-            err = pred - yb
+            if len(idx) != config.batch_size:
+                cache = None  # freed before the short batch allocates its own
+            Xb = rows.take(starts[idx, None] + offsets, axis=0)
+            pred, cache = forward_batch(params, Xb, config, training=True, rng=rng,
+                                        want_cache=True, reuse=cache)
+            err = pred - y_train[idx]
             sq_err_total += float((err**2).sum())
             grads = backward_batch(params, cache, 2.0 * err / len(idx))
             optimizer.step(params, grads)
+        cache = None  # freed before inference allocates its blocks
         train_loss = sq_err_total / n
         val_loss = _dataset_loss(params, val_rows, val_samples.starts, y_val, config)
         if not (math.isfinite(train_loss) and math.isfinite(val_loss)):

@@ -385,6 +385,7 @@ def _weight_text(key, edit):
 # mutations of a format_version 1 text, as tests/reference_checkpoint.py writes it
 BAD_CHECKPOINTS = {
     "version-only": lambda text: '{"format_version": 1}',
+    "version-true": _edited(lambda doc: doc.update(format_version=True)),
     "not-json": lambda text: text[: len(text) // 2],
     "json-list": lambda text: "[1, 2]",
     **{f"no-{key}": _edited(lambda doc, key=key: doc.pop(key))
@@ -415,6 +416,7 @@ BAD_V2_CHECKPOINTS = {
     "over-long-integer": lambda text: text.replace(
         f'"format_version": {CHECKPOINT_VERSION}',
         f'"format_version": {CHECKPOINT_VERSION}' + "0" * 5000),
+    "version-float": _edited(lambda doc: doc.update(format_version=float(CHECKPOINT_VERSION))),
     "v2-8-bytes-short": _payload("l0.Wi", lambda raw: raw[:-8]),
     "v2-8-bytes-long": _payload("l0.Wi", lambda raw: raw + raw[:8]),
     "v2-nan-payload": _payload("l0.Ug", lambda raw: raw[:-8] + np.array([np.nan]).tobytes()),
@@ -447,6 +449,7 @@ class TestPredictRejectsBadCheckpoint:
         )
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_undecodable_bytes_exit_2(self, synth_dir, tmp_path, capsys):
         model = tmp_path / "model.json"

@@ -352,6 +352,60 @@ class TestCacheLayout:
                 assert np.array_equal(mask, ref["mask"])
 
 
+CACHE_BUFFERS = ("acts", "h", "c", "tc")
+
+
+def cache_buffers(cache):
+    """Every array ``forward_batch``'s ``reuse`` may write into."""
+    return [cache["dpre"]] + [entry[k] for entry in cache["layers"] for k in CACHE_BUFFERS]
+
+
+class TestCacheReuse:
+    """``reuse``: a training step writes its cache into the previous one."""
+
+    def run(self, params, config, n, seed, reuse=None):
+        X = np.random.default_rng(seed).random((n, config.look_back, 3))
+        pred, cache = forward_batch(params, X, config, training=True,
+                                    rng=np.random.default_rng(seed), want_cache=True,
+                                    reuse=reuse)
+        grads = backward_batch(params, cache, np.random.default_rng(seed).random(n))
+        return pred, cache, grads
+
+    # look-back 1: equal window and step strides, forward_batch's sliding path
+    @pytest.mark.parametrize("layers, dropout, steps", [(1, 0.0, 4), (3, 0.3, 4), (2, 0.0, 1)])
+    def test_same_bits_written_into_the_reused_arrays(self, layers, dropout, steps):
+        config = TrainConfig(hidden_units=5, lstm_layers=layers, look_back=steps,
+                             dropout=dropout)
+        params = init_params(3, config, np.random.default_rng(0))
+        _, old, _ = self.run(params, config, 6, seed=1)
+        buffers = cache_buffers(old)
+        pred, cache, grads = self.run(params, config, 6, seed=2, reuse=old)
+        fresh_pred, fresh, fresh_grads = self.run(params, config, 6, seed=2)
+        assert np.array_equal(pred, fresh_pred)
+        assert grads.keys() == fresh_grads.keys()
+        for key, value in grads.items():
+            assert np.array_equal(value, fresh_grads[key]), key
+        for entry, ref in zip(cache["layers"], fresh["layers"]):
+            for k in CACHE_BUFFERS:
+                assert np.array_equal(entry[k], ref[k]), k
+        for array, buffer in zip(cache_buffers(cache), buffers):
+            assert np.shares_memory(array, buffer)
+
+    def test_cache_of_another_batch_size_is_left_alone(self):
+        config = TrainConfig(hidden_units=5, lstm_layers=2, look_back=4, dropout=0.3)
+        params = init_params(3, config, np.random.default_rng(0))
+        _, old, _ = self.run(params, config, 8, seed=1)
+        before = [b.copy() for b in cache_buffers(old)]
+        pred, cache, grads = self.run(params, config, 5, seed=2, reuse=old)
+        fresh_pred, _, fresh_grads = self.run(params, config, 5, seed=2)
+        for buffer, saved in zip(cache_buffers(old), before):
+            assert np.array_equal(buffer, saved)
+            assert not any(np.shares_memory(buffer, a) for a in cache_buffers(cache))
+        assert np.array_equal(pred, fresh_pred)
+        for key, value in grads.items():
+            assert np.array_equal(value, fresh_grads[key]), key
+
+
 class TestForward:
     def test_zero_weights_predict_dense_bias(self):
         config = TrainConfig(hidden_units=3, lstm_layers=2, look_back=4,

@@ -1,7 +1,9 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from reference_training import reference_train
 
 from pyrokin.constants import KELVIN_OFFSET
 from pyrokin.errors import ConfigError, InputError, TrainingError
@@ -57,7 +59,8 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match=field):
             quick_config(**{field: value})
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), True])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), True,
+                                       10**400])
     def test_learning_rate_must_be_finite_positive_real(self, value):
         with pytest.raises(ConfigError, match="learning_rate"):
             quick_config(learning_rate=value)
@@ -140,6 +143,77 @@ class TestTrain:
         mse = float(((infer(params, rows, starts, config) - y) ** 2).mean())
         assert _dataset_loss(params, rows, starts, y, config) == pytest.approx(
             mse, rel=1e-15, abs=0.0)
+
+
+class TestMatchesReferenceLoop:
+    """``train`` gathers each batch from the scaled rows and reuses one
+    step's buffers; the loop it replaced (tests/reference_training.py)
+    stacked the whole split and gave every step fresh arrays. The values
+    and the order of the arithmetic are the same, so are the bits."""
+
+    @pytest.mark.parametrize(
+        "layers, dropout, optimizer, batch_size, look_back, patience",
+        [
+            # 80 training windows: 16 divides them, the other sizes leave
+            # a short last batch
+            (1, 0.0, "adam", 16, 10, 5),
+            (2, 0.2, "sgd", 13, 10, 5),
+            (3, 0.2, "rmsprop", 9, 5, 5),
+            (3, 0.0, "adam", 32, 5, 5),
+            # validation targets far from the training ones: stops early
+            (2, 0.2, "sgd", 11, 10, 0),
+            # one-step windows: a gathered batch has equal window and step
+            # strides, so forward_batch takes its sliding path
+            (2, 0.0, "rmsprop", 7, 1, 5),
+        ],
+    )
+    def test_history_and_weights_bitwise(self, layers, dropout, optimizer, batch_size,
+                                         look_back, patience):
+        samples = linear_mass_samples(look_back=look_back)
+        train_set, val_set = samples[:80], samples[80:]
+        if patience == 0:
+            val_set = far_targets(train_set[:20])
+        config = quick_config(lstm_layers=layers, dropout=dropout, optimizer=optimizer,
+                              batch_size=batch_size, look_back=look_back,
+                              early_stop_patience=patience, hidden_units=6, epochs=4)
+        model, history = train(train_set, val_set, config)
+        ref_model, ref_history = reference_train(train_set, val_set, config)
+        assert history == ref_history
+        assert (len(history) < config.epochs) == (patience == 0)
+        assert model.params.keys() == ref_model.params.keys()
+        for key, value in model.params.items():
+            assert np.array_equal(value, ref_model.params[key]), key
+        assert np.array_equal(model.scaler.feature_min, ref_model.scaler.feature_min)
+        assert np.array_equal(model.scaler.feature_max, ref_model.scaler.feature_max)
+
+    def test_splits_with_their_own_rows(self):
+        # the validation rows are scaled on their own when not shared
+        train_set = linear_mass_samples()[:60]
+        val_set = linear_mass_samples(n_rows=40, beta=20.0)
+        config = quick_config(epochs=2)
+        _, history = train(train_set, val_set, config)
+        assert history == reference_train(train_set, val_set, config)[1]
+
+
+class TestTrainMemory:
+    def test_peak_is_a_fraction_of_the_window_stack(self):
+        # a stack of the training split would take 5,000 * 20 * 4 * 8 bytes;
+        # train holds the rows (1/20 of that), one batch and one step's buffers
+        samples = linear_mass_samples(n_rows=5060, look_back=20)
+        train_set, val_set = samples[:5000], samples[5000:]
+        stack_bytes = len(train_set) * 20 * train_set.rows.shape[1] * 8
+        assert stack_bytes >= 3 * 2**20
+        config = quick_config(hidden_units=4, look_back=20, epochs=1)
+        # a first call imports what train imports lazily (numpy.random),
+        # which would count otherwise
+        train(train_set[:40], val_set, config)
+        tracemalloc.start()
+        try:
+            train(train_set, val_set, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < stack_bytes / 4
 
 
 def evaluate_scaled_loss(model, samples):
