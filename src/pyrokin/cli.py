@@ -1,9 +1,11 @@
 """Batch command-line interface.
 
 Commands: analyze, thermo, synth, features, train, tune, predict, evaluate,
-massbalance. Every command that produces files writes them into the output
-directory (``--out-dir``, or the PYROKIN_OUT environment variable, or the
-working directory) together with a run manifest; all outputs except the
+massbalance. Every command that produces files hands them to ``_emit``,
+which writes them into the output directory (``--out-dir``, or the
+PYROKIN_OUT environment variable, or the working directory) and the run
+manifest last: a directory holding ``manifest.json`` holds that run's whole
+bundle, and a failed run removes what it wrote. All outputs except the
 manifest's timestamp are byte-identical across reruns with equal inputs.
 
 Exit codes: 0 success, else the ``exit_code`` of the raised error class
@@ -26,7 +28,7 @@ from . import __version__
 from .constants import KELVIN_OFFSET
 from .errors import ConfigError, DomainError, InputError, PyrokinError
 from .kinetics import METHODS, KineticModelAssumption, run_analysis
-from .manifest import build_manifest, write_manifest
+from .manifest import write_manifest
 from .preprocess import (
     DEFAULT_M0_AT_C,
     DEFAULT_SMOOTH_WINDOW,
@@ -98,17 +100,6 @@ def check_mass_balance(vm_pct: float, eta_pct: float) -> bool:
     two-decimal percentage tables.
     """
     return abs(vm_pct - vm_from_char(eta_pct)) <= MASS_BALANCE_TOL
-
-
-def _out_dir(args) -> Path:
-    root = args.out_dir or os.environ.get("PYROKIN_OUT") or "."
-    path = Path(root)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _write(path: Path, text: str):
-    path.write_text(text, encoding="utf-8")
 
 
 def _read_text(path, error=InputError) -> str:
@@ -210,6 +201,9 @@ def _windows(paths, mode, look_back, dt=None):
         curve = _load_curve_file(path)
         curve = resample_uniform(curve, dt) if dt else curve
         cid = _curve_id(curve)
+        if any(ch in cid for ch in ",\r\n"):
+            raise InputError(f"curve id {cid!r} of {path} holds a comma or line break, "
+                             f"which features.csv and --holdout cannot carry")
         if cid in curves:
             raise InputError(f"two curves have curve id {cid!r}; the second is {path}")
         curves[cid] = curve
@@ -219,11 +213,26 @@ def _windows(paths, mode, look_back, dt=None):
     return curves, samples
 
 
-def _manifest(args, command, inputs, config: dict):
-    out = _out_dir(args)
-    seed = getattr(args, "seed", None)
-    write_manifest(build_manifest(command, inputs, config, seed, __version__), out)
-    return out
+def _emit(args, command, inputs, config: dict, files: dict):
+    """Every command's one way to disk: an earlier manifest is removed, then
+    ``files`` ({name: text}) are written in order and manifest.json last. On
+    any failure the files this call wrote are removed before it re-raises."""
+    out = Path(args.out_dir or os.environ.get("PYROKIN_OUT") or ".")
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = out / "manifest.json"
+    manifest.unlink(missing_ok=True)
+    written = [manifest]
+    try:
+        for name, text in files.items():
+            written.append(out / name)
+            written[-1].write_text(text, encoding="utf-8")
+        write_manifest(out, command, inputs, config, getattr(args, "seed", None),
+                       __version__)
+    except BaseException:
+        for path in written:
+            if not path.is_dir():  # squatting on an output name; not this run's
+                path.unlink(missing_ok=True)
+        raise
 
 
 def cmd_analyze(args):
@@ -244,18 +253,17 @@ def cmd_analyze(args):
         "dt": args.dt,
         "order": args.order,
     }
-    out = _manifest(args, "analyze", args.curves, config)
-    _write(out / "kinetics.csv", analysis_to_csv(table))
+    files = {"kinetics.csv": analysis_to_csv(table)}
     if args.format in ("text", "svg"):
-        _write(out / "kinetics.txt", analysis_to_text(table))
-    _write(out / "ea_vs_alpha.csv", ea_plot_csv(table))
+        files["kinetics.txt"] = analysis_to_text(table)
+    files["ea_vs_alpha.csv"] = ea_plot_csv(table)
     if args.format == "svg":
-        svg = emit_svg(
+        files["ea_vs_alpha.svg"] = emit_svg(
             ea_plot_series(table),
             {"title": f"Ea vs conversion: {table.sample_id}",
              "xlabel": "conversion", "ylabel": "Ea (kJ/mol)"},
         )
-        _write(out / "ea_vs_alpha.svg", svg)
+    _emit(args, "analyze", args.curves, config, files)
     for warning in table.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     for method, ea in table.ea_averages().items():
@@ -284,8 +292,7 @@ def cmd_thermo(args):
         raise InputError("need --tm or --curve to fix the reference peak temperature")
     profile = thermo_profile(table, t_m)
     config = {"tm": t_m, "stage": args.stage, "kinetics": str(args.kinetics)}
-    out = _manifest(args, "thermo", [args.kinetics], config)
-    _write(out / "thermo.csv", thermo_to_csv(profile))
+    files = {"thermo.csv": thermo_to_csv(profile)}
     if args.format == "svg":
         for quantity, pick, unit in (
             ("dH", lambda e: e.delta_h / 1000.0, "kJ/mol"),
@@ -299,12 +306,12 @@ def cmd_thermo(args):
                     series.append(
                         (method, [e.alpha for e in ests], [pick(e) for e in ests])
                     )
-            svg = emit_svg(
+            files[f"thermo_{quantity.lower()}.svg"] = emit_svg(
                 series,
                 {"title": f"{quantity} vs conversion", "xlabel": "conversion",
                  "ylabel": f"{quantity} ({unit})"},
             )
-            _write(out / f"thermo_{quantity.lower()}.svg", svg)
+    _emit(args, "thermo", [args.kinetics], config, files)
     print(f"thermo profile at Tm = {t_m:.2f} K: {len(profile)} estimates")
 
 
@@ -329,13 +336,13 @@ def cmd_synth(args):
         )
     config = {"preset": args.preset, "betas": list(betas), "dt": args.dt,
               "frac": args.frac}
-    curves = [simulate(model, beta, args.dt, spec=spec) for beta in betas]
-    out = _manifest(args, "synth", [], config)
-    for beta, curve in zip(betas, curves):
+    files = {}
+    for beta in betas:
         stem = f"{name}_beta{beta:g}"
-        _write(out / f"{stem}.csv", curve_to_csv(curve))
-        _write(out / f"{stem}.json", spec_to_sidecar(spec, beta))
-    _write(out / f"{name}_model.json", model_to_json(model))
+        files[f"{stem}.csv"] = curve_to_csv(simulate(model, beta, args.dt, spec=spec))
+        files[f"{stem}.json"] = spec_to_sidecar(spec, beta)
+    files[f"{name}_model.json"] = model_to_json(model)
+    _emit(args, "synth", [], config, files)
     print(f"wrote {len(betas)} curves for preset {name}")
 
 
@@ -345,9 +352,8 @@ def cmd_features(args):
     table = np.column_stack([samples.rows, samples.mass_pct]).tolist()
     rows = [[cid, *row] for cid, row in zip(ids, table)]
     config = {"mode": args.mode, "dt": args.dt}
-    out = _manifest(args, "features", args.curves, config)
     header = ",".join(["curve_id", *FEATURE_COLUMNS[args.mode], "mass_pct"])
-    _write(out / "features.csv", csv_text(header, rows))
+    _emit(args, "features", args.curves, config, {"features.csv": csv_text(header, rows)})
     print(f"wrote {len(rows)} feature rows")
 
 
@@ -377,11 +383,9 @@ def cmd_train(args):
     holdout = tuple(args.holdout.split(",")) if args.holdout else ()
     train_set, val_set, _ = split_dataset(samples, holdout_curves=holdout, seed=args.seed)
     model, history = train(train_set, val_set, config)
-    out = _manifest(args, "train", args.curves,
-                    {"mode": args.mode, "dt": args.dt, "holdout": list(holdout),
-                     **config.to_dict()})
-    _write(out / "model.json", save_model(model))
-    _write(out / "history.csv", history_to_csv(history))
+    _emit(args, "train", args.curves,
+          {"mode": args.mode, "dt": args.dt, "holdout": list(holdout), **config.to_dict()},
+          {"model.json": save_model(model), "history.csv": history_to_csv(history)})
     best = min(rec.val_loss for rec in history)
     print(f"trained {len(history)} epochs; best val loss = {best:.6g}")
 
@@ -405,12 +409,12 @@ def cmd_tune(args):
     best_config, leaderboard = random_search(
         space, args.trials, args.seed, train_set, val_set
     )
-    out = _manifest(args, "tune", args.curves,
-                    {"mode": args.mode, "trials": args.trials, "dt": args.dt,
-                     "holdout": list(holdout), "space": str(space)})
-    _write(out / "leaderboard.csv", leaderboard_to_csv(leaderboard))
-    _write(out / "best_config.json",
-           json.dumps(best_config.to_dict(), indent=2, sort_keys=True) + "\n")
+    _emit(args, "tune", args.curves,
+          {"mode": args.mode, "trials": args.trials, "dt": args.dt,
+           "holdout": list(holdout), "space": str(space)},
+          {"leaderboard.csv": leaderboard_to_csv(leaderboard),
+           "best_config.json": json.dumps(best_config.to_dict(), indent=2,
+                                          sort_keys=True) + "\n"})
     print(f"best trial: val loss = {leaderboard[0].val_loss:.6g}")
 
 
@@ -422,16 +426,16 @@ def cmd_predict(args):
     predicted = model.predict(samples)
     actual = samples.targets
     temps = prepared.temperature_k[look_back:] - KELVIN_OFFSET
-    out = _manifest(args, "predict", [args.model, args.curve],
-                    {"dt": args.dt, "model": str(args.model)})
-    _write(out / "predictions.csv", predictions_to_csv(temps, actual, predicted))
     svg = emit_svg(
         [("actual", temps.tolist(), actual.tolist()),
          ("predicted", temps.tolist(), predicted.tolist())],
         {"title": f"mass-loss prediction: {cid}",
          "xlabel": "temperature (C)", "ylabel": "mass (%)"},
     )
-    _write(out / "predictions.svg", svg)
+    _emit(args, "predict", [args.model, args.curve],
+          {"dt": args.dt, "model": str(args.model)},
+          {"predictions.csv": predictions_to_csv(temps, actual, predicted),
+           "predictions.svg": svg})
     print(metrics_to_text(metrics_from_arrays(actual, predicted)), end="")
 
 
@@ -448,9 +452,8 @@ def cmd_evaluate(args):
         inputs = [args.model, *args.curves]
     else:
         raise InputError("need --predictions, or --model plus curve files")
-    out = _manifest(args, "evaluate", inputs, {"dt": args.dt})
-    _write(out / "metrics.csv", metrics_to_csv(metrics))
-    _write(out / "metrics.txt", metrics_to_text(metrics))
+    _emit(args, "evaluate", inputs, {"dt": args.dt},
+          {"metrics.csv": metrics_to_csv(metrics), "metrics.txt": metrics_to_text(metrics)})
     print(metrics_to_text(metrics), end="")
 
 

@@ -1,22 +1,16 @@
-"""Reproducibility record written next to every output bundle."""
+"""Reproducibility record of one run, ``manifest.json``.
+
+The CLI writes it last, after every other file of the run's bundle, and a
+failed run removes what it wrote: a directory holding a manifest holds that
+run's whole bundle.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    inputs: tuple[str, ...]
-    config_digest: str
-    seed: int | None
-    version: str
-    timestamp: str
 
 
 def config_digest(config: dict) -> str:
@@ -25,20 +19,14 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def build_manifest(command: str, inputs, config: dict, seed, version: str) -> RunManifest:
-    return RunManifest(
-        command=command,
-        inputs=tuple(str(p) for p in inputs),
-        config_digest=config_digest(config),
-        seed=seed,
-        version=version,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
-
-
-def write_manifest(manifest: RunManifest, out_dir: Path) -> Path:
+def write_manifest(out_dir, command: str, inputs, config: dict, seed, version: str):
+    doc = {
+        "command": command,
+        "inputs": [str(p) for p in inputs],
+        "config_digest": config_digest(config),
+        "seed": seed,
+        "version": version,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
     path = Path(out_dir) / "manifest.json"
-    doc = asdict(manifest)
-    doc["inputs"] = list(doc["inputs"])
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path

@@ -77,18 +77,20 @@ class WindowDataset:
     ``rows`` (R, F) and ``mass_pct`` (R,) are the feature rows and mass
     percents of every curve, concatenated. Window k covers the
     ``look_back`` rows from ``starts[k]`` on, all of curve ``curve_ids[k]``;
-    its target is the mass percent of the next row. Indexing by a slice or
-    an index array selects windows and shares the row arrays, so a split
-    costs two index arrays. Training and inference gather a ``(n,
-    look_back, F)`` window stack only per mini-batch or inference block
-    (or view one block of consecutive windows in place); ``windows``, the
-    stack of a whole split, is the accessor tests compare them against.
+    its target is the mass percent of the next row. ``curves`` names every
+    curve whose rows are in ``rows``, also one too short for any window.
+    Indexing by a slice or an index array selects windows and shares the row
+    arrays, so a split costs two index arrays. Training and inference gather
+    a ``(n, look_back, F)`` window stack only per mini-batch or inference
+    block (or view one block of consecutive windows in place); ``windows``,
+    the stack of a whole split, is the accessor tests compare them against.
     """
 
     rows: np.ndarray
     mass_pct: np.ndarray
     starts: np.ndarray
     curve_ids: np.ndarray
+    curves: tuple
     look_back: int
     feature_mode: str
 
@@ -140,6 +142,7 @@ def window_sequences(curves, mode: str = MODEL1,
         mass_pct=np.concatenate(mass),
         starts=np.concatenate(starts),
         curve_ids=np.concatenate(ids),
+        curves=tuple(curves),
         look_back=look_back,
         feature_mode=mode,
     )
@@ -152,10 +155,14 @@ def split_dataset(samples: WindowDataset, fractions=(0.70, 0.15, 0.15), holdout_
     Windows of held-out curves are excluded from train/val entirely and
     prepended to the test set; the rest are shuffled by ``seed`` and divided
     by ``fractions``, whose third share becomes the in-distribution test
-    remainder.
+    remainder. A holdout id that names no curve of ``samples`` is an
+    input error.
     """
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise DomainError(f"fractions must sum to 1, got {fractions}")
+    unknown = sorted(set(holdout_curves) - set(samples.curves))
+    if unknown:
+        raise InputError(f"holdout curve ids name no curve of the dataset: {unknown}")
     held = np.isin(samples.curve_ids, list(holdout_curves))
     rest = np.flatnonzero(~held)
     if not len(rest):

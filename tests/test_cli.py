@@ -750,6 +750,128 @@ class TestRejectsBadPaths:
         assert afile.read_text() == "a regular file\n"
 
 
+# Each command that writes files: a run that succeeds, with the placeholders
+# of READS, and its bundle in write order, manifest.json left out.
+TUNE_SPACE = ["--trials", "1", "--epochs-choices", "1", "--hidden-choices", "4",
+              "--layers-choices", "1", "--batch-choices", "32", "--dropout-choices", "0.0",
+              "--optimizers", "adam", "--activations", "tanh"]
+BUNDLES = {
+    "analyze": (["analyze", "CURVE10", "CURVE15", "CURVE20", "--format", "svg"],
+                ["kinetics.csv", "kinetics.txt", "ea_vs_alpha.csv", "ea_vs_alpha.svg"]),
+    "thermo": (["thermo", "--kinetics", "KINETICS", "--tm", "625.0", "--format", "svg"],
+               ["thermo.csv", "thermo_dh.svg", "thermo_dg.svg", "thermo_ds.svg"]),
+    "synth": (["synth", "--beta", "5,10", "--dt", "1.0"],
+              ["single-step_beta5.csv", "single-step_beta5.json", "single-step_beta10.csv",
+               "single-step_beta10.json", "single-step_model.json"]),
+    "features": (["features", "CURVE10", "--dt", "6.0"], ["features.csv"]),
+    "train": (["train", "CURVE10", "CURVE15", "CURVE20", "--dt", "6.0", "--look-back", "5",
+               "--epochs", "1", "--hidden", "4"], ["model.json", "history.csv"]),
+    "tune": (["tune", "CURVE10", "CURVE15", "CURVE20", "--dt", "6.0", "--look-back", "5",
+              *TUNE_SPACE], ["leaderboard.csv", "best_config.json"]),
+    "predict": (["predict", "CURVE15", "--model", "MODEL", "--dt", "4.0"],
+                ["predictions.csv", "predictions.svg"]),
+    "evaluate": (["evaluate", "CURVE15", "--model", "MODEL", "--dt", "4.0"],
+                 ["metrics.csv", "metrics.txt"]),
+}
+
+
+def bundle_argv(request, synth_dir, command, out):
+    """The argv of ``command``'s BUNDLES run, writing into ``out``."""
+    argv, _ = BUNDLES[command]
+    inputs = {f"CURVE{b}": curve_paths(synth_dir, (b,))[0] for b in (10, 15, 20)}
+    if "MODEL" in argv:
+        inputs["MODEL"] = str(request.getfixturevalue("trained") / "model.json")
+    if "KINETICS" in argv:
+        inputs["KINETICS"] = str(request.getfixturevalue("kinetics_csv"))
+    return [*(inputs.get(arg, arg) for arg in argv), "--out-dir", str(out)]
+
+
+def write_spy(monkeypatch, fail_at=None):
+    """Record the file name of every ``Path.write_text`` call, in order; the
+    call numbered ``fail_at`` raises OSError instead of writing."""
+    real, names = Path.write_text, []
+
+    def spy(path, *args, **kwargs):
+        names.append(path.name)
+        if len(names) == fail_at:
+            raise OSError(f"injected fault writing {path}")
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", spy)
+    return names
+
+
+@pytest.mark.parametrize("command", BUNDLES)
+class TestBundle:
+    """A command's files reach disk in one bundle: the manifest is written
+    last, and a run that fails to write leaves none of its files."""
+
+    def test_manifest_is_written_last(self, request, synth_dir, tmp_path, monkeypatch,
+                                      command):
+        out = tmp_path / "out"
+        argv = bundle_argv(request, synth_dir, command, out)
+        writes = write_spy(monkeypatch)
+        assert exit_code(argv) == 0
+        names = BUNDLES[command][1]
+        assert writes == [*names, "manifest.json"]
+        assert sorted(p.name for p in out.iterdir()) == sorted([*names, "manifest.json"])
+
+    def test_squatted_last_output_leaves_no_bundle(self, request, synth_dir, tmp_path,
+                                                   capsys, command):
+        out = tmp_path / "out"
+        squatter = out / BUNDLES[command][1][-1]
+        squatter.mkdir(parents=True)
+        argv = bundle_argv(request, synth_dir, command, out)
+        capsys.readouterr()
+        assert exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and str(squatter) in err
+        assert list(out.iterdir()) == [squatter]
+
+    def test_failed_run_removes_a_stale_manifest(self, request, synth_dir, tmp_path,
+                                                 command):
+        out = tmp_path / "out"
+        (out / BUNDLES[command][1][-1]).mkdir(parents=True)
+        (out / "manifest.json").write_text('{"command": "an earlier run"}\n')
+        assert exit_code(bundle_argv(request, synth_dir, command, out)) == 2
+        assert not (out / "manifest.json").exists()
+
+    def test_fault_at_second_write_leaves_no_bundle(self, request, synth_dir, tmp_path,
+                                                    capsys, monkeypatch, command):
+        out = tmp_path / "out"
+        argv = bundle_argv(request, synth_dir, command, out)
+        write_spy(monkeypatch, fail_at=2)
+        capsys.readouterr()
+        assert exit_code(argv) == 2
+        assert "injected fault" in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
+
+class TestCurveIdContract:
+    """Curve ids go into features.csv cells and --holdout's comma list."""
+
+    @pytest.mark.parametrize("command", ["features", "train"])
+    def test_curve_id_with_a_comma_exits_2(self, request, synth_dir, tmp_path, capsys,
+                                           command):
+        source = synth_dir / "single-step_beta5.csv"
+        path = tmp_path / "blend.csv"
+        path.write_bytes(source.read_bytes())
+        doc = json.loads(source.with_suffix(".json").read_text())
+        doc["sample_id"] = "DS 75%, SCG 25%"
+        path.with_suffix(".json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = bundle_argv(request, synth_dir, command, out)
+        argv.insert(1, str(path))
+        assert_refused(capsys, 2, argv, "DS 75%, SCG 25%", out)
+
+    @pytest.mark.parametrize("command", ["train", "tune"])
+    def test_unknown_holdout_id_exits_2(self, request, synth_dir, tmp_path, capsys,
+                                        command):
+        out = tmp_path / "out"
+        argv = [*bundle_argv(request, synth_dir, command, out), "--holdout", "DS@10,nosuch@10"]
+        assert_refused(capsys, 2, argv, "nosuch@10", out)
+
+
 @pytest.fixture(scope="module")
 def kinetics_csv(synth_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("kinetics")

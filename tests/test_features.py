@@ -315,6 +315,10 @@ class TestSplitDataset:
         with pytest.raises(InputError, match="holdout"):
             split_dataset(samples, holdout_curves=("c0", "c1"), seed=0)
 
+    def test_unknown_holdout_id_rejected(self):
+        with pytest.raises(InputError, match="c9"):
+            split_dataset(self.samples(40), holdout_curves=("c1", "c9"), seed=0)
+
     def test_bad_fractions_rejected(self):
         with pytest.raises(DomainError):
             split_dataset(self.samples(40), fractions=(0.5, 0.4, 0.2), seed=0)
@@ -327,6 +331,7 @@ def dataset_of(rows, look_back, mass=None):
         mass_pct=np.linspace(20.0, 100.0, len(rows)) if mass is None else mass,
         starts=np.arange(n),
         curve_ids=np.full(n, "c", dtype=object),
+        curves=("c",),
         look_back=look_back,
         feature_mode=MODEL1,
     )
