@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -291,7 +292,7 @@ def cmd_thermo(args):
     else:
         raise InputError("need --tm or --curve to fix the reference peak temperature")
     profile = thermo_profile(table, t_m)
-    config = {"tm": t_m, "stage": args.stage, "kinetics": str(args.kinetics)}
+    config = {"tm": t_m, "stage": args.stage}
     files = {"thermo.csv": thermo_to_csv(profile)}
     if args.format == "svg":
         for quantity, pick, unit in (
@@ -357,28 +358,13 @@ def cmd_features(args):
     print(f"wrote {len(rows)} feature rows")
 
 
-def _train_config_from_args(args) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=args.lr,
-        batch_size=args.batch,
-        epochs=args.epochs,
-        dropout=args.dropout,
-        hidden_units=args.hidden,
-        lstm_layers=args.layers,
-        activation=args.activation,
-        optimizer=args.optimizer,
-        look_back=args.look_back,
-        early_stop_patience=args.patience,
-        seed=args.seed,
-    )
-
-
 def cmd_train(args):
     if args.config:
         config = TrainConfig.from_json(_read_text(args.config, ConfigError),
                                        f"config file {args.config}")
     else:
-        config = _train_config_from_args(args)
+        # every train flag's dest is the TrainConfig field it sets
+        config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     _, samples = _windows(args.curves, args.mode, config.look_back, args.dt)
     holdout = tuple(args.holdout.split(",")) if args.holdout else ()
     train_set, val_set, _ = split_dataset(samples, holdout_curves=holdout, seed=args.seed)
@@ -404,7 +390,7 @@ def cmd_tune(args):
         activations=tuple(args.activations.split(",")),
         optimizers=tuple(args.optimizers.split(",")),
         look_back_choices=(args.look_back,),
-        early_stop_patience=args.patience,
+        early_stop_patience=args.early_stop_patience,
     )
     best_config, leaderboard = random_search(
         space, args.trials, args.seed, train_set, val_set
@@ -433,7 +419,7 @@ def cmd_predict(args):
          "xlabel": "temperature (C)", "ylabel": "mass (%)"},
     )
     _emit(args, "predict", [args.model, args.curve],
-          {"dt": args.dt, "model": str(args.model)},
+          {"dt": args.dt},
           {"predictions.csv": predictions_to_csv(temps, actual, predicted),
            "predictions.svg": svg})
     print(metrics_to_text(metrics_from_arrays(actual, predicted)), end="")
@@ -541,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     train_common.add_argument("--look-back", type=int, default=20)
     train_common.add_argument("--holdout", default=None,
                               help="comma-separated curve ids excluded from train/val")
-    train_common.add_argument("--patience", type=int, default=5)
+    train_common.add_argument("--patience", dest="early_stop_patience", type=int, default=5)
 
     p = sub.add_parser("train", parents=[common, train_common],
                        help="train the mass-loss predictor")
@@ -549,12 +535,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None,
                    help="JSON training config (e.g. best_config.json from tune); "
                         "overrides the individual hyperparameter flags")
-    p.add_argument("--lr", type=_finite_float, default=0.005)
-    p.add_argument("--batch", type=int, default=32)
+    p.add_argument("--lr", dest="learning_rate", type=_finite_float, default=0.005)
+    p.add_argument("--batch", dest="batch_size", type=int, default=32)
     p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--dropout", type=_finite_float, default=0.0)
-    p.add_argument("--hidden", type=int, default=32)
-    p.add_argument("--layers", type=int, default=1)
+    p.add_argument("--hidden", dest="hidden_units", type=int, default=32)
+    p.add_argument("--layers", dest="lstm_layers", type=int, default=1)
     p.add_argument("--activation", choices=("relu", "sigmoid", "tanh"), default="tanh")
     p.add_argument("--optimizer", choices=("adam", "sgd", "rmsprop"), default="adam")
     p.set_defaults(func=cmd_train)

@@ -39,6 +39,9 @@ def analysis_from_csv(text: str) -> AnalysisTable:
     back as NaN; averages and downstream thermodynamics are unaffected.
     """
     t = read_csv(text, (ANALYSIS_CSV_HEADER,), text_columns=("method",))
+    for method in t["method"]:
+        if method not in METHODS:
+            raise InputError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
     for ea_kj in t["ea_kj_mol"].tolist():
         if not math.isfinite(ea_kj * 1000.0):
             raise InputError(f"ea_kj_mol value {ea_kj!r} overflows when scaled to J/mol")

@@ -18,6 +18,11 @@ N_TICKS = 5
 PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 
 
+def _text(label) -> str:
+    """A label as XML character data: ``&`` first, then ``<`` and ``>``."""
+    return str(label).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _axis_range(values):
     lo = min(values)
     hi = max(values)
@@ -101,25 +106,25 @@ def emit_svg(series, style=None) -> str:
         )
         out.append(
             f'<text x="{legend_x + 28}" y="{ly + 4}" font-size="12" '
-            f'font-family="sans-serif">{name}</text>'
+            f'font-family="sans-serif">{_text(name)}</text>'
         )
 
     if "title" in style:
         out.append(
             f'<text x="{WIDTH / 2:.0f}" y="{MARGIN_TOP - 6}" font-size="14" '
-            f'text-anchor="middle" font-family="sans-serif">{style["title"]}</text>'
+            f'text-anchor="middle" font-family="sans-serif">{_text(style["title"])}</text>'
         )
     if "xlabel" in style:
         out.append(
             f'<text x="{MARGIN_LEFT + plot_w / 2:.0f}" y="{HEIGHT - 12}" font-size="12" '
-            f'text-anchor="middle" font-family="sans-serif">{style["xlabel"]}</text>'
+            f'text-anchor="middle" font-family="sans-serif">{_text(style["xlabel"])}</text>'
         )
     if "ylabel" in style:
         cx, cy = 18, MARGIN_TOP + plot_h / 2
         out.append(
             f'<text x="{cx}" y="{cy:.0f}" font-size="12" text-anchor="middle" '
             f'font-family="sans-serif" transform="rotate(-90 {cx} {cy:.0f})">'
-            f'{style["ylabel"]}</text>'
+            f'{_text(style["ylabel"])}</text>'
         )
 
     out.append("</svg>")

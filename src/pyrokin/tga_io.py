@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from itertools import chain
 
 import numpy as np
@@ -47,10 +47,10 @@ class SampleSpec:
     fc_pct: float | None = None
 
     def __post_init__(self):
-        for name in ("ds_fraction", "scg_fraction", "cellulose_pct",
-                     "hemicellulose_pct", "lignin_pct"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in _NUMERIC_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if abs(self.ds_fraction + self.scg_fraction - 1.0) > 1e-9:
             raise DomainError(
                 f"ds_fraction + scg_fraction must equal 1, got "
@@ -65,6 +65,12 @@ class SampleSpec:
             if getattr(self, name) < 0.0:
                 raise DomainError(f"{name} must be non-negative")
 
+
+# Every SampleSpec field but the id is a number; those with a default are optional.
+_NUMERIC_FIELDS = tuple(f.name for f in fields(SampleSpec) if f.name != "sample_id")
+# A sidecar holds the spec's fields plus the heating rate (K/min).
+_SIDECAR_REQUIRED = (*(f.name for f in fields(SampleSpec) if f.default is MISSING),
+                    "heating_rate_c_per_min")
 
 # Fibre compositions of the two pure feedstocks (dry-basis mass percent).
 DATE_SEEDS = SampleSpec(
@@ -266,19 +272,8 @@ def curve_to_csv(curve: TgaCurve) -> str:
 
 def spec_to_sidecar(spec: SampleSpec, beta: float) -> str:
     """Serialize sample metadata plus heating rate to the JSON sidecar format."""
-    doc = {
-        "sample_id": spec.sample_id,
-        "ds_fraction": spec.ds_fraction,
-        "scg_fraction": spec.scg_fraction,
-        "heating_rate_c_per_min": beta,
-        "cellulose_pct": spec.cellulose_pct,
-        "hemicellulose_pct": spec.hemicellulose_pct,
-        "lignin_pct": spec.lignin_pct,
-    }
-    for key in ("ash_pct", "vm_pct", "fc_pct"):
-        value = getattr(spec, key)
-        if value is not None:
-            doc[key] = value
+    doc = {k: v for k, v in asdict(spec).items() if v is not None}
+    doc["heating_rate_c_per_min"] = beta
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -288,18 +283,9 @@ def sidecar_to_spec(text: str) -> tuple[SampleSpec, float]:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also an over-long integer or deep nesting
         raise ParseError(f"invalid sidecar JSON: {exc}") from None
-    required = (
-        "sample_id",
-        "ds_fraction",
-        "scg_fraction",
-        "heating_rate_c_per_min",
-        "cellulose_pct",
-        "hemicellulose_pct",
-        "lignin_pct",
-    )
     if not isinstance(doc, dict):
         raise InputError("sidecar must be a JSON object")
-    missing = [k for k in required if k not in doc]
+    missing = [k for k in _SIDECAR_REQUIRED if k not in doc]
     if missing:
         raise InputError(f"sidecar missing fields: {', '.join(missing)}")
 
@@ -316,17 +302,9 @@ def sidecar_to_spec(text: str) -> tuple[SampleSpec, float]:
     except UnicodeEncodeError:
         raise InputError(
             f"sidecar field sample_id is not UTF-8 encodable: {doc['sample_id']!r}") from None
-    optional = {key: number(key) for key in ("ash_pct", "vm_pct", "fc_pct")
-                if doc.get(key) is not None}
-    spec = SampleSpec(
-        sample_id=doc["sample_id"],
-        ds_fraction=number("ds_fraction"),
-        scg_fraction=number("scg_fraction"),
-        cellulose_pct=number("cellulose_pct"),
-        hemicellulose_pct=number("hemicellulose_pct"),
-        lignin_pct=number("lignin_pct"),
-        **optional,
-    )
+    spec = SampleSpec(sample_id=doc["sample_id"],
+                      **{name: number(name) for name in _NUMERIC_FIELDS
+                         if name in _SIDECAR_REQUIRED or doc.get(name) is not None})
     beta = number("heating_rate_c_per_min")
     if not (math.isfinite(beta) and beta > 0.0):
         raise InputError(f"sidecar heating_rate_c_per_min must be positive, got {beta}")
@@ -394,16 +372,7 @@ def blend_spec(pure_a: SampleSpec, pure_b: SampleSpec, frac_a: float) -> SampleS
             return None
         return frac_a * a + frac_b * b
 
-    ds = mix(pure_a.ds_fraction, pure_b.ds_fraction)
-    scg = mix(pure_a.scg_fraction, pure_b.scg_fraction)
-    return SampleSpec(
-        sample_id=f"ds{ds * 100:g}_scg{scg * 100:g}",
-        ds_fraction=ds,
-        scg_fraction=scg,
-        cellulose_pct=mix(pure_a.cellulose_pct, pure_b.cellulose_pct),
-        hemicellulose_pct=mix(pure_a.hemicellulose_pct, pure_b.hemicellulose_pct),
-        lignin_pct=mix(pure_a.lignin_pct, pure_b.lignin_pct),
-        ash_pct=mix(pure_a.ash_pct, pure_b.ash_pct),
-        vm_pct=mix(pure_a.vm_pct, pure_b.vm_pct),
-        fc_pct=mix(pure_a.fc_pct, pure_b.fc_pct),
-    )
+    values = {name: mix(getattr(pure_a, name), getattr(pure_b, name))
+              for name in _NUMERIC_FIELDS}
+    ds, scg = values["ds_fraction"], values["scg_fraction"]
+    return SampleSpec(sample_id=f"ds{ds * 100:g}_scg{scg * 100:g}", **values)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import example, given, settings
@@ -177,6 +178,8 @@ class TestAnalyzeCommand:
         ("sample_id", ["DS"]),
         ("sample_id", "\ud800x"),  # a lone surrogate: valid JSON, not encodable as UTF-8
         ("ash_pct", "some"),
+        ("ash_pct", float("nan")),
+        ("vm_pct", float("inf")),
     ])
     def test_bad_sidecar_field_exits_2(self, synth_dir, tmp_path, capsys, field, value):
         bad = tmp_path / "bad.csv"
@@ -319,6 +322,54 @@ def trained(synth_dir, tmp_path_factory):
     )
     assert rc == 0
     return out
+
+
+# The model.json config of a train run on the CLI's defaults, with the look-back
+# and epochs set small.
+TRAIN_DEFAULTS = {"learning_rate": 0.005, "batch_size": 32, "epochs": 1, "dropout": 0.0,
+                  "hidden_units": 32, "lstm_layers": 1, "activation": "tanh",
+                  "optimizer": "adam", "look_back": 5, "early_stop_patience": 5, "seed": 0}
+
+
+@pytest.mark.parametrize("flag, field, value", [
+    ("--lr", "learning_rate", 0.0125),
+    ("--batch", "batch_size", 16),
+    ("--hidden", "hidden_units", 6),
+    ("--layers", "lstm_layers", 2),
+    ("--patience", "early_stop_patience", 2),
+])
+def test_train_flag_reaches_saved_config(synth_dir, tmp_path, flag, field, value):
+    out = tmp_path / "out"
+    assert main(["train", *curve_paths(synth_dir, (10, 15, 20)), "--dt", "6.0",
+                 "--look-back", "5", "--epochs", "1", flag, str(value),
+                 "--out-dir", str(out)]) == 0
+    saved = json.loads((out / "model.json").read_text())["config"]
+    assert saved == {**TRAIN_DEFAULTS, field: value}
+
+
+def titles(svg_path):
+    """The text of every <text> element of an SVG; parsing fails on bad XML."""
+    root = ElementTree.parse(svg_path).getroot()
+    return [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")]
+
+
+def test_markup_in_sample_id_is_escaped_in_svgs(synth_dir, trained, tmp_path):
+    sample_id = "DS <75%> & SCG"
+    paths = []
+    for beta in (10, 15, 20):
+        source = Path(curve_paths(synth_dir, (beta,))[0])
+        path = tmp_path / source.name
+        path.write_bytes(source.read_bytes())
+        doc = json.loads(source.with_suffix(".json").read_text())
+        path.with_suffix(".json").write_text(json.dumps({**doc, "sample_id": sample_id}))
+        paths.append(str(path))
+    assert main(["analyze", *paths, "--format", "svg", "--out-dir",
+                 str(tmp_path / "kin")]) == 0
+    assert f"Ea vs conversion: {sample_id}" in titles(tmp_path / "kin" / "ea_vs_alpha.svg")
+    assert main(["predict", paths[1], "--model", str(trained / "model.json"),
+                 "--dt", "4.0", "--out-dir", str(tmp_path / "pred")]) == 0
+    assert (f"mass-loss prediction: {sample_id}@15"
+            in titles(tmp_path / "pred" / "predictions.svg"))
 
 
 class TestTrainPredictEvaluate:
@@ -943,6 +994,29 @@ class TestManifest:
         assert len(doc["inputs"]) == 4
         assert len(doc["config_digest"]) == 64
         assert "timestamp" in doc and "version" in doc
+
+    @pytest.mark.parametrize("command", ["thermo", "predict"])
+    def test_config_digest_ignores_input_directories(self, request, synth_dir, tmp_path,
+                                                     command):
+        argv = bundle_argv(request, synth_dir, command, tmp_path / "unused")[:-2]
+        digests = set()
+        for where in ("a", "b/c"):
+            copies = tmp_path / where
+            copies.mkdir(parents=True)
+            moved = []
+            for arg in argv:
+                source = Path(arg)
+                if not source.is_file():
+                    moved.append(arg)
+                    continue
+                for path in (source, source.with_suffix(".json")):
+                    if path.is_file():
+                        (copies / path.name).write_bytes(path.read_bytes())
+                moved.append(str(copies / source.name))
+            out = tmp_path / f"out-{where.replace('/', '-')}"
+            assert main([*moved, "--out-dir", str(out)]) == 0
+            digests.add(json.loads((out / "manifest.json").read_text())["config_digest"])
+        assert len(digests) == 1
 
     def test_out_dir_env_default(self, synth_dir, tmp_path, monkeypatch):
         target = tmp_path / "from_env"

@@ -297,6 +297,16 @@ def test_thermo_on_kinetics_whose_ea_overflows_in_j_mol_exits_2(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+def test_thermo_on_kinetics_with_unknown_method_exits_2(tmp_path, capsys):
+    kinetics = tmp_path / "kinetics.csv"
+    kinetics.write_text(small_table_csv().replace(",kas,", ",foo,"))
+    rc = main(["thermo", "--kinetics", str(kinetics), "--tm", "625.0",
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "unknown method 'foo'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_thermo_on_kinetics_with_nan_exits_2(tmp_path, capsys):
     kinetics = tmp_path / "kinetics.csv"
     kinetics.write_text(small_table_csv().replace("150.0", "nan", 1))

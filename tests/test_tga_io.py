@@ -1,4 +1,6 @@
 import json
+from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -94,6 +96,19 @@ class TestSerializationRoundTrip:
         spec, beta = sidecar_to_spec(text)
         assert spec == SPENT_COFFEE_GROUNDS
         assert beta == 12.5
+
+    @pytest.mark.parametrize("present", [
+        kept for n in range(4) for kept in combinations(("ash_pct", "vm_pct", "fc_pct"), n)
+    ], ids=lambda kept: "+".join(kept) or "none")
+    def test_sidecar_round_trips_with_any_proximate_fields(self, present):
+        spec = replace(DATE_SEEDS, **{k: None for k in ("ash_pct", "vm_pct", "fc_pct")
+                                      if k not in present})
+        text = spec_to_sidecar(spec, beta=12.5)
+        assert sorted(json.loads(text)) == sorted([
+            "sample_id", "ds_fraction", "scg_fraction", "cellulose_pct",
+            "hemicellulose_pct", "lignin_pct", "heating_rate_c_per_min", *present])
+        assert sidecar_to_spec(text) == (spec, 12.5)
+        assert spec_to_sidecar(*sidecar_to_spec(text)) == text
 
     def test_sidecar_missing_field_rejected(self):
         with pytest.raises(InputError, match="missing"):
