@@ -202,8 +202,8 @@ def _windows(paths, mode, look_back, dt=None):
         curve = _load_curve_file(path)
         curve = resample_uniform(curve, dt) if dt else curve
         cid = _curve_id(curve)
-        if any(ch in cid for ch in ",\r\n"):
-            raise InputError(f"curve id {cid!r} of {path} holds a comma or line break, "
+        if "," in cid:
+            raise InputError(f"curve id {cid!r} of {path} holds a comma, "
                              f"which features.csv and --holdout cannot carry")
         if cid in curves:
             raise InputError(f"two curves have curve id {cid!r}; the second is {path}")
@@ -273,9 +273,11 @@ def cmd_analyze(args):
 
 def cmd_thermo(args):
     table = analysis_from_csv(_read_text(args.kinetics))
+    inputs = [args.kinetics]
     if args.tm is not None:
         t_m = args.tm
     elif args.curve:
+        inputs.append(args.curve)
         curve = resample_uniform(_load_curve_file(args.curve), args.dt)
         windows = (
             _parse_stage_windows(args.stage_windows)
@@ -312,7 +314,7 @@ def cmd_thermo(args):
                 {"title": f"{quantity} vs conversion", "xlabel": "conversion",
                  "ylabel": f"{quantity} ({unit})"},
             )
-    _emit(args, "thermo", [args.kinetics], config, files)
+    _emit(args, "thermo", inputs, config, files)
     print(f"thermo profile at Tm = {t_m:.2f} K: {len(profile)} estimates")
 
 

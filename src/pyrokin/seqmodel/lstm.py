@@ -12,9 +12,8 @@ Parameters and checkpoints keep one tensor per gate (``l<k>.W<g>``,
 fused ``W`` (4H, in), ``U`` (4H, H) and ``b`` (4H, 1) per layer, with gate
 row blocks ordered i, f, o, g so that the three sigmoid gates are
 contiguous: the input projection of every step is computed before the
-recurrence, each step does one ``U @ h`` and one tanh over all four gates,
-and the weight gradients are computed once over the whole sequence
-(Appleyard, Kocisky & Blunsom, arXiv:1604.01946).
+recurrence, and each step does one ``U @ h`` and one tanh over all four
+gates (Appleyard, Kocisky & Blunsom, arXiv:1604.01946).
 
 Inference takes feature rows and window starts. A row sits in ``look_back``
 consecutive windows of its curve, at a different step of each, so for a
@@ -26,9 +25,13 @@ hoisted out of the window overlap as well as out of the recurrence.
 Training gathers each mini-batch from the scaled feature rows and keeps
 one step's buffers: ``forward_batch`` writes a step's gate activations and
 states into the previous step's cache when given it as ``reuse``, and
-``backward_batch`` writes every layer's pre-activation gradients into the
-cache's one ``(T, 4H, N)`` buffer, so a training step allocates no array of
-that size (reusing preallocated workspaces, as in arXiv:1604.01946).
+``backward_batch`` consumes the cache's gate activations, writing each
+step's pre-activation gradients over that step's spent gates and summing
+the weight gradients step by step. So a training step allocates no array
+of the cache's ``(T, 4H, N)`` size, nor a ``(T, 4H, in)`` or ``(T - 1, 4H,
+H)`` stack of per-step weight-gradient products (reusing spent workspace,
+as in arXiv:1604.01946; Gruslys et al., arXiv:1606.03401, make the same
+case for BPTT memory).
 
 Inside the kernels the layout is gate-major and batch-minor: a layer's
 pre-activations are ``(T, 4H, N)`` and its states ``h``, ``c`` are
@@ -144,12 +147,13 @@ def forward_batch(params, X, config, training: bool = False,
     step t reads columns t .. t + batch of the projection.
 
     With ``want_cache`` the cache keeps every layer's gate activations
-    ``acts``, states ``h``, ``c`` and ``tanh(c)`` as ``tc``, and one
-    ``(T, 4H, N)`` buffer ``dpre`` that ``backward_batch`` fills. ``reuse``
-    is an earlier call's cache, which the caller gives up: when its arrays
-    have this batch's shapes, the new cache is written into them instead of
-    into fresh arrays, so a training loop keeps one step's buffers for all
-    its steps. A cache of another shape is left untouched.
+    ``acts`` (T, 4H, N), states ``h``, ``c`` and ``tanh(c)`` as ``tc``;
+    ``backward_batch`` consumes it, overwriting ``acts`` with the
+    pre-activation gradients. ``reuse`` is an earlier call's cache, which
+    the caller gives up: when its layer buffers have this batch's shapes,
+    the new cache is written into them instead of into fresh arrays, so a
+    training loop keeps one step's buffers for all its steps. A cache of
+    another shape is left untouched.
     """
     n, steps, features = X.shape
     hidden = config.hidden_units
@@ -158,8 +162,8 @@ def forward_batch(params, X, config, training: bool = False,
     use_dropout = training and config.dropout > 0.0 and config.lstm_layers > 1
     if use_dropout and rng is None:
         raise ConfigError("training-mode dropout requires an RNG")
-    if reuse is not None and (reuse["dpre"].shape != (steps, 4 * hidden, n)
-                              or len(reuse["layers"]) != config.lstm_layers):
+    if reuse is not None and ([old["acts"].shape for old in reuse["layers"]]
+                              != [(steps, 4 * hidden, n)] * config.lstm_layers):
         reuse = None
     # steps whose gate activations, c and tanh(c) are kept: without a cache
     # only the current step's are needed
@@ -233,9 +237,7 @@ def forward_batch(params, X, config, training: bool = False,
     pred = params["dense.w"] @ z + params["dense.b"][0]
     if not want_cache:
         return pred, None
-    dpre = reuse["dpre"] if reuse is not None else np.empty((steps, 4 * hidden, n))
-    return pred, {"layers": layers, "h_last": h_last, "z": z, "config": config,
-                  "dpre": dpre}
+    return pred, {"layers": layers, "h_last": h_last, "z": z, "config": config}
 
 
 def backward_batch(params, cache, dpred):
@@ -244,13 +246,20 @@ def backward_batch(params, cache, dpred):
     ``dpred`` is dLoss/dprediction of shape (batch,). Returns gradients
     keyed identically to ``params``; the per-gate tensors are row blocks of
     the fused gradients, transposed back to the ``(in, H)`` and ``(H, H)``
-    key shapes. The step loop works on the gate-major ``(4H, N)`` blocks of
-    the forward cache, carries only ``dh`` and ``dc`` and does one GEMM per
-    step (the recurrent ``U.T @ dpre``); the ``(T, 4H, N)`` pre-activation
-    gradients of every step go to the cache's ``dpre`` buffer, so ``dW``,
-    ``dU``, ``db`` and the gradient into the layer below are each one call
-    over the whole sequence. Every layer overwrites the same buffer: a
-    layer's gradients are taken from it before the layer below starts.
+    key shapes.
+
+    Backward consumes the cache's gate activations. The step loop works on
+    the gate-major ``(4H, N)`` blocks of the cache, carries only ``dh`` and
+    ``dc`` and does one GEMM per step (the recurrent ``U.T @ dpre``). Once
+    step t's gates are read, its pre-activation gradient ``dpre[t]`` is
+    written over them in ``acts[t]``: the products of the step's recurrent
+    gradients go to one ``(4H, N)`` step buffer, the gate derivatives are
+    formed in place on the activation rows, and one multiply joins the two.
+    ``dW`` and ``dU`` are then summed in ascending t through one product
+    buffer each, the order in which ``sum(axis=0)`` adds a stack of the
+    products, so the bits are those of the stacked sums without the stack;
+    ``db`` and the gradient into the layer below are each one call over the
+    whole sequence. A cache cannot be given to ``backward_batch`` twice.
     """
     config = cache["config"]
     layers = cache["layers"]
@@ -266,8 +275,6 @@ def backward_batch(params, cache, dpred):
     }
     dh_last = np.outer(params["dense.w"], dpred) * act_deriv(cache["h_last"])
 
-    dpre = cache["dpre"]
-    steps = len(dpre)
     d_output = None  # gradient wrt the (possibly dropped-out) output sequence
     for layer in reversed(range(config.lstm_layers)):
         Lc = layers[layer]
@@ -280,6 +287,8 @@ def backward_batch(params, cache, dpred):
                 dH *= Lc["mask"].transpose(1, 2, 0)
         W, U, _ = _fused(params, layer)
         acts, c_s, tc_s = Lc["acts"], Lc["c"], Lc["tc"]
+        steps = len(acts)
+        step_grad = np.empty_like(acts[0])
         dc_rec = 0.0
         U_T = U.T
         for t in reversed(range(steps)):
@@ -290,25 +299,34 @@ def backward_batch(params, cache, dpred):
             dc = dh * o_t
             dc *= 1.0 - tc * tc
             dc += dc_rec
-            dp = dpre[t]
-            np.multiply(dc, g_t, out=dp[bi])
-            np.multiply(dc, c_s[t - 1] if t > 0 else 0.0, out=dp[bf])
-            np.multiply(dh, tc, out=dp[bo])
-            dp[sig] *= a[sig] * (1.0 - a[sig])
-            np.multiply(dc * i_t, 1.0 - g_t * g_t, out=dp[bg])
+            np.multiply(dc, g_t, out=step_grad[bi])
+            np.multiply(dc, c_s[t - 1] if t > 0 else 0.0, out=step_grad[bf])
+            np.multiply(dh, tc, out=step_grad[bo])
+            np.multiply(dc, i_t, out=step_grad[bg])
             dc_rec = dc * f_t
-            dh_rec = U_T @ dp
-        # per-step products (steps, 4H, .) summed over time
-        dW = np.matmul(dpre, Lc["x"].transpose(1, 0, 2)).sum(axis=0)
-        # the state before step 0 is zero, so step 0 adds nothing to dU
-        dU = np.matmul(dpre[1:], Lc["h"][:-1].transpose(0, 2, 1)).sum(axis=0)
-        db = dpre.sum(axis=0).sum(axis=1)
+            # the gates are read: a(1 - a) and 1 - g^2 replace them, then
+            # the step's pre-activation gradient
+            s = a[sig]
+            s *= 1.0 - s
+            np.multiply(g_t, g_t, out=g_t)
+            np.subtract(1.0, g_t, out=g_t)
+            a *= step_grad
+            dh_rec = U_T @ a
+        dW = np.zeros((4 * hidden, Lc["x"].shape[2]))
+        dU = np.zeros((4 * hidden, hidden))
+        dW_t, dU_t = np.empty_like(dW), np.empty_like(dU)
+        for t in range(steps):
+            dW += np.matmul(acts[t], Lc["x"][:, t], out=dW_t)
+            # the state before step 0 is zero, so step 0 adds nothing to dU
+            if t > 0:
+                dU += np.matmul(acts[t], Lc["h"][t - 1].T, out=dU_t)
+        db = acts.sum(axis=0, out=step_grad).sum(axis=1)  # the step buffer is spent
         for gate, blk in zip(FUSED_GATES, blocks):
             grads[f"l{layer}.W{gate}"] = dW[blk].T
             grads[f"l{layer}.U{gate}"] = dU[blk].T
             grads[f"l{layer}.b{gate}"] = db[blk]
         if layer > 0:
-            d_output = np.matmul(W.T, dpre)
+            d_output = np.matmul(W.T, acts)
     return grads
 
 

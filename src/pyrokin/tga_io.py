@@ -277,6 +277,13 @@ def spec_to_sidecar(spec: SampleSpec, beta: float) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+# Code points a sample id may not hold. The id reaches CSV cells, text tables
+# and SVG labels: XML cannot write the C0 controls other than tab and line
+# breaks, nor U+FFFE and U+FFFF, a line break splits a CSV row, and a tab or
+# DEL is a control no label shows.
+_ID_FORBIDDEN = frozenset(map(chr, range(0x20))) | {"\x7f", "\ufffe", "\uffff"}
+
+
 def sidecar_to_spec(text: str) -> tuple[SampleSpec, float]:
     """Parse a JSON sidecar; returns the sample spec and the heating rate (K/min)."""
     try:
@@ -302,6 +309,9 @@ def sidecar_to_spec(text: str) -> tuple[SampleSpec, float]:
     except UnicodeEncodeError:
         raise InputError(
             f"sidecar field sample_id is not UTF-8 encodable: {doc['sample_id']!r}") from None
+    if _ID_FORBIDDEN.intersection(doc["sample_id"]):
+        raise InputError("sidecar field sample_id holds a control character or a "
+                         f"noncharacter: {doc['sample_id']!r}")
     spec = SampleSpec(sample_id=doc["sample_id"],
                       **{name: number(name) for name in _NUMERIC_FIELDS
                          if name in _SIDECAR_REQUIRED or doc.get(name) is not None})

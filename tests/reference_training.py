@@ -1,15 +1,90 @@
 """The training loop that ``train`` replaced, kept as the reference for the
 histories and weights it produced: it gathers the whole training split's
 ``(n, look_back, F)`` window stack before the first step, scales the feature
-rows once per split, and gives every step a fresh forward cache."""
+rows once per split, gives every step a fresh forward cache, and
+backpropagates with ``reference_backward_batch``, the BPTT that
+``backward_batch`` replaced."""
 
 import math
 
 import numpy as np
 
 from pyrokin.seqmodel.features import MinMaxScaler
-from pyrokin.seqmodel.lstm import LstmModel, backward_batch, forward_batch, init_params
+from pyrokin.seqmodel.lstm import (
+    ACTIVATIONS,
+    FUSED_GATES,
+    LstmModel,
+    _fused,
+    _gate_blocks,
+    forward_batch,
+    init_params,
+)
 from pyrokin.seqmodel.training import EpochRecord, _dataset_loss, _make_optimizer
+
+
+def reference_backward_batch(params, cache, dpred):
+    """BPTT with every step's pre-activation gradients in a ``(T, 4H, N)``
+    buffer of their own, beside the cache's gate activations, which it only
+    reads; ``dW`` and ``dU`` are ``sum(axis=0)`` over stacks of the per-step
+    products, ``(T, 4H, in)`` and ``(T - 1, 4H, H)``."""
+    config = cache["config"]
+    layers = cache["layers"]
+    hidden = config.hidden_units
+    _, act_deriv = ACTIVATIONS[config.activation]
+    blocks = _gate_blocks(hidden)
+    bi, bf, bo, bg = blocks
+    sig = slice(0, 3 * hidden)
+
+    grads = {
+        "dense.w": cache["z"] @ dpred,
+        "dense.b": np.array([dpred.sum()]),
+    }
+    dh_last = np.outer(params["dense.w"], dpred) * act_deriv(cache["h_last"])
+
+    dpre = np.empty_like(layers[0]["acts"])
+    steps = len(dpre)
+    d_output = None  # gradient wrt the (possibly dropped-out) output sequence
+    for layer in reversed(range(config.lstm_layers)):
+        Lc = layers[layer]
+        if d_output is None:
+            # only the last step's output reaches the head
+            dH, dh_rec = None, dh_last
+        else:
+            dH, dh_rec = d_output, 0.0
+            if Lc["mask"] is not None:
+                dH *= Lc["mask"].transpose(1, 2, 0)
+        W, U, _ = _fused(params, layer)
+        acts, c_s, tc_s = Lc["acts"], Lc["c"], Lc["tc"]
+        dc_rec = 0.0
+        U_T = U.T
+        for t in reversed(range(steps)):
+            a = acts[t]
+            i_t, f_t, o_t, g_t = a[bi], a[bf], a[bo], a[bg]
+            tc = tc_s[t]
+            dh = dh_rec if dH is None else dH[t] + dh_rec
+            dc = dh * o_t
+            dc *= 1.0 - tc * tc
+            dc += dc_rec
+            dp = dpre[t]
+            np.multiply(dc, g_t, out=dp[bi])
+            np.multiply(dc, c_s[t - 1] if t > 0 else 0.0, out=dp[bf])
+            np.multiply(dh, tc, out=dp[bo])
+            dp[sig] *= a[sig] * (1.0 - a[sig])
+            np.multiply(dc * i_t, 1.0 - g_t * g_t, out=dp[bg])
+            dc_rec = dc * f_t
+            dh_rec = U_T @ dp
+        # per-step products (steps, 4H, .) summed over time
+        dW = np.matmul(dpre, Lc["x"].transpose(1, 0, 2)).sum(axis=0)
+        # the state before step 0 is zero, so step 0 adds nothing to dU
+        dU = np.matmul(dpre[1:], Lc["h"][:-1].transpose(0, 2, 1)).sum(axis=0)
+        db = dpre.sum(axis=0).sum(axis=1)
+        for gate, blk in zip(FUSED_GATES, blocks):
+            grads[f"l{layer}.W{gate}"] = dW[blk].T
+            grads[f"l{layer}.U{gate}"] = dU[blk].T
+            grads[f"l{layer}.b{gate}"] = db[blk]
+        if layer > 0:
+            d_output = np.matmul(W.T, dpre)
+    return grads
 
 
 def reference_scaler(samples) -> MinMaxScaler:
@@ -47,7 +122,7 @@ def reference_train(train_samples, val_samples, config):
             )
             err = pred - yb
             sq_err_total += float((err**2).sum())
-            grads = backward_batch(params, cache, 2.0 * err / len(idx))
+            grads = reference_backward_batch(params, cache, 2.0 * err / len(idx))
             optimizer.step(params, grads)
         train_loss = sq_err_total / n
         val_loss = _dataset_loss(params, val_rows, val_samples.starts, y_val, config)

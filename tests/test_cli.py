@@ -180,6 +180,10 @@ class TestAnalyzeCommand:
         ("ash_pct", "some"),
         ("ash_pct", float("nan")),
         ("vm_pct", float("inf")),
+        # C0 controls, DEL and the noncharacters U+FFFE/U+FFFF: most of
+        # them cannot be written in XML, so the SVG would not parse
+        *(("sample_id", f"S{ch}CG") for ch in
+          ("\x00", "\x01", "\t", "\n", "\r", "\x1f", "\x7f", "\ufffe", "\uffff")),
     ])
     def test_bad_sidecar_field_exits_2(self, synth_dir, tmp_path, capsys, field, value):
         bad = tmp_path / "bad.csv"
@@ -187,9 +191,9 @@ class TestAnalyzeCommand:
         doc = json.loads((synth_dir / "single-step_beta5.json").read_text())
         doc[field] = value
         bad.with_suffix(".json").write_text(json.dumps(doc))
-        for command in ("analyze", "features"):
+        for command, flags in (("analyze", ["--format", "svg"]), ("features", [])):
             out = tmp_path / command
-            rc = main([command, str(bad), *curve_paths(synth_dir, (10, 15)),
+            rc = main([command, str(bad), *curve_paths(synth_dir, (10, 15)), *flags,
                        "--out-dir", str(out)])
             assert rc == 2
             assert field in capsys.readouterr().err
@@ -246,12 +250,16 @@ class TestThermoCommand:
         kin = tmp_path / "k"
         assert main(["analyze", *curve_paths(synth_dir), "--out-dir", str(kin)]) == 0
         # single-step peak (~625 K = 352 C) sits in the cellulose window
-        rc = main(
-            ["thermo", "--kinetics", str(kin / "kinetics.csv"),
-             "--curve", curve_paths(synth_dir, (10,))[0],
-             "--stage", "cellulose", "--out-dir", str(tmp_path)]
-        )
-        assert rc == 0
+        kinetics, curve = str(kin / "kinetics.csv"), curve_paths(synth_dir, (10,))[0]
+        argv = ["thermo", "--kinetics", kinetics, "--curve", curve, "--stage", "cellulose"]
+        assert main([*argv, "--out-dir", str(tmp_path / "peak")]) == 0
+        # the manifest lists the curve the reference temperature came from,
+        # after the kinetics file; with --tm the curve is not read
+        manifest = json.loads((tmp_path / "peak" / "manifest.json").read_text())
+        assert manifest["inputs"] == [kinetics, curve]
+        assert main([*argv, "--tm", "625.0", "--out-dir", str(tmp_path / "tm")]) == 0
+        manifest = json.loads((tmp_path / "tm" / "manifest.json").read_text())
+        assert manifest["inputs"] == [kinetics]
 
     def test_bad_kinetics_header_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "kinetics.csv"

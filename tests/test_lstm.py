@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import base64
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from pyrokin.seqmodel.lstm import (
     save_model,
 )
 from pyrokin.seqmodel.training import TrainConfig
+from reference_training import reference_backward_batch
 
 # scalar hand evaluation of the cell equations for the weights below,
 # window [1.0, -0.5], tanh on the dense path: frozen once, asserted forever
@@ -357,7 +359,7 @@ CACHE_BUFFERS = ("acts", "h", "c", "tc")
 
 def cache_buffers(cache):
     """Every array ``forward_batch``'s ``reuse`` may write into."""
-    return [cache["dpre"]] + [entry[k] for entry in cache["layers"] for k in CACHE_BUFFERS]
+    return [entry[k] for entry in cache["layers"] for k in CACHE_BUFFERS]
 
 
 class TestCacheReuse:
@@ -404,6 +406,66 @@ class TestCacheReuse:
         assert np.array_equal(pred, fresh_pred)
         for key, value in grads.items():
             assert np.array_equal(value, fresh_grads[key]), key
+
+
+class TestBackwardInTheCache:
+    """``backward_batch`` writes each step's pre-activation gradients over
+    that step's spent gate activations and sums dW and dU step by step; the
+    BPTT it replaced (tests/reference_training.py) kept a ``(T, 4H, N)``
+    gradient buffer of its own and summed stacks of per-step products. The
+    arithmetic and its order are the same, so are the bits."""
+
+    FEATURES = 7
+
+    def cache(self, params, X, config):
+        _, cache = forward_batch(params, X, config, training=True,
+                                 rng=np.random.default_rng(3), want_cache=True)
+        return cache
+
+    @pytest.mark.parametrize("layers, dropout, steps, n, hidden, activation", [
+        (1, 0.0, 20, 64, 48, "tanh"),     # C07 shapes
+        (1, 0.0, 20, 1, 48, "tanh"),      # one window
+        (2, 0.3, 20, 13, 48, "relu"),     # a short last batch
+        (3, 0.3, 20, 64, 72, "tanh"),     # past the 68-unit small-GEMM edge
+        (1, 0.0, 20, 64, 128, "relu"),
+        (2, 0.0, 1, 64, 48, "relu"),      # look-back 1: forward's sliding path
+        (3, 0.3, 1, 1, 96, "sigmoid"),
+    ])
+    def test_gradients_bitwise(self, layers, dropout, steps, n, hidden, activation):
+        config = TrainConfig(hidden_units=hidden, lstm_layers=layers, look_back=steps,
+                             activation=activation, dropout=dropout)
+        params = init_params(self.FEATURES, config, np.random.default_rng(hidden))
+        X = np.random.default_rng(n).random((n, steps, self.FEATURES))
+        dpred = np.random.default_rng(steps).standard_normal(n)
+        cache = self.cache(params, X, config)
+        assert "dpre" not in cache
+        grads = backward_batch(params, cache, dpred)
+        ref = reference_backward_batch(params, self.cache(params, X, config), dpred)
+        assert grads.keys() == ref.keys() == params.keys()
+        for key, value in grads.items():
+            assert value.shape == ref[key].shape, key
+            assert value.tobytes() == ref[key].tobytes(), key
+
+    @pytest.mark.parametrize("features", [FEATURES, 64])
+    def test_peak_below_half_a_stack_of_step_products(self, features):
+        # C07 shapes (T=20, H=48, N=64): a (T, 4H, N) gradient buffer takes
+        # 1.9 MiB and a (T - 1, 4H, H) stack of dU products 1.3 MiB; with 64
+        # features a (T, 4H, in) stack of dW products is the larger stack
+        steps, hidden, n = 20, 48, 64
+        config = TrainConfig(hidden_units=hidden, lstm_layers=1, look_back=steps,
+                             dropout=0.0)
+        params = init_params(features, config, np.random.default_rng(0))
+        X = np.random.default_rng(1).random((n, steps, features))
+        cache = self.cache(params, X, config)
+        dpred = np.random.default_rng(2).standard_normal(n)
+        tracemalloc.start()
+        try:
+            backward_batch(params, cache, dpred)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        stack = 8 * 4 * hidden * max((steps - 1) * hidden, steps * features)
+        assert peak < stack / 2
 
 
 class TestForward:
