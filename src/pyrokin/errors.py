@@ -36,10 +36,6 @@ class ResolutionError(PyrokinError):
     """Data too coarse (or a window too wide) for the requested operation."""
 
 
-class RangeError(PyrokinError):
-    """Requested value outside the achievable range of a curve."""
-
-
 class NumericalError(PyrokinError):
     """A computation on valid input could not produce a result."""
 

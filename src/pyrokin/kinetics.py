@@ -1,11 +1,12 @@
 """Isoconversional activation-energy estimation: Friedman, KAS, and FWO.
 
 All three methods regress a transform of the per-heating-rate data against
-inverse temperature at fixed conversion. Heating rates enter in K/s so the
-extracted pre-exponential factors carry 1/s. The pre-exponential factor is
-recovered from the regression intercept under a configurable reaction model
-(first order by default), evaluated in log space to survive the enormous
-dynamic range typical of biomass kinetics.
+inverse temperature at fixed conversion, every conversion level in one
+row-wise fit. Heating rates enter in K/s so the extracted pre-exponential
+factors carry 1/s. The pre-exponential factor is recovered from the
+regression intercept under a configurable reaction model (first order by
+default), evaluated in log space to survive the enormous dynamic range
+typical of biomass kinetics.
 """
 
 from __future__ import annotations
@@ -16,15 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import GAS_CONSTANT
-from .errors import DomainError, InputError, RangeError, RankError
+from .errors import DomainError, InputError, NumericalError, RankError
 from .preprocess import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_M0_AT_C,
     DEFAULT_SMOOTH_WINDOW,
     compute_alpha,
     default_mass_bounds,
-    rate_at_temperature,
-    temperature_at_alpha,
+    invert_alpha_curves,
 )
 from .tga_io import resample_uniform
 
@@ -71,29 +71,6 @@ FIRST_ORDER = KineticModelAssumption()
 
 
 @dataclass(frozen=True)
-class IsoconversionalSlice:
-    """Per-heating-rate observations at one fixed conversion level.
-
-    ``rates`` (dalpha/dt, 1/s) may contain NaN when only the integral
-    methods will consume the slice.
-    """
-
-    alpha: float
-    betas: np.ndarray  # K/s
-    temperatures: np.ndarray  # K
-    rates: np.ndarray  # 1/s
-
-    def __post_init__(self):
-        n = len(self.betas)
-        if n < 3:
-            raise InputError(f"need >= 3 heating rates per slice, got {n}")
-        if not (len(self.temperatures) == n == len(self.rates)):
-            raise InputError("slice arrays must have equal length")
-        if np.any(self.temperatures <= 0.0) or np.any(self.betas <= 0.0):
-            raise DomainError("temperatures and heating rates must be positive")
-
-
-@dataclass(frozen=True)
 class KineticEstimate:
     """One method's activation energy and frequency factor at one conversion."""
 
@@ -106,92 +83,96 @@ class KineticEstimate:
     intercept: float
 
 
-def r_squared(ss_res: float, ss_tot: float) -> float:
-    """Coefficient of determination ``1 - ss_res / ss_tot``.
+def r_squared(ss_res, ss_tot):
+    """Coefficient of determination ``1 - ss_res / ss_tot``, elementwise.
 
     A constant target (``ss_tot == 0``) scores 1 for an exact fit and 0
     otherwise: the zero-variance convention.
     """
-    if ss_tot == 0.0:
-        return 1.0 if ss_res <= 1e-300 else 0.0
-    return 1.0 - ss_res / ss_tot
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(ss_tot == 0.0, np.where(ss_res <= 1e-300, 1.0, 0.0),
+                        1.0 - np.divide(ss_res, ss_tot))
 
 
 def linear_fit(x, y):
-    """Ordinary least squares of y on x.
+    """Ordinary least squares of y on x along the last axis: one fit per row.
 
-    Returns ``(slope, intercept, r_squared)``. A constant target with a
-    perfect fit reports r_squared = 1 (the zero-variance convention).
+    Returns ``(slope, intercept, r_squared)``, each shaped like the leading
+    axes. A constant target with a perfect fit reports r_squared = 1 (the
+    zero-variance convention). A row whose regressor has zero variance has
+    no slope: all three are NaN there.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if len(x) != len(y):
-        raise InputError("x and y must have equal length")
-    if len(x) < 3:
-        raise InputError(f"need >= 3 points for a fit, got {len(x)}")
-    if np.ptp(x) == 0.0:
-        raise RankError("regressor has zero variance; cannot fit a slope")
-    x_mean = x.mean()
-    y_mean = y.mean()
-    sxx = float(((x - x_mean) ** 2).sum())
-    if sxx == 0.0:
-        raise RankError("regressor has zero variance; cannot fit a slope")
-    sxy = float(((x - x_mean) * (y - y_mean)).sum())
-    slope = sxy / sxx
-    intercept = y_mean - slope * x_mean
-    ss_res = float(((y - (slope * x + intercept)) ** 2).sum())
-    ss_tot = float(((y - y_mean) ** 2).sum())
-    return slope, intercept, min(max(r_squared(ss_res, ss_tot), 0.0), 1.0)
+    if x.shape != y.shape:
+        raise InputError(f"x and y must have equal shapes, got {x.shape} and {y.shape}")
+    if x.shape[-1] < 3:
+        raise InputError(f"need >= 3 points for a fit, got {x.shape[-1]}")
+    x_mean = x.mean(axis=-1, keepdims=True)
+    y_mean = y.mean(axis=-1, keepdims=True)
+    sxx = ((x - x_mean) ** 2).sum(axis=-1)
+    sxy = ((x - x_mean) * (y - y_mean)).sum(axis=-1)
+    flat = (np.ptp(x, axis=-1) == 0.0) | (sxx == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.where(flat, np.nan, sxy / sxx)
+    intercept = y_mean[..., 0] - slope * x_mean[..., 0]
+    ss_res = ((y - (slope[..., None] * x + intercept[..., None])) ** 2).sum(axis=-1)
+    ss_tot = ((y - y_mean) ** 2).sum(axis=-1)
+    return slope, intercept, np.minimum(np.maximum(r_squared(ss_res, ss_tot), 0.0), 1.0)
 
 
-def friedman(slice_: IsoconversionalSlice,
-             model: KineticModelAssumption = FIRST_ORDER) -> KineticEstimate:
-    """Differential method: regress ln(dalpha/dt) on 1/T.
+def fit_levels(alphas, betas, temps, rates,
+               model: KineticModelAssumption = FIRST_ORDER) -> list[KineticEstimate]:
+    """Every method's estimate at every conversion level, level by level.
 
-    The slope is -Ea/R; the intercept is ln(A f(alpha)).
+    ``temps`` (K) and ``rates`` (dalpha/dt, 1/s) hold one row per level in
+    ``alphas`` and one column per heating rate in ``betas`` (K/s). Each
+    method regresses a transform of every row on 1/T in one ``linear_fit``:
+    Friedman ln(dalpha/dt), slope -Ea/R, intercept ln(A f(alpha)); KAS
+    ln(beta/T^2), slope -Ea/R, intercept ln(A R / (Ea g(alpha))); FWO, with
+    Doyle's approximation, ln(beta), slope -1.052 Ea/R, intercept
+    ln(A Ea / (R g(alpha))) - 5.331. Only Friedman reads ``rates``. Rows
+    come out in ``METHODS`` order within each level, and the first level and
+    method that cannot be estimated raises.
     """
-    if np.any(~np.isfinite(slice_.rates)) or np.any(slice_.rates <= 0.0):
-        raise DomainError("Friedman needs strictly positive rates at every heating rate")
-    slope, intercept, r2 = linear_fit(1.0 / slice_.temperatures, np.log(slice_.rates))
-    ea = -slope * GAS_CONSTANT
-    ln_a = intercept - math.log(model.f(slice_.alpha))
-    return KineticEstimate(METHOD_FRIEDMAN, slice_.alpha, ea, math.exp(ln_a), r2,
-                           slope, intercept)
-
-
-def kas(slice_: IsoconversionalSlice,
-        model: KineticModelAssumption = FIRST_ORDER) -> KineticEstimate:
-    """Integral method: regress ln(beta/T^2) on 1/T.
-
-    The slope is -Ea/R; the intercept is ln(A R / (Ea g(alpha))).
-    """
-    y = np.log(slice_.betas / slice_.temperatures**2)
-    slope, intercept, r2 = linear_fit(1.0 / slice_.temperatures, y)
-    ea = -slope * GAS_CONSTANT
-    if ea <= 0.0:
-        raise DomainError(f"non-positive Ea ({ea:.4g} J/mol); cannot extract A")
-    ln_a = math.log(ea * model.g(slice_.alpha) / GAS_CONSTANT) + intercept
-    return KineticEstimate(METHOD_KAS, slice_.alpha, ea, math.exp(ln_a), r2,
-                           slope, intercept)
-
-
-def fwo(slice_: IsoconversionalSlice,
-        model: KineticModelAssumption = FIRST_ORDER) -> KineticEstimate:
-    """Integral method with Doyle's approximation: regress ln(beta) on 1/T.
-
-    The slope is -1.052 Ea/R; the intercept is
-    ln(A Ea / (R g(alpha))) - 5.331.
-    """
-    slope, intercept, r2 = linear_fit(1.0 / slice_.temperatures, np.log(slice_.betas))
-    ea = -slope * GAS_CONSTANT / DOYLE_SLOPE
-    if ea <= 0.0:
-        raise DomainError(f"non-positive Ea ({ea:.4g} J/mol); cannot extract A")
-    ln_a = math.log(GAS_CONSTANT * model.g(slice_.alpha) / ea) + intercept + DOYLE_INTERCEPT
-    return KineticEstimate(METHOD_FWO, slice_.alpha, ea, math.exp(ln_a), r2,
-                           slope, intercept)
-
-
-_METHOD_FUNCS = {METHOD_FRIEDMAN: friedman, METHOD_KAS: kas, METHOD_FWO: fwo}
+    betas = np.asarray(betas, dtype=float)
+    temps = np.asarray(temps, dtype=float)
+    rates = np.asarray(rates, dtype=float)
+    if np.any(temps <= 0.0) or np.any(betas <= 0.0):
+        raise DomainError("temperatures and heating rates must be positive")
+    bad_rates = np.any(~np.isfinite(rates) | (rates <= 0.0), axis=1)
+    x = 1.0 / temps
+    regressands = (np.log(np.where(bad_rates[:, None], 1.0, rates)),  # bad levels raise below
+                   np.log(betas / temps**2),
+                   np.log(np.broadcast_to(betas, temps.shape)))
+    fits = [[v.tolist() for v in linear_fit(x, y)] for y in regressands]
+    estimates = []
+    for i, alpha in enumerate(alphas):
+        if bad_rates[i]:
+            raise DomainError("Friedman needs strictly positive rates at every heating rate")
+        for method, (slopes, intercepts, r2s) in zip(METHODS, fits):
+            slope, intercept = slopes[i], intercepts[i]
+            if math.isnan(slope):
+                raise RankError("regressor has zero variance; cannot fit a slope")
+            ea = -slope * GAS_CONSTANT
+            if method == METHOD_FWO:
+                ea /= DOYLE_SLOPE
+            if method == METHOD_FRIEDMAN:
+                ln_a = intercept - math.log(model.f(alpha))
+            elif ea <= 0.0:
+                raise DomainError(f"non-positive Ea ({ea:.4g} J/mol); cannot extract A")
+            elif method == METHOD_KAS:
+                ln_a = math.log(ea * model.g(alpha) / GAS_CONSTANT) + intercept
+            else:
+                ln_a = math.log(GAS_CONSTANT * model.g(alpha) / ea) + intercept + DOYLE_INTERCEPT
+            try:
+                a = math.exp(ln_a)
+            except OverflowError:
+                raise NumericalError(
+                    f"{method} at alpha={alpha:g}: A overflows a float (ln A = {ln_a:.6g})"
+                ) from None
+            estimates.append(KineticEstimate(method, alpha, ea, a, r2s[i], slope, intercept))
+    return estimates
 
 
 @dataclass(frozen=True)
@@ -218,44 +199,31 @@ class AnalysisTable:
         return out
 
 
-def build_slices(alpha_curves, alpha_grid=DEFAULT_ALPHA_GRID):
-    """Assemble per-conversion slices from several conversion curves.
+def reachable_levels(alpha_curves, alpha_grid=DEFAULT_ALPHA_GRID):
+    """Conversion levels that every curve reaches, and the curves there.
 
-    Returns ``(slices, excluded, warnings)``; a conversion level that any
-    curve cannot reach is excluded with a warning rather than extrapolated.
+    Returns ``(included, temps, dadT, excluded, warnings)``: ``temps`` and
+    ``dadT`` are ``invert_alpha_curves``' arrays cut to the included levels.
+    A level that any curve cannot reach is excluded with a warning naming the
+    first such curve, rather than extrapolated.
     """
-    slices = []
-    excluded = []
-    warnings = []
-    for alpha in alpha_grid:
-        betas, temps, rates = [], [], []
-        reachable = True
-        for ac in alpha_curves:
-            try:
-                T_alpha = temperature_at_alpha(ac, alpha)
-            except RangeError as exc:
-                warnings.append(
-                    f"alpha={alpha:g} unreachable at beta={ac.heating_rate_beta:g} "
-                    f"K/min ({exc}); excluded from averages"
-                )
-                reachable = False
-                break
-            beta_s = ac.heating_rate_beta / 60.0
-            betas.append(beta_s)
-            temps.append(T_alpha)
-            rates.append(beta_s * rate_at_temperature(ac, T_alpha))
-        if not reachable:
-            excluded.append(alpha)
+    alpha_grid = tuple(alpha_grid)
+    temps, dadT = invert_alpha_curves(alpha_curves, alpha_grid)
+    missed = np.isnan(temps)
+    included, excluded, warnings = [], [], []
+    for alpha, row in zip(alpha_grid, missed):
+        if not row.any():
+            included.append(alpha)
             continue
-        slices.append(
-            IsoconversionalSlice(
-                alpha=alpha,
-                betas=np.array(betas),
-                temperatures=np.array(temps),
-                rates=np.array(rates),
-            )
+        ac = alpha_curves[int(row.argmax())]
+        excluded.append(alpha)
+        warnings.append(
+            f"alpha={alpha:g} unreachable at beta={ac.heating_rate_beta:g} K/min "
+            f"(alpha={alpha} outside achieved range [{ac.alpha[0]:.6g}, {ac.alpha[-1]:.6g}]); "
+            "excluded from averages"
         )
-    return slices, excluded, warnings
+    reached = ~missed.any(axis=1)
+    return included, temps[reached], dadT[reached], excluded, warnings
 
 
 def run_analysis(curves, alpha_grid=DEFAULT_ALPHA_GRID,
@@ -266,8 +234,8 @@ def run_analysis(curves, alpha_grid=DEFAULT_ALPHA_GRID,
     """Full isoconversional analysis over >= 3 runs at distinct heating rates.
 
     Each curve is resampled to a uniform grid, converted to a conversion
-    curve with moisture-free mass bounds, and sliced at the conversion grid;
-    every method is fitted per slice.
+    curve with moisture-free mass bounds, and inverted at the conversion
+    grid; every method is fitted at every level that all curves reach.
     """
     if len(curves) < 3:
         raise InputError(f"need >= 3 heating rates, got {len(curves)}")
@@ -284,16 +252,13 @@ def run_analysis(curves, alpha_grid=DEFAULT_ALPHA_GRID,
         m0, mf = default_mass_bounds(uniform, m0_at_c)
         alpha_curves.append(compute_alpha(uniform, m0, mf, smooth_window))
 
-    slices, excluded, warnings = build_slices(alpha_curves, alpha_grid)
-    estimates = []
-    for sl in slices:
-        for method in METHODS:
-            estimates.append(_METHOD_FUNCS[method](sl, model))
+    included, temps, dadT, excluded, warnings = reachable_levels(alpha_curves, alpha_grid)
+    betas_s = np.array([ac.heating_rate_beta / 60.0 for ac in alpha_curves])
     return AnalysisTable(
         sample_id=curves[0].spec.sample_id,
         betas=tuple(sorted(betas)),
-        estimates=tuple(estimates),
-        included_alphas=tuple(s.alpha for s in slices),
+        estimates=tuple(fit_levels(included, betas_s, temps, betas_s * dadT, model)),
+        included_alphas=tuple(included),
         excluded_alphas=tuple(excluded),
         warnings=tuple(warnings),
     )

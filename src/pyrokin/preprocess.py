@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import KELVIN_OFFSET
-from .errors import DomainError, InputError, RangeError, ResolutionError
+from .errors import DomainError, InputError, ResolutionError
 from .tga_io import TgaCurve
 
 DEFAULT_SMOOTH_WINDOW = 9
@@ -46,9 +46,6 @@ class AlphaCurve:
     @property
     def heating_rate_beta(self) -> float:
         return self.parent.heating_rate_beta
-
-    def alpha_range(self) -> tuple[float, float]:
-        return float(self.alpha[0]), float(self.alpha[-1])
 
 
 @dataclass(frozen=True)
@@ -141,33 +138,31 @@ def compute_alpha(curve: TgaCurve, m0: float, mf: float,
     )
 
 
-def temperature_at_alpha(alpha_curve: AlphaCurve, alpha: float) -> float:
-    """Invert the monotone conversion curve at one conversion level.
+def invert_alpha_curves(alpha_curves, alphas):
+    """Temperature (K) and dalpha/dT (1/K) of each curve at each conversion level.
 
-    Uses the earliest crossing when the curve has flat segments, which keeps
-    the result single-valued and deterministic.
+    Returns two ``(len(alphas), len(alpha_curves))`` arrays. Each curve is
+    inverted once for the whole grid, at the earliest crossing where it has
+    flat segments, which keeps the result single-valued and deterministic. A
+    level outside a curve's achieved range ``[alpha[0], alpha[-1]]`` is NaN in
+    that curve's column of both arrays: unreachable, not extrapolated.
     """
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    series = alpha_curve.alpha
-    a_lo, a_hi = alpha_curve.alpha_range()
-    if alpha < series[0] or alpha > a_hi:
-        raise RangeError(
-            f"alpha={alpha} outside achieved range [{a_lo:.6g}, {a_hi:.6g}]"
-        )
-    idx = int(np.searchsorted(series, alpha, side="left"))
-    if series[idx] == alpha:
-        return float(alpha_curve.temperature_k[idx])
-    T = alpha_curve.temperature_k
-    frac = (alpha - series[idx - 1]) / (series[idx] - series[idx - 1])
-    return float(T[idx - 1] + frac * (T[idx] - T[idx - 1]))
-
-
-def rate_at_temperature(alpha_curve: AlphaCurve, temperature_k: float) -> float:
-    """Conversion rate dalpha/dT interpolated at a temperature."""
-    return float(
-        np.interp(temperature_k, alpha_curve.temperature_k, alpha_curve.dalpha_dT)
-    )
+    for alpha in alphas:
+        if not (0.0 < alpha < 1.0):
+            raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    levels = np.asarray(alphas, dtype=float)
+    temps, dadT = [], []
+    for ac in alpha_curves:
+        series, T = ac.alpha, ac.temperature_k
+        hi = np.minimum(np.searchsorted(series, levels, side="left"), len(series) - 1)
+        lo = np.maximum(hi - 1, 0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # zero steps: exact hits, unreachable
+            frac = (levels - series[lo]) / (series[hi] - series[lo])
+            t = np.where(series[hi] == levels, T[hi], T[lo] + frac * (T[hi] - T[lo]))
+        t[(levels < series[0]) | (levels > series[-1])] = np.nan
+        temps.append(t)
+        dadT.append(np.interp(t, T, ac.dalpha_dT))
+    return np.column_stack(temps), np.column_stack(dadT)
 
 
 def find_peaks(dtg, windows=None):

@@ -259,7 +259,9 @@ def backward_batch(params, cache, dpred):
     buffer each, the order in which ``sum(axis=0)`` adds a stack of the
     products, so the bits are those of the stacked sums without the stack;
     ``db`` and the gradient into the layer below are each one call over the
-    whole sequence. A cache cannot be given to ``backward_batch`` twice.
+    whole sequence; the latter is written over the layer's incoming gradient,
+    spent by then, where the layer has one. A cache cannot be given to
+    ``backward_batch`` twice.
     """
     config = cache["config"]
     layers = cache["layers"]
@@ -326,7 +328,7 @@ def backward_batch(params, cache, dpred):
             grads[f"l{layer}.U{gate}"] = dU[blk].T
             grads[f"l{layer}.b{gate}"] = db[blk]
         if layer > 0:
-            d_output = np.matmul(W.T, acts)
+            d_output = np.matmul(W.T, acts, out=dH)
     return grads
 
 

@@ -36,7 +36,7 @@ def metrics_from_arrays(actual, predicted) -> EvalMetrics:
         mae=float(np.abs(err).mean()),
         mse=mse,
         rmse=math.sqrt(mse),
-        r_squared=r_squared(ss_res, ss_tot),
+        r_squared=float(r_squared(ss_res, ss_tot)),
     )
 
 

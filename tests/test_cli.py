@@ -20,7 +20,9 @@ from pyrokin.seqmodel import MODEL2, build_features
 from pyrokin.seqmodel.lstm import CHECKPOINT_VERSION, load_model, save_model
 from pyrokin.synthkin import simulate, suite_models
 from pyrokin.tga_io import (
+    DATE_SEEDS,
     MAX_GRID_POINTS,
+    TgaCurve,
     curve_to_csv,
     load_curve,
     resample_uniform,
@@ -213,6 +215,25 @@ class TestAnalyzeCommand:
         rc = main(["analyze", *paths, "--out-dir", str(tmp_path / "out")])
         assert rc == 3
         assert "numerical error" in capsys.readouterr().err
+
+    def test_overflowing_frequency_factor_exits_3(self, tmp_path, capsys):
+        # logistic mass curves whose T_alpha moves 0.5 C per heating rate:
+        # an apparent Ea of thousands of kJ/mol puts ln A far past a float's range
+        paths = []
+        for k, beta in enumerate((5.0, 10.0, 20.0)):
+            T = np.arange(573.15, 1173.15, 0.5)
+            mass = 1.0 - 0.8 / (1.0 + np.exp(-(T - (873.15 + 0.5 * k)) / 15.0))
+            curve = TgaCurve(DATE_SEEDS, beta, (T - T[0]) * 60.0 / beta, T, mass / mass[0])
+            stem = tmp_path / f"logistic{beta:g}"
+            stem.with_suffix(".csv").write_text(curve_to_csv(curve))
+            stem.with_suffix(".json").write_text(spec_to_sidecar(DATE_SEEDS, beta))
+            paths.append(str(stem.with_suffix(".csv")))
+        rc = main(["analyze", *paths, "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("numerical error: friedman at alpha=0.1: ")
+        assert "ln A = " in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestThermoCommand:

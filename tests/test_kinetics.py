@@ -4,34 +4,48 @@ import numpy as np
 import pytest
 
 from pyrokin.constants import GAS_CONSTANT as R
-from pyrokin.errors import DomainError, InputError, RankError
+from pyrokin.errors import DomainError, InputError, NumericalError, RankError
 from pyrokin.kinetics import (
     METHOD_FRIEDMAN,
     METHODS,
     AnalysisTable,
-    IsoconversionalSlice,
     KineticEstimate,
     KineticModelAssumption,
-    build_slices,
-    friedman,
-    fwo,
-    kas,
+    fit_levels,
     linear_fit,
+    reachable_levels,
     run_analysis,
 )
 from pyrokin.preprocess import AlphaCurve
+from pyrokin.synthkin import simulate, suite_models
+
+from reference_kinetics import reference_run_analysis
 
 F1 = KineticModelAssumption()
 
 
-def exact_friedman_slice(ea=200e3, ln_af=30.0, alpha=0.5,
-                         temps=(540.0, 560.0, 580.0, 600.0)):
+def kas_line_betas(temps, ea=200e3, c=8.0):
+    """Heating rates (K/s) on an exact KAS line through ``temps``."""
+    temps = np.asarray(temps)
+    return temps**2 * np.exp(c - ea / (R * temps))
+
+
+def fit_one(method, alpha, betas, temps, rates, model=F1):
+    """``method``'s estimate from ``fit_levels`` at a single conversion level.
+
+    Every method is fitted, so an input that ``method`` never reads still
+    has to be valid: Friedman reads only ``rates``, KAS and FWO only
+    ``betas``.
+    """
+    estimates = fit_levels([alpha], betas, [temps], [rates], model)
+    return next(e for e in estimates if e.method == method)
+
+
+def exact_friedman(ea=200e3, ln_af=30.0, alpha=0.5, temps=(540.0, 560.0, 580.0, 600.0),
+                   scale=1.0):
     temps = np.array(temps)
-    rates = np.exp(ln_af - ea / (R * temps))
-    return IsoconversionalSlice(
-        alpha=alpha, betas=np.full(len(temps), 10.0 / 60.0),
-        temperatures=temps, rates=rates,
-    )
+    rates = scale * np.exp(ln_af - ea / (R * temps))
+    return fit_one("friedman", alpha, kas_line_betas(temps), temps, rates)
 
 
 class TestLinearFit:
@@ -60,43 +74,44 @@ class TestLinearFit:
         assert intercept == pytest.approx(oracle_intercept, abs=1e-12)
 
     def test_degenerate_x_raises_rank_error(self):
+        # no slope in the fit, and the level's estimates raise
+        slope, intercept, r2 = linear_fit([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+        assert np.isnan(slope) and np.isnan(intercept) and np.isnan(r2)
         with pytest.raises(RankError):
-            linear_fit([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+            fit_levels([0.5], [1.0, 2.0, 3.0], [[0.5, 0.5, 0.5]], [np.exp([1.0, 2.0, 3.0])])
 
     def test_too_few_points_rejected(self):
         with pytest.raises(InputError):
             linear_fit([1.0, 2.0], [1.0, 2.0])
 
+    def test_rows_fit_as_one_at_a_time(self):
+        rng = np.random.default_rng(7)
+        x, y = rng.random((5, 6)), rng.random((5, 6))
+        rows = np.array([linear_fit(x[i], y[i]) for i in range(5)])
+        assert np.array(linear_fit(x, y)).T.tobytes() == rows.tobytes()
+
 
 class TestFriedman:
     def test_exact_line_recovers_ea_and_r2(self):
-        est = friedman(exact_friedman_slice(), F1)
+        est = exact_friedman()
         assert est.ea == pytest.approx(200e3, rel=1e-9)
         assert est.r_squared == pytest.approx(1.0, abs=1e-9)
 
     def test_intercept_gives_a_through_reaction_model(self):
-        est = friedman(exact_friedman_slice(ln_af=30.0, alpha=0.5), F1)
+        est = exact_friedman(ln_af=30.0, alpha=0.5)
         assert est.a == pytest.approx(2.0 * math.exp(30.0), rel=1e-9)
         assert est.a == pytest.approx(2.137e13, rel=1e-3)
 
     def test_rate_scaling_changes_a_but_not_ea(self):
-        base = exact_friedman_slice()
-        scaled = IsoconversionalSlice(
-            alpha=base.alpha, betas=base.betas,
-            temperatures=base.temperatures, rates=base.rates * 7.5,
-        )
-        e1, e2 = friedman(base, F1), friedman(scaled, F1)
+        e1, e2 = exact_friedman(), exact_friedman(scale=7.5)
         assert e1.ea == pytest.approx(e2.ea, rel=1e-12)
         assert e2.a == pytest.approx(e1.a * 7.5, rel=1e-9)
 
     def test_nonpositive_rate_rejected(self):
-        sl = exact_friedman_slice()
-        bad = IsoconversionalSlice(
-            alpha=sl.alpha, betas=sl.betas, temperatures=sl.temperatures,
-            rates=np.array([1e-3, 0.0, 1e-3, 1e-3]),
-        )
-        with pytest.raises(DomainError):
-            friedman(bad, F1)
+        temps = np.array([540.0, 560.0, 580.0, 600.0])
+        with pytest.raises(DomainError, match="Friedman"):
+            fit_one("friedman", 0.5, kas_line_betas(temps), temps,
+                    np.array([1e-3, 0.0, 1e-3, 1e-3]))
 
 
 class TestKas:
@@ -104,10 +119,7 @@ class TestKas:
         temps = np.array([520.0, 545.0, 570.0, 595.0])
         C = 8.0
         betas = temps**2 * np.exp(C - 200e3 / (R * temps))
-        sl = IsoconversionalSlice(
-            alpha=0.4, betas=betas, temperatures=temps, rates=np.full(4, np.nan)
-        )
-        est = kas(sl, F1)
+        est = fit_one("kas", 0.4, betas, temps, np.ones(4))
         assert est.ea == pytest.approx(200e3, rel=1e-9)
         assert est.r_squared == pytest.approx(1.0, abs=1e-9)
 
@@ -117,9 +129,7 @@ class TestKas:
         C = 8.0
         alpha = 0.4
         betas = temps**2 * np.exp(C - 200e3 / (R * temps))
-        est = kas(
-            IsoconversionalSlice(alpha, betas, temps, np.full(4, np.nan)), F1
-        )
+        est = fit_one("kas", alpha, betas, temps, np.ones(4))
         expected = (200e3 * (-math.log1p(-alpha)) / R) * math.exp(C)
         assert est.a == pytest.approx(expected, rel=1e-8)
 
@@ -129,22 +139,53 @@ class TestFwo:
         temps = np.array([500.0, 520.0, 540.0, 560.0])
         C = 25.0
         betas = np.exp(C - 1.052 * 150e3 / (R * temps))
-        sl = IsoconversionalSlice(
-            alpha=0.3, betas=betas, temperatures=temps, rates=np.full(4, np.nan)
-        )
-        est = fwo(sl, F1)
+        est = fit_one("fwo", 0.3, betas, temps, np.ones(4))
         assert est.ea == pytest.approx(150e3, rel=1e-9)
         assert est.r_squared == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_temperature_variance_raises_rank_error(self):
-        sl = IsoconversionalSlice(
-            alpha=0.3,
-            betas=np.array([1.0, 2.0, 3.0]) / 60.0,
-            temperatures=np.array([550.0, 550.0, 550.0]),
-            rates=np.full(3, np.nan),
-        )
         with pytest.raises(RankError):
-            fwo(sl, F1)
+            fit_one("fwo", 0.3, np.array([1.0, 2.0, 3.0]) / 60.0,
+                    np.array([550.0, 550.0, 550.0]), np.ones(3))
+
+
+class TestFitLevels:
+    TEMPS = np.array([520.0, 545.0, 570.0, 595.0])
+
+    @pytest.mark.parametrize("method, other_betas, other_rates", [
+        ("friedman", kas_line_betas(TEMPS, ea=120e3, c=3.0), None),
+        ("kas", None, np.full(4, 0.25)),
+        ("fwo", None, np.array([1e-4, 2e-3, 5e-2, 0.9])),
+    ])
+    def test_a_row_ignores_what_its_method_does_not_read(self, method, other_betas,
+                                                         other_rates):
+        betas = kas_line_betas(self.TEMPS)
+        rates = np.exp(30.0 - 200e3 / (R * self.TEMPS))
+        base = fit_one(method, 0.4, betas, self.TEMPS, rates)
+        other = fit_one(method, 0.4, betas if other_betas is None else other_betas,
+                        self.TEMPS, rates if other_rates is None else other_rates)
+        assert base == other
+
+    def test_rows_come_level_by_level_in_method_order(self):
+        temps = np.stack([self.TEMPS, self.TEMPS + 10.0])
+        rates = np.exp(30.0 - 200e3 / (R * temps))
+        estimates = fit_levels([0.2, 0.6], kas_line_betas(self.TEMPS), temps, rates)
+        assert [(e.alpha, e.method) for e in estimates] == [
+            (alpha, method) for alpha in (0.2, 0.6) for method in METHODS]
+
+    def test_first_failure_in_level_then_method_order_raises(self):
+        # level 0.2: constant heating rates give KAS a non-positive Ea;
+        # level 0.6: a zero rate for Friedman, the first method
+        temps = np.stack([self.TEMPS, self.TEMPS + 10.0])
+        rates = np.exp(30.0 - 200e3 / (R * temps))
+        rates[1, 2] = 0.0
+        with pytest.raises(DomainError, match="non-positive Ea"):
+            fit_levels([0.2, 0.6], np.full(4, 10.0 / 60.0), temps, rates)
+
+    def test_overflowing_a_raises_numerical_error(self):
+        rates = np.exp(740.0 - 200e3 / (R * self.TEMPS))
+        with pytest.raises(NumericalError, match=r"friedman at alpha=0\.4: .*\(ln A = 740\.51"):
+            fit_levels([0.4], kas_line_betas(self.TEMPS), [self.TEMPS], [rates])
 
 
 class TestSyntheticRecovery:
@@ -263,7 +304,45 @@ class TestRunAnalysis:
                     mf=0.0,
                 )
             )
-        slices, excluded, warnings = build_slices(acs, (0.1, 0.5, 0.7))
+        included, temps, dadT, excluded, warnings = reachable_levels(acs, (0.1, 0.5, 0.7))
         assert excluded == [0.1]
-        assert len(slices) == 2
+        assert included == [0.5, 0.7]
+        assert temps.shape == dadT.shape == (2, 3)
         assert any("0.1" in w for w in warnings)
+
+
+def bit_fields(table):
+    """Every field of every estimate, floats as their bytes."""
+    return [(e.method, e.alpha, *(np.float64(v).tobytes() for v in
+                                  (e.ea, e.a, e.r_squared, e.slope, e.intercept)))
+            for e in table.estimates]
+
+
+class TestMatchesTheSlicePath:
+    """``run_analysis`` against the per-level slice path it replaced
+    (tests/reference_kinetics.py): the same arithmetic in the same order, so
+    the same bits."""
+
+    GRIDS = (
+        (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7),
+        tuple(round(0.01 * k, 10) for k in range(1, 100)),
+        tuple(round(0.05 * k, 10) for k in range(1, 20)),
+    )
+
+    @pytest.fixture(scope="class", params=["single-step", "three-component-ds",
+                                           "three-component-scg", "blend-0.5"])
+    def curves(self, request):
+        model = {name: m for name, m, _ in suite_models()}[request.param]
+        return [simulate(model, beta, 0.5) for beta in (5.0, 10.0, 15.0, 20.0)]
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["7-levels", "0.01-step", "0.05-step"])
+    @pytest.mark.parametrize("smooth_window", [1, 9])
+    @pytest.mark.parametrize("order", [0.5, 1.0, 2.5])
+    def test_tables_bitwise(self, curves, grid, smooth_window, order):
+        model = KineticModelAssumption(order)
+        table = run_analysis(curves, grid, model, smooth_window)
+        ref = reference_run_analysis(curves, grid, model, smooth_window)
+        assert bit_fields(table) == bit_fields(ref)
+        for field in ("sample_id", "betas", "included_alphas", "excluded_alphas",
+                      "warnings"):
+            assert getattr(table, field) == getattr(ref, field), field

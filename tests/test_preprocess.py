@@ -1,22 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pyrokin.errors import DomainError, InputError, RangeError, ResolutionError
+from pyrokin.errors import DomainError, InputError, ResolutionError
+from pyrokin.kinetics import reachable_levels
 from pyrokin.preprocess import (
     AlphaCurve,
     compute_alpha,
     compute_dtg,
     default_mass_bounds,
     find_peaks,
-    temperature_at_alpha,
+    invert_alpha_curves,
 )
 from pyrokin.synthkin import (
     PseudoComponent,
     PseudoComponentModel,
-    kissinger_peak,
     simulate,
 )
 from pyrokin.tga_io import DATE_SEEDS, TgaCurve
+
+from kissinger import kissinger_peak
+from reference_kinetics import Unreachable, rate_at_temperature, temperature_at_alpha
 
 
 def make_curve(temperature_k, mass_fraction, beta=10.0):
@@ -130,9 +135,26 @@ class TestComputeAlpha:
             curve = simulate(single_step_model, beta, 0.5)
             m0, mf = default_mass_bounds(curve)
             alpha_curves.append(compute_alpha(curve, m0, mf, smooth_window=1))
-        for alpha in np.arange(0.1, 0.75, 0.1):
-            temps = [temperature_at_alpha(ac, float(alpha)) for ac in alpha_curves]
-            assert all(t1 < t2 for t1, t2 in zip(temps, temps[1:]))
+        temps, _ = invert_alpha_curves(alpha_curves, np.arange(0.1, 0.75, 0.1))
+        assert np.all(np.diff(temps, axis=1) > 0.0)
+
+
+def t_alpha(ac, alpha):
+    """``invert_alpha_curves`` for one curve at one level."""
+    temps, _ = invert_alpha_curves([ac], [alpha])
+    return temps[0, 0]
+
+
+def hand_curve(temperature_k, alpha, dalpha_dT=None):
+    temperature_k = np.asarray(temperature_k, dtype=float)
+    return AlphaCurve(
+        parent=make_curve(temperature_k, np.linspace(1.0, 0.5, len(temperature_k))),
+        temperature_k=temperature_k,
+        alpha=np.asarray(alpha, dtype=float),
+        dalpha_dT=np.zeros(len(temperature_k)) if dalpha_dT is None else dalpha_dT,
+        m0=1.0,
+        mf=0.0,
+    )
 
 
 class TestTemperatureAtAlpha:
@@ -144,42 +166,58 @@ class TestTemperatureAtAlpha:
     def test_exact_grid_hit(self):
         ac = self.ac()
         k = 40
-        assert temperature_at_alpha(ac, float(ac.alpha[k])) == ac.temperature_k[k]
+        assert t_alpha(ac, float(ac.alpha[k])) == ac.temperature_k[k]
 
     def test_linear_interpolation_between_grid_points(self):
-        series = AlphaCurve(
-            parent=None,
-            temperature_k=np.array([600.0, 610.0]),
-            alpha=np.array([0.4, 0.5]),
-            dalpha_dT=np.zeros(2),
-            m0=1.0,
-            mf=0.0,
-        )
-        assert temperature_at_alpha(series, 0.45) == pytest.approx(605.0)
+        series = hand_curve([600.0, 610.0], [0.4, 0.5])
+        assert t_alpha(series, 0.45) == pytest.approx(605.0)
 
     def test_synthetic_half_conversion_matches_oracle(self, single_step_model):
         curve = simulate(single_step_model, 10.0, 0.5)
         m0, mf = default_mass_bounds(curve)
         ac = compute_alpha(curve, m0, mf, smooth_window=1)
-        t_half = temperature_at_alpha(ac, 0.5)
+        t_half = t_alpha(ac, 0.5)
         oracle = float(
             np.interp(0.5, 1.0 - curve.mass_fraction, curve.temperature_k)
         )
         assert abs(t_half - oracle) < 1.0
 
     def test_out_of_range_names_interval(self):
-        series = AlphaCurve(
-            parent=None,
-            temperature_k=np.array([600.0, 610.0]),
-            alpha=np.array([0.4, 0.5]),
-            dalpha_dT=np.zeros(2),
-            m0=1.0,
-            mf=0.0,
-        )
-        with pytest.raises(RangeError, match=r"0\.4"):
-            temperature_at_alpha(series, 0.9)
+        series = hand_curve([600.0, 610.0], [0.4, 0.5])
+        temps, dadT = invert_alpha_curves([series], [0.9])
+        assert np.isnan(temps[0, 0]) and np.isnan(dadT[0, 0])
+        _, _, _, excluded, warnings = reachable_levels([series], [0.9])
+        assert excluded == [0.9]
+        assert "[0.4, 0.5]" in warnings[0]
         with pytest.raises(DomainError):
-            temperature_at_alpha(series, 1.5)
+            invert_alpha_curves([series], [1.5])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        start=st.sampled_from([0.0, 0.0, 0.05, 0.25]),
+        steps=st.lists(st.sampled_from([0.0, 0.0, 0.01, 0.1, 0.125, 0.3]),
+                       min_size=1, max_size=30),
+        extra=st.lists(st.floats(0.001, 0.999), max_size=5),
+    )
+    def test_matches_the_scalar_inversion_bitwise(self, start, steps, extra):
+        # non-decreasing conversion with flat segments (repeated steps of 0)
+        alpha = np.minimum(start + np.cumsum([0.0, *steps]), 1.0)
+        T = 500.0 + 0.7 * np.arange(len(alpha))
+        ac = hand_curve(T, alpha, np.sin(T))
+        # exact hits (the endpoints and every flat value among them), points
+        # between neighbours, levels just outside the achieved range
+        levels = [*alpha, *(0.5 * (alpha[1:] + alpha[:-1])), *extra,
+                  np.nextafter(alpha[0], 0.0), np.nextafter(alpha[-1], 1.0)]
+        levels = [float(a) for a in levels if 0.0 < a < 1.0]
+        temps, dadT = invert_alpha_curves([ac], levels)
+        for level, t, rate in zip(levels, temps[:, 0], dadT[:, 0]):
+            try:
+                expected = temperature_at_alpha(ac, level)
+            except Unreachable:
+                assert np.isnan(t) and np.isnan(rate), level
+                continue
+            assert t.tobytes() == np.float64(expected).tobytes(), level
+            assert rate.tobytes() == np.float64(rate_at_temperature(ac, expected)).tobytes()
 
 
 class TestFindPeaks:

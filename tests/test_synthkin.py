@@ -14,11 +14,12 @@ from pyrokin.synthkin import (
     PseudoComponent,
     PseudoComponentModel,
     blend_models,
-    kissinger_peak,
     model_to_json,
     simulate,
     suite_models,
 )
+
+from kissinger import kissinger_peak
 
 # root of the first-order peak condition for Ea=150 kJ/mol, A=1e13/s at
 # 10 K/min, found by an independent bisection run
