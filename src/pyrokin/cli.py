@@ -247,6 +247,10 @@ def cmd_analyze(args):
         m0_at_c=args.m0_at,
         resample_dt=args.dt,
     )
+    if args.format == "svg" and len(table.included_alphas) < 2:
+        levels = ", ".join(f"{a:g}" for a in table.included_alphas) or "none"
+        raise InputError("--format svg needs at least 2 included conversion levels, "
+                         f"got {len(table.included_alphas)} ({levels})")
     config = {
         "alpha_grid": list(alpha_grid),
         "smooth_window": args.smooth_window,

@@ -121,6 +121,22 @@ def linear_fit(x, y):
     return slope, intercept, np.minimum(np.maximum(r_squared(ss_res, ss_tot), 0.0), 1.0)
 
 
+def _model_value(form, method: str, alpha: float, order: float) -> float:
+    """The reaction model's ``form`` (its f or g) at ``alpha``, which must be
+    a positive finite float: at a large order (1 - alpha)^n underflows to 0
+    and (1 - alpha)^(1 - n) overflows."""
+    try:
+        value = form(alpha)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise NumericalError(
+            f"{method} at alpha={alpha:g}: reaction model {form.__name__}(alpha) is {value:g} "
+            f"at order {order:g}, not a positive finite float; cannot extract A"
+        )
+    return value
+
+
 def fit_levels(alphas, betas, temps, rates,
                model: KineticModelAssumption = FIRST_ORDER) -> list[KineticEstimate]:
     """Every method's estimate at every conversion level, level by level.
@@ -158,13 +174,15 @@ def fit_levels(alphas, betas, temps, rates,
             if method == METHOD_FWO:
                 ea /= DOYLE_SLOPE
             if method == METHOD_FRIEDMAN:
-                ln_a = intercept - math.log(model.f(alpha))
+                ln_a = intercept - math.log(_model_value(model.f, method, alpha, model.order))
             elif ea <= 0.0:
                 raise DomainError(f"non-positive Ea ({ea:.4g} J/mol); cannot extract A")
-            elif method == METHOD_KAS:
-                ln_a = math.log(ea * model.g(alpha) / GAS_CONSTANT) + intercept
             else:
-                ln_a = math.log(GAS_CONSTANT * model.g(alpha) / ea) + intercept + DOYLE_INTERCEPT
+                g = _model_value(model.g, method, alpha, model.order)
+                if method == METHOD_KAS:
+                    ln_a = math.log(ea * g / GAS_CONSTANT) + intercept
+                else:
+                    ln_a = math.log(GAS_CONSTANT * g / ea) + intercept + DOYLE_INTERCEPT
             try:
                 a = math.exp(ln_a)
             except OverflowError:

@@ -23,15 +23,17 @@ of a ``(T, 4H, block)`` projection of a window stack: the projection is
 hoisted out of the window overlap as well as out of the recurrence.
 
 Training gathers each mini-batch from the scaled feature rows and keeps
-one step's buffers: ``forward_batch`` writes a step's gate activations and
-states into the previous step's cache when given it as ``reuse``, and
-``backward_batch`` consumes the cache's gate activations, writing each
-step's pre-activation gradients over that step's spent gates and summing
-the weight gradients step by step. So a training step allocates no array
-of the cache's ``(T, 4H, N)`` size, nor a ``(T, 4H, in)`` or ``(T - 1, 4H,
-H)`` stack of per-step weight-gradient products (reusing spent workspace,
-as in arXiv:1604.01946; Gruslys et al., arXiv:1606.03401, make the same
-case for BPTT memory).
+one step's buffers: ``forward_batch`` writes a step's gate activations,
+states, dropout masks and dropped-out outputs into the previous step's
+cache when given it as ``reuse``, and ``backward_batch`` consumes the
+cache's gate activations, writing each step's pre-activation gradients
+over that step's spent gates and summing the weight gradients step by
+step; its gradients into the layers below go over the top layer's spent
+cell states. So a training step allocates no array of the cache's ``(T,
+4H, N)`` or ``(T, H, N)`` sizes, nor a ``(T, 4H, in)`` or ``(T - 1, 4H, H)``
+stack of per-step weight-gradient products (reusing spent workspace, as in
+arXiv:1604.01946; Gruslys et al., arXiv:1606.03401, make the same case for
+BPTT memory).
 
 Inside the kernels the layout is gate-major and batch-minor: a layer's
 pre-activations are ``(T, 4H, N)`` and its states ``h``, ``c`` are
@@ -148,12 +150,16 @@ def forward_batch(params, X, config, training: bool = False,
 
     With ``want_cache`` the cache keeps every layer's gate activations
     ``acts`` (T, 4H, N), states ``h``, ``c`` and ``tanh(c)`` as ``tc``;
-    ``backward_batch`` consumes it, overwriting ``acts`` with the
-    pre-activation gradients. ``reuse`` is an earlier call's cache, which
-    the caller gives up: when its layer buffers have this batch's shapes,
-    the new cache is written into them instead of into fresh arrays, so a
-    training loop keeps one step's buffers for all its steps. A cache of
-    another shape is left untouched.
+    a layer below a dropout boundary also keeps its ``mask`` (N, T, H) of
+    1/keep or 0 and its dropped-out output ``out`` (T, H, N), the next
+    layer's input (both None elsewhere). ``backward_batch`` consumes the
+    cache, overwriting ``acts`` with the pre-activation gradients and the
+    top layer's ``c`` with its gradient into the layer below. ``reuse`` is
+    an earlier call's cache, which the caller gives up: when its layer
+    buffers have this batch's shapes, the new cache is written into them
+    instead of into fresh arrays (a mask's uniforms are drawn straight into
+    the old mask), so a training loop keeps one step's buffers for all its
+    steps. A cache of another shape is left untouched.
     """
     n, steps, features = X.shape
     hidden = config.hidden_units
@@ -180,8 +186,8 @@ def forward_batch(params, X, config, training: bool = False,
         # (one window stays on the per-step path: its gathered projection is
         # a matrix-vector product, which rounds unlike a GEMM column)
         sliding = layer == 0 and n > 1 and X.strides[0] == X.strides[1]
-        if reuse is not None:
-            old = reuse["layers"][layer]
+        old = reuse["layers"][layer] if reuse is not None else None
+        if old is not None:
             acts, h_s, c_s, tc_s = old["acts"], old["h"], old["c"], old["tc"]
         else:
             # the sliding projection is shared by every step, so the gate
@@ -222,12 +228,19 @@ def forward_batch(params, X, config, training: bool = False,
         output = h_s
         if use_dropout and layer < config.lstm_layers - 1:
             keep = 1.0 - config.dropout
-            mask = (rng.random((n, steps, hidden)) < keep) / keep
-            output = h_s * mask.transpose(1, 2, 0)
+            if old is not None and old["mask"] is not None:
+                mask, output = old["mask"], old["out"]
+            else:
+                mask, output = np.empty((n, steps, hidden)), np.empty((steps, hidden, n))
+            # the uniforms are drawn into the mask, which becomes 1/keep or 0
+            rng.random(out=mask)
+            np.less(mask, keep, out=mask)
+            mask /= keep
+            np.multiply(h_s, mask.transpose(1, 2, 0), out=output)
         # "x" (the layer input) and "mask" are batch-major like X
         entry = {"x": seq.transpose(2, 0, 1), "h": h_s, "mask": mask}
         if want_cache:
-            entry.update(acts=acts, c=c_s, tc=tc_s)
+            entry.update(acts=acts, c=c_s, tc=tc_s, out=output if mask is not None else None)
         layers.append(entry)
         seq = output
 
@@ -260,8 +273,8 @@ def backward_batch(params, cache, dpred):
     products, so the bits are those of the stacked sums without the stack;
     ``db`` and the gradient into the layer below are each one call over the
     whole sequence; the latter is written over the layer's incoming gradient,
-    spent by then, where the layer has one. A cache cannot be given to
-    ``backward_batch`` twice.
+    spent by then, and for the top layer, which has none, over its own spent
+    cell states ``c``. A cache cannot be given to ``backward_batch`` twice.
     """
     config = cache["config"]
     layers = cache["layers"]
@@ -328,7 +341,7 @@ def backward_batch(params, cache, dpred):
             grads[f"l{layer}.U{gate}"] = dU[blk].T
             grads[f"l{layer}.b{gate}"] = db[blk]
         if layer > 0:
-            d_output = np.matmul(W.T, acts, out=dH)
+            d_output = np.matmul(W.T, acts, out=c_s if dH is None else dH)
     return grads
 
 

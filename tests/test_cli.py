@@ -235,6 +235,46 @@ class TestAnalyzeCommand:
         assert "ln A = " in err
         assert not (tmp_path / "out").exists()
 
+    def test_reaction_model_out_of_float_range_exits_3(self, synth_dir, tmp_path, capsys):
+        # f(alpha) = (1 - alpha)^n underflows to 0 at order 800 and alpha 0.7,
+        # Friedman's first step; g(alpha) has (1 - alpha)^(1 - n), which
+        # overflows at order 6750 and alpha 0.1. Only Friedman's A is past
+        # that point on real curves, so the KAS case uses logistic curves
+        # 150 K apart per heating rate: a small apparent Ea keeps Friedman's
+        # ln A (707) inside a float's range
+        slow = []
+        for k, beta in enumerate((5.0, 10.0, 20.0)):
+            T = np.arange(473.15, 1473.15, 0.5)
+            mass = 1.0 - 0.8 / (1.0 + np.exp(-(T - (673.15 + 150.0 * k)) / 30.0))
+            curve = TgaCurve(DATE_SEEDS, beta, (T - T[0]) * 60.0 / beta, T, mass / mass[0])
+            stem = tmp_path / f"slow{beta:g}"
+            stem.with_suffix(".csv").write_text(curve_to_csv(curve))
+            stem.with_suffix(".json").write_text(spec_to_sidecar(DATE_SEEDS, beta))
+            slow.append(str(stem.with_suffix(".csv")))
+        for curves, order, level, message in (
+            (curve_paths(synth_dir), "800", "0.7",
+             "friedman at alpha=0.7: reaction model f(alpha) is 0 at order 800"),
+            (slow, "6750", "0.1",
+             "kas at alpha=0.1: reaction model g(alpha) is inf at order 6750"),
+        ):
+            out = tmp_path / f"out{order}"
+            rc = main(["analyze", *curves, "--order", order, "--alpha-grid",
+                       f"{level}:{level}:0.1", "--format", "csv", "--out-dir", str(out)])
+            err = capsys.readouterr().err
+            assert rc == 3, err
+            assert err.startswith(f"numerical error: {message}, not a positive finite float")
+            assert "Traceback" not in err
+            assert not out.exists()
+
+    def test_svg_of_one_conversion_level_exits_2(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["analyze", *curve_paths(synth_dir), "--alpha-grid", "0.3:0.3:0.1",
+                   "--format", "svg", "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: --format svg needs at least 2 included conversion levels, got 1 (0.3)\n")
+        assert not out.exists()
+
 
 class TestThermoCommand:
     def test_profile_from_explicit_tm(self, synth_dir, tmp_path):

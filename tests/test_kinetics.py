@@ -187,6 +187,19 @@ class TestFitLevels:
         with pytest.raises(NumericalError, match=r"friedman at alpha=0\.4: .*\(ln A = 740\.51"):
             fit_levels([0.4], kas_line_betas(self.TEMPS), [self.TEMPS], [rates])
 
+    @pytest.mark.parametrize("order, alpha, ln_af, message", [
+        # (1 - alpha)^n underflows to 0: Friedman, the first method, raises
+        (800.0, 0.7, 30.0, r"friedman at alpha=0\.7: reaction model f\(alpha\) is 0 at order 800,"),
+        # (1 - alpha)^(1 - n) overflows, while Friedman's ln A (about 681) fits
+        (6750.0, 0.1, -30.0, r"kas at alpha=0\.1: reaction model g\(alpha\) is inf at order 6750,"),
+    ], ids=["friedman-f", "kas-g"])
+    def test_reaction_model_out_of_float_range_raises_numerical_error(
+            self, order, alpha, ln_af, message):
+        rates = np.exp(ln_af - 200e3 / (R * self.TEMPS))
+        with pytest.raises(NumericalError, match=message):
+            fit_levels([alpha], kas_line_betas(self.TEMPS), [self.TEMPS], [rates],
+                       KineticModelAssumption(order=order))
+
 
 class TestSyntheticRecovery:
     def test_all_methods_within_documented_tolerances(self, single_step_analysis):

@@ -354,12 +354,14 @@ class TestCacheLayout:
                 assert np.array_equal(mask, ref["mask"])
 
 
-CACHE_BUFFERS = ("acts", "h", "c", "tc")
+CACHE_BUFFERS = ("acts", "h", "c", "tc", "mask", "out")
 
 
 def cache_buffers(cache):
-    """Every array ``forward_batch``'s ``reuse`` may write into."""
-    return [entry[k] for entry in cache["layers"] for k in CACHE_BUFFERS]
+    """Every array ``forward_batch``'s ``reuse`` may write into: a layer
+    below a dropout boundary also has its ``mask`` and dropped-out ``out``."""
+    return [entry[k] for entry in cache["layers"] for k in CACHE_BUFFERS
+            if entry[k] is not None]
 
 
 class TestCacheReuse:
@@ -374,24 +376,50 @@ class TestCacheReuse:
         return pred, cache, grads
 
     # look-back 1: equal window and step strides, forward_batch's sliding path
-    @pytest.mark.parametrize("layers, dropout, steps", [(1, 0.0, 4), (3, 0.3, 4), (2, 0.0, 1)])
+    @pytest.mark.parametrize("layers, dropout, steps", [
+        (1, 0.0, 4), (3, 0.3, 4), (2, 0.0, 1), (3, 0.5, 1), (2, 0.3, 20)])
     def test_same_bits_written_into_the_reused_arrays(self, layers, dropout, steps):
         config = TrainConfig(hidden_units=5, lstm_layers=layers, look_back=steps,
                              dropout=dropout)
         params = init_params(3, config, np.random.default_rng(0))
         _, old, _ = self.run(params, config, 6, seed=1)
         buffers = cache_buffers(old)
+        assert len(buffers) == 4 * layers + (2 * (layers - 1) if dropout else 0)
         pred, cache, grads = self.run(params, config, 6, seed=2, reuse=old)
         fresh_pred, fresh, fresh_grads = self.run(params, config, 6, seed=2)
         assert np.array_equal(pred, fresh_pred)
         assert grads.keys() == fresh_grads.keys()
         for key, value in grads.items():
             assert np.array_equal(value, fresh_grads[key]), key
+        # backward_batch overwrites acts, and the top layer's c, in both caches
         for entry, ref in zip(cache["layers"], fresh["layers"]):
             for k in CACHE_BUFFERS:
-                assert np.array_equal(entry[k], ref[k]), k
-        for array, buffer in zip(cache_buffers(cache), buffers):
-            assert np.shares_memory(array, buffer)
+                assert (entry[k] is None) == (ref[k] is None), k
+                if entry[k] is not None:
+                    assert entry[k].tobytes() == ref[k].tobytes(), k
+        # the very arrays of the previous cache, not copies or views of them
+        reused = cache_buffers(cache)
+        assert len(reused) == len(buffers)
+        for array, buffer in zip(reused, buffers):
+            assert array is buffer
+
+    def test_dropout_buffers_hold_the_mask_and_dropped_out_states(self):
+        config = TrainConfig(hidden_units=5, lstm_layers=3, look_back=4, dropout=0.3)
+        params = init_params(3, config, np.random.default_rng(0))
+        _, old, _ = self.run(params, config, 6, seed=1)
+        X = np.random.default_rng(2).random((6, 4, 3))
+        _, cache = forward_batch(params, X, config, training=True,
+                                 rng=np.random.default_rng(2), want_cache=True, reuse=old)
+        keep = 1.0 - config.dropout
+        draws = np.random.default_rng(2).random((2, 6, 4, 5))
+        for k, (entry, above) in enumerate(zip(cache["layers"], cache["layers"][1:])):
+            mask = entry["mask"]
+            assert np.array_equal(mask, (draws[k] < keep) / keep)
+            assert entry["out"].shape == (4, 5, 6)
+            assert np.array_equal(entry["out"], entry["h"] * mask.transpose(1, 2, 0))
+            # the layer above reads the dropped-out states as its input
+            assert np.shares_memory(above["x"], entry["out"])
+        assert cache["layers"][-1]["mask"] is cache["layers"][-1]["out"] is None
 
     def test_cache_of_another_batch_size_is_left_alone(self):
         config = TrainConfig(hidden_units=5, lstm_layers=2, look_back=4, dropout=0.3)
@@ -406,6 +434,29 @@ class TestCacheReuse:
         assert np.array_equal(pred, fresh_pred)
         for key, value in grads.items():
             assert np.array_equal(value, fresh_grads[key]), key
+
+    def test_reused_step_allocates_less_than_one_dropout_mask(self):
+        # tune_small's largest shape: 3 layers, H=32, N=64, T=20, 7 features,
+        # dropout 0.3. A fresh uniform draw, mask and dropped-out output per
+        # dropout layer took 1.46 MB under tracemalloc, over four times one
+        # (N, T, H) float64 array (0.33 MB); drawn and written into the
+        # reused cache's buffers the step peaks at 0.15 MB (numpy 2.4)
+        n, steps, hidden, features = 64, 20, 32, 7
+        config = TrainConfig(hidden_units=hidden, lstm_layers=3, look_back=steps,
+                             dropout=0.3)
+        params = init_params(features, config, np.random.default_rng(0))
+        X = np.random.default_rng(1).random((n, steps, features))
+        rng = np.random.default_rng(2)
+        _, cache = forward_batch(params, X[::-1], config, training=True, rng=rng,
+                                 want_cache=True)
+        tracemalloc.start()
+        try:
+            forward_batch(params, X, config, training=True, rng=rng, want_cache=True,
+                          reuse=cache)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * steps * hidden
 
 
 class TestBackwardInTheCache:
@@ -486,6 +537,26 @@ class TestBackwardInTheCache:
         finally:
             tracemalloc.stop()
         assert peak < 2.95e6
+
+    def test_top_layer_gradient_into_the_layer_below_reuses_its_cell_states(self):
+        # 3 layers with dropout at T=20, H=8, N=512: a fresh (T, H, N) buffer
+        # (0.66 MB) for the top layer's gradient into the layer below peaked
+        # at 1.08 MB under tracemalloc; written over the top layer's spent
+        # cell states, the whole backward pass peaks at 0.42 MB (numpy 2.4)
+        steps, hidden, n = 20, 8, 512
+        config = TrainConfig(hidden_units=hidden, lstm_layers=3, look_back=steps,
+                             dropout=0.3)
+        params = init_params(self.FEATURES, config, np.random.default_rng(0))
+        X = np.random.default_rng(1).random((n, steps, self.FEATURES))
+        cache = self.cache(params, X, config)
+        dpred = np.random.default_rng(2).standard_normal(n)
+        tracemalloc.start()
+        try:
+            backward_batch(params, cache, dpred)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * steps * hidden * n
 
 
 class TestForward:
