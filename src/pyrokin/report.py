@@ -58,18 +58,28 @@ def analysis_from_csv(text: str) -> AnalysisTable:
     )
 
 
+def _alpha_decimals(alphas) -> int:
+    """The fewest decimals, at least 2, that print every conversion level
+    exactly (a ``--alpha-grid`` level has at most 10), so that no two levels
+    share a label."""
+    return next((d for d in range(2, 10) if all(round(a, d) == a for a in alphas)), 10)
+
+
 def analysis_to_text(table: AnalysisTable) -> str:
     """Aligned comparison table: one block of Ea/R^2/A per method, plus the
-    per-method Ea averages on the final row."""
-    header_top = f"{'':>6}"
-    header_sub = f"{'alpha':>6}"
+    per-method Ea averages on the final row. Conversion levels print with
+    two decimals, or as many more as tell the levels apart."""
+    decimals = _alpha_decimals(table.included_alphas)
+    width = max(6, decimals + 2)
+    header_top = f"{'':>{width}}"
+    header_sub = f"{'alpha':>{width}}"
     for method in METHODS:
         label = _METHOD_LABELS[method]
         header_top += f" | {label + ' model':^34}"
         header_sub += f" | {'Ea(kJ/mol)':>10} {'R^2':>8} {'A(1/s)':>12}"
     rows = [header_top, header_sub, "-" * len(header_sub)]
     for alpha in table.included_alphas:
-        row = f"{alpha:>6.2f}"
+        row = f"{alpha:>{width}.{decimals}f}"
         for method in METHODS:
             match = [e for e in table.by_method(method) if e.alpha == alpha]
             if match:
@@ -79,7 +89,7 @@ def analysis_to_text(table: AnalysisTable) -> str:
                 row += f" | {'-':>10} {'-':>8} {'-':>12}"
         rows.append(row)
     averages = table.ea_averages()
-    row = f"{'Avg':>6}"
+    row = f"{'Avg':>{width}}"
     for method in METHODS:
         if method in averages:
             row += f" | {averages[method] / 1000.0:>10.2f} {'-':>8} {'-':>12}"

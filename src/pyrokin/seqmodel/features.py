@@ -135,7 +135,8 @@ def window_sequences(curves, mode: str = MODEL1,
         mass.append(curve.mass_fraction * 100.0)
         count = max(0, curve.n_points - look_back)
         starts.append(offset + np.arange(count))
-        ids.append(np.full(count, curve_id, dtype=object))
+        # one id object per curve: np.full would store a copy in every window
+        ids.append(np.repeat(np.array([curve_id], dtype=object), count))
         offset += curve.n_points
     return WindowDataset(
         rows=np.concatenate(rows),

@@ -7,13 +7,16 @@ hidden state before the linear read-out); gate nonlinearities are never
 substituted. Everything is float64 numpy so the analytic gradients can be
 verified against central finite differences.
 
-Parameters and checkpoints keep one tensor per gate (``l<k>.W<g>``,
-``l<k>.U<g>``, ``l<k>.b<g>``). The kernels stack them, transposed, into one
-fused ``W`` (4H, in), ``U`` (4H, H) and ``b`` (4H, 1) per layer, with gate
-row blocks ordered i, f, o, g so that the three sigmoid gates are
-contiguous: the input projection of every step is computed before the
+A network's parameters live in one contiguous float64 vector (``Params``),
+read by the kernels through named fused views: per layer ``W`` (4H, in),
+``U`` (4H, H) and ``b`` (4H,), with gate row blocks ordered i, f, o, g so
+that the three sigmoid gates are contiguous, and the read-out ``dense.w``
+and ``dense.b``. The input projection of every step is computed before the
 recurrence, and each step does one ``U @ h`` and one tanh over all four
-gates (Appleyard, Kocisky & Blunsom, arXiv:1604.01946).
+gates (Appleyard, Kocisky & Blunsom, arXiv:1604.01946). Gradients have the
+same layout, so an optimizer updates the whole vector in one pass. One
+tensor per gate (``l<k>.W<g>``, ``l<k>.U<g>``, ``l<k>.b<g>``) exists only as
+a view, where a checkpoint is written or read.
 
 Inference takes feature rows and window starts. A row sits in ``look_back``
 consecutive windows of its curve, at a different step of each, so for a
@@ -49,6 +52,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -107,26 +111,77 @@ def param_shapes(feature_count: int, config: "TrainConfig") -> dict:
     return shapes
 
 
+class Params(Mapping):
+    """A network's weights in one contiguous float64 vector, ``flat``.
+
+    ``layers[k]`` holds layer k's fused views ``(W, U, b)``: ``W`` (4H, in),
+    ``U`` (4H, H) and ``b`` (4H,), gate row blocks in FUSED_GATES order;
+    ``dense_w`` (H,) and ``dense_b`` (1,) are the read-out. Each ``W`` and
+    ``U`` is stored row-major as its transpose, (in, 4H) and (H, 4H), so the
+    fused matrix is column-major: the memory order that concatenating the
+    transposed per-gate tensors gives, and with it the rounding of numpy's
+    matrix-vector paths (a batch of one or two windows).
+
+    As a mapping it is the checkpoint boundary: the keys and shapes of
+    ``param_shapes``, each a view of its gate's block (``l<k>.W<g>`` is
+    ``W[block].T``), so writing into a tensor writes the vector.
+    """
+
+    def __init__(self, feature_count: int, config: "TrainConfig", flat=None):
+        self.feature_count, self.config = feature_count, config
+        shapes = param_shapes(feature_count, config)
+        self.flat = np.zeros(sum(map(math.prod, shapes.values()))) if flat is None else flat
+        end = 0
+
+        def take(*shape):
+            nonlocal end
+            start, end = end, end + math.prod(shape)
+            return self.flat[start:end].reshape(shape)
+
+        hidden = config.hidden_units
+        blocks = dict(zip(FUSED_GATES, _gate_blocks(hidden)))
+        views = {}
+        self.layers = []
+        for layer in range(config.lstm_layers):
+            in_dim = feature_count if layer == 0 else hidden
+            W, U, b = take(in_dim, 4 * hidden).T, take(hidden, 4 * hidden).T, take(4 * hidden)
+            self.layers.append((W, U, b))
+            for gate in GATES:
+                blk = blocks[gate]
+                views[f"l{layer}.W{gate}"] = W[blk].T
+                views[f"l{layer}.U{gate}"] = U[blk].T
+                views[f"l{layer}.b{gate}"] = b[blk]
+        self.dense_w, self.dense_b = take(hidden), take(1)
+        views["dense.w"], views["dense.b"] = self.dense_w, self.dense_b
+        self._views = views
+
+    def __getitem__(self, key):
+        return self._views[key]
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self):
+        return len(self._views)
+
+    def zeros_like(self) -> "Params":
+        return Params(self.feature_count, self.config)
+
+    def copy(self) -> "Params":
+        return Params(self.feature_count, self.config, self.flat.copy())
+
+
 def init_params(feature_count: int, config: "TrainConfig", rng: np.random.Generator):
-    """Glorot-uniform weights, zero biases, forget-gate bias at 1."""
-    params: dict[str, np.ndarray] = {}
+    """Glorot-uniform weights, zero biases, forget-gate bias at 1, each
+    tensor drawn in ``param_shapes`` order."""
+    params = Params(feature_count, config)
     for key, shape in param_shapes(feature_count, config).items():
         if len(shape) == 2 or key == "dense.w":  # the read-out is a (hidden, 1) matrix
             bound = np.sqrt(6.0 / (shape[0] + (shape[1] if len(shape) == 2 else 1)))
-            params[key] = rng.uniform(-bound, bound, shape)
-        else:
-            params[key] = np.full(shape, 1.0 if key.endswith(".bf") else 0.0)
+            params[key][...] = rng.uniform(-bound, bound, shape)
+        elif key.endswith(".bf"):
+            params[key][...] = 1.0
     return params
-
-
-def _fused(params, layer):
-    """The layer's ``W`` (4H, in), ``U`` (4H, H) and ``b`` (4H, 1): every
-    per-gate tensor transposed and stacked as row blocks in FUSED_GATES order."""
-    W, U, b = (
-        np.concatenate([params[f"l{layer}.{kind}{g}"].T for g in FUSED_GATES])
-        for kind in "WUb"
-    )
-    return W, U, b[:, None]
 
 
 def _gate_blocks(hidden):
@@ -177,12 +232,12 @@ def forward_batch(params, X, config, training: bool = False,
 
     layers = []
     seq = X.transpose(1, 2, 0)  # every sequence below is (steps, features, batch)
-    for layer in range(config.lstm_layers):
-        W, U, b = _fused(params, layer)
-        # sigmoid(z) = 0.5 * (1 + tanh(z / 2)): halving the sigmoid rows
-        # (exact in binary floating point) lets one tanh cover all four gates
-        for m in (W, U, b):
-            m[sig] *= 0.5
+    # sigmoid(z) = 0.5 * (1 + tanh(z / 2)): weights with the sigmoid rows
+    # halved (exact in binary floating point) let one tanh cover all four
+    # gates; the copies are column-major like the stored W and U
+    half = np.repeat([0.5, 1.0], [3 * hidden, hidden])[:, None]
+    for layer, (W, U, b) in enumerate(params.layers):
+        W, U, b = (np.multiply(m, half, order="F") for m in (W, U, b[:, None]))
         # (one window stays on the per-step path: its gathered projection is
         # a matrix-vector product, which rounds unlike a GEMM column)
         sliding = layer == 0 and n > 1 and X.strides[0] == X.strides[1]
@@ -247,19 +302,19 @@ def forward_batch(params, X, config, training: bool = False,
     act, _ = ACTIVATIONS[config.activation]
     h_last = layers[-1]["h"][-1]
     z = act(h_last)
-    pred = params["dense.w"] @ z + params["dense.b"][0]
+    pred = params.dense_w @ z + params.dense_b[0]
     if not want_cache:
         return pred, None
     return pred, {"layers": layers, "h_last": h_last, "z": z, "config": config}
 
 
-def backward_batch(params, cache, dpred):
+def backward_batch(params, cache, dpred, grads=None):
     """Backpropagation through time for one batch.
 
-    ``dpred`` is dLoss/dprediction of shape (batch,). Returns gradients
-    keyed identically to ``params``; the per-gate tensors are row blocks of
-    the fused gradients, transposed back to the ``(in, H)`` and ``(H, H)``
-    key shapes.
+    ``dpred`` is dLoss/dprediction of shape (batch,). Returns the gradients
+    as a ``Params`` of the layout of ``params``: ``grads`` when given, whose
+    every value is overwritten (a training loop passes one vector for all
+    its steps), otherwise a new one.
 
     Backward consumes the cache's gate activations. The step loop works on
     the gate-major ``(4H, N)`` blocks of the cache, carries only ``dh`` and
@@ -268,11 +323,12 @@ def backward_batch(params, cache, dpred):
     written over them in ``acts[t]``: the products of the step's recurrent
     gradients go to one ``(4H, N)`` step buffer, the gate derivatives are
     formed in place on the activation rows, and one multiply joins the two.
-    ``dW`` and ``dU`` are then summed in ascending t through one product
-    buffer each, the order in which ``sum(axis=0)`` adds a stack of the
-    products, so the bits are those of the stacked sums without the stack;
-    ``db`` and the gradient into the layer below are each one call over the
-    whole sequence; the latter is written over the layer's incoming gradient,
+    ``dW`` and ``dU`` are then summed from +0.0 in ascending t through one
+    product buffer each, the order in which ``sum(axis=0)`` adds a stack of
+    the products, so the bits are those of the stacked sums without the
+    stack, and copied into their views of the gradient vector; ``db`` (also
+    written in its view) and the gradient into the layer below are each one
+    call over the whole sequence; the latter is written over the layer's incoming gradient,
     spent by then, and for the top layer, which has none, over its own spent
     cell states ``c``. A cache cannot be given to ``backward_batch`` twice.
     """
@@ -280,15 +336,14 @@ def backward_batch(params, cache, dpred):
     layers = cache["layers"]
     hidden = config.hidden_units
     _, act_deriv = ACTIVATIONS[config.activation]
-    blocks = _gate_blocks(hidden)
-    bi, bf, bo, bg = blocks
+    bi, bf, bo, bg = _gate_blocks(hidden)
     sig = slice(0, 3 * hidden)
 
-    grads = {
-        "dense.w": cache["z"] @ dpred,
-        "dense.b": np.array([dpred.sum()]),
-    }
-    dh_last = np.outer(params["dense.w"], dpred) * act_deriv(cache["h_last"])
+    if grads is None:
+        grads = params.zeros_like()
+    np.matmul(cache["z"], dpred, out=grads.dense_w)
+    grads.dense_b[0] = dpred.sum()
+    dh_last = np.outer(params.dense_w, dpred) * act_deriv(cache["h_last"])
 
     d_output = None  # gradient wrt the (possibly dropped-out) output sequence
     for layer in reversed(range(config.lstm_layers)):
@@ -300,7 +355,7 @@ def backward_batch(params, cache, dpred):
             dH, dh_rec = d_output, 0.0
             if Lc["mask"] is not None:
                 dH *= Lc["mask"].transpose(1, 2, 0)
-        W, U, _ = _fused(params, layer)
+        W, U, _ = params.layers[layer]
         acts, c_s, tc_s = Lc["acts"], Lc["c"], Lc["tc"]
         steps = len(acts)
         step_grad = np.empty_like(acts[0])
@@ -327,19 +382,19 @@ def backward_batch(params, cache, dpred):
             np.subtract(1.0, g_t, out=g_t)
             a *= step_grad
             dh_rec = U_T @ a
-        dW = np.zeros((4 * hidden, Lc["x"].shape[2]))
-        dU = np.zeros((4 * hidden, hidden))
-        dW_t, dU_t = np.empty_like(dW), np.empty_like(dU)
+        dW, dU, db = grads.layers[layer]
+        # row-major sums and products, as numpy's BLAS path writes them (an
+        # add into the column-major views each step costs 4-6x a row-major one)
+        dW_sum, dU_sum = np.zeros(dW.shape), np.zeros(dU.shape)
+        dW_t, dU_t = np.empty_like(dW_sum), np.empty_like(dU_sum)
         for t in range(steps):
-            dW += np.matmul(acts[t], Lc["x"][:, t], out=dW_t)
+            dW_sum += np.matmul(acts[t], Lc["x"][:, t], out=dW_t)
             # the state before step 0 is zero, so step 0 adds nothing to dU
             if t > 0:
-                dU += np.matmul(acts[t], Lc["h"][t - 1].T, out=dU_t)
-        db = acts.sum(axis=0, out=step_grad).sum(axis=1)  # the step buffer is spent
-        for gate, blk in zip(FUSED_GATES, blocks):
-            grads[f"l{layer}.W{gate}"] = dW[blk].T
-            grads[f"l{layer}.U{gate}"] = dU[blk].T
-            grads[f"l{layer}.b{gate}"] = db[blk]
+                dU_sum += np.matmul(acts[t], Lc["h"][t - 1].T, out=dU_t)
+        dW[...] = dW_sum
+        dU[...] = dU_sum
+        acts.sum(axis=0, out=step_grad).sum(axis=1, out=db)  # the step buffer is spent
         if layer > 0:
             d_output = np.matmul(W.T, acts, out=c_s if dH is None else dH)
     return grads
@@ -349,7 +404,7 @@ def backward_batch(params, cache, dpred):
 class LstmModel:
     """Trained network: weights, tuning config, scaler, and feature layout."""
 
-    params: dict
+    params: Params
     config: "TrainConfig"
     scaler: MinMaxScaler
     feature_mode: str
@@ -418,10 +473,11 @@ def save_model(model: LstmModel) -> str:
     """Checkpoint as a self-describing JSON document, ``format_version`` 2.
 
     The config and scaler are decimal JSON. The weights keep the keys and
-    shapes of ``param_shapes``, one tensor per gate (the fused kernels never
-    change this layout); each is one base64 string of its little-endian
-    float64 bytes in row-major order, which writes and reads every value
-    exactly without formatting or parsing a decimal float.
+    shapes of ``param_shapes``, one tensor per gate (views of the flat
+    parameter vector, whose layout never reaches the file); each is one
+    base64 string of its little-endian float64 bytes in row-major order,
+    which writes and reads every value exactly without formatting or
+    parsing a decimal float.
     """
     doc = {
         "format_version": CHECKPOINT_VERSION,
@@ -454,7 +510,7 @@ def _checkpoint_array(value, shape, what, packed=False):
         size = 8 * math.prod(shape)
         if len(raw) != size:
             raise InputError(f"checkpoint {what} has {len(raw)} bytes, expected {size}")
-        arr = np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
+        arr = np.frombuffer(raw, dtype="<f8").reshape(shape)
     else:
         try:
             arr = np.array(value, dtype=float)
@@ -539,8 +595,9 @@ def load_model(text: str) -> LstmModel:
     if unexpected:
         raise InputError(f"checkpoint weights not in the config: {', '.join(unexpected)}")
     packed = version == 2
-    params = {k: _checkpoint_array(weights[k], shape, f"weight {k}", packed)
-              for k, shape in shapes.items()}
+    params = Params(feature_count, config)
+    for k, shape in shapes.items():
+        params[k][...] = _checkpoint_array(weights[k], shape, f"weight {k}", packed)
     return LstmModel(
         params=params,
         config=config,

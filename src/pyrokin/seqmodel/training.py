@@ -95,52 +95,74 @@ class TrainConfig:
             raise ConfigError(f"bad {source}: {exc}") from None
 
 
+# The optimizers update the whole flat parameter vector in place with the
+# elementwise expressions of a per-tensor update, in the same order, so the
+# bits are those of the per-tensor update. Each keeps flat state and at most
+# one scratch vector; the gradient, spent once read, is the second.
 class _Sgd:
     def __init__(self, lr):
         self.lr = lr
 
     def step(self, params, grads):
-        for key, grad in grads.items():
-            params[key] -= self.lr * grad
+        g = grads.flat
+        g *= self.lr
+        params.flat -= g
 
 
 class _RmsProp:
     def __init__(self, lr):
         self.lr = lr
-        self.v = {}
+        self.v = self.scratch = None
 
     def step(self, params, grads):
-        for key, grad in grads.items():
-            v = self.v.get(key)
-            if v is None:
-                v = np.zeros_like(grad)
-            v = RMSPROP_RHO * v + (1.0 - RMSPROP_RHO) * grad**2
-            self.v[key] = v
-            params[key] -= self.lr * grad / (np.sqrt(v) + RMSPROP_EPS)
+        g = grads.flat
+        if self.v is None:
+            self.v, self.scratch = np.zeros_like(g), np.empty_like(g)
+        v, s = self.v, self.scratch
+        # v = rho * v + (1 - rho) * g**2
+        v *= RMSPROP_RHO
+        np.multiply(g, g, out=s)
+        s *= 1.0 - RMSPROP_RHO
+        v += s
+        # params -= lr * g / (sqrt(v) + eps)
+        np.sqrt(v, out=s)
+        s += RMSPROP_EPS
+        g *= self.lr
+        g /= s
+        params.flat -= g
 
 
 class _Adam:
     def __init__(self, lr):
         self.lr = lr
-        self.m = {}
-        self.v = {}
+        self.m = self.v = self.scratch = None
         self.t = 0
 
     def step(self, params, grads):
         self.t += 1
         bias1 = 1.0 - ADAM_BETA1**self.t
         bias2 = 1.0 - ADAM_BETA2**self.t
-        for key, grad in grads.items():
-            m = self.m.get(key)
-            v = self.v.get(key)
-            if m is None:
-                m = np.zeros_like(grad)
-                v = np.zeros_like(grad)
-            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
-            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad**2
-            self.m[key] = m
-            self.v[key] = v
-            params[key] -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+        g = grads.flat
+        if self.m is None:
+            self.m, self.v, self.scratch = np.zeros_like(g), np.zeros_like(g), np.empty_like(g)
+        m, v, s = self.m, self.v, self.scratch
+        # m = beta1 * m + (1 - beta1) * g
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+        m += s
+        # v = beta2 * v + (1 - beta2) * g**2
+        v *= ADAM_BETA2
+        np.multiply(g, g, out=s)
+        s *= 1.0 - ADAM_BETA2
+        v += s
+        # params -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+        np.divide(v, bias2, out=s)
+        np.sqrt(s, out=s)
+        s += ADAM_EPS
+        np.divide(m, bias1, out=g)
+        g *= self.lr
+        g /= s
+        params.flat -= g
 
 
 def _make_optimizer(config: TrainConfig):
@@ -180,7 +202,8 @@ def train(train_samples: WindowDataset, val_samples: WindowDataset, config: Trai
     one (``forward_batch``'s ``reuse``), which is dropped only before a
     batch of another size (the short last batch) and before the validation
     pass: at the peak, training holds the rows, one batch and one step's
-    buffers.
+    buffers. The parameters, their gradients and the optimizer state are
+    each one flat vector, and every step writes the same gradient vector.
 
     Mini-batch gradients are averaged within each batch and applied as one
     optimizer update; epoch-level shuffling, weight initialization, and
@@ -209,10 +232,11 @@ def train(train_samples: WindowDataset, val_samples: WindowDataset, config: Trai
     rng = np.random.default_rng(config.seed)
     params = init_params(feature_count, config, rng)
     optimizer = _make_optimizer(config)
+    grads = params.zeros_like()  # every step's gradients, then the optimizer's scratch
 
     history: list[EpochRecord] = []
     best_val = math.inf
-    best_params = {k: v.copy() for k, v in params.items()}
+    best_params = params.copy()
     bad_epochs = 0
     n = len(train_samples)
     cache = None
@@ -228,7 +252,7 @@ def train(train_samples: WindowDataset, val_samples: WindowDataset, config: Trai
                                         want_cache=True, reuse=cache)
             err = pred - y_train[idx]
             sq_err_total += float((err**2).sum())
-            grads = backward_batch(params, cache, 2.0 * err / len(idx))
+            backward_batch(params, cache, 2.0 * err / len(idx), grads)
             optimizer.step(params, grads)
         cache = None  # freed before inference allocates its blocks
         train_loss = sq_err_total / n
@@ -238,7 +262,7 @@ def train(train_samples: WindowDataset, val_samples: WindowDataset, config: Trai
         history.append(EpochRecord(epoch, train_loss, val_loss))
         if val_loss < best_val:
             best_val = val_loss
-            best_params = {k: v.copy() for k, v in params.items()}
+            best_params.flat[...] = params.flat
             bad_epochs = 0
         else:
             bad_epochs += 1

@@ -12,9 +12,7 @@ import numpy as np
 from pyrokin.seqmodel.features import MinMaxScaler
 from pyrokin.seqmodel.lstm import (
     ACTIVATIONS,
-    FUSED_GATES,
     LstmModel,
-    _fused,
     _gate_blocks,
     forward_batch,
     init_params,
@@ -26,20 +24,19 @@ def reference_backward_batch(params, cache, dpred):
     """BPTT with every step's pre-activation gradients in a ``(T, 4H, N)``
     buffer of their own, beside the cache's gate activations, which it only
     reads; ``dW`` and ``dU`` are ``sum(axis=0)`` over stacks of the per-step
-    products, ``(T, 4H, in)`` and ``(T - 1, 4H, H)``."""
+    products, ``(T, 4H, in)`` and ``(T - 1, 4H, H)``, copied into a new
+    gradient vector."""
     config = cache["config"]
     layers = cache["layers"]
     hidden = config.hidden_units
     _, act_deriv = ACTIVATIONS[config.activation]
-    blocks = _gate_blocks(hidden)
-    bi, bf, bo, bg = blocks
+    bi, bf, bo, bg = _gate_blocks(hidden)
     sig = slice(0, 3 * hidden)
 
-    grads = {
-        "dense.w": cache["z"] @ dpred,
-        "dense.b": np.array([dpred.sum()]),
-    }
-    dh_last = np.outer(params["dense.w"], dpred) * act_deriv(cache["h_last"])
+    grads = params.zeros_like()
+    grads.dense_w[...] = cache["z"] @ dpred
+    grads.dense_b[...] = dpred.sum()
+    dh_last = np.outer(params.dense_w, dpred) * act_deriv(cache["h_last"])
 
     dpre = np.empty_like(layers[0]["acts"])
     steps = len(dpre)
@@ -53,7 +50,7 @@ def reference_backward_batch(params, cache, dpred):
             dH, dh_rec = d_output, 0.0
             if Lc["mask"] is not None:
                 dH *= Lc["mask"].transpose(1, 2, 0)
-        W, U, _ = _fused(params, layer)
+        W, U, _ = params.layers[layer]
         acts, c_s, tc_s = Lc["acts"], Lc["c"], Lc["tc"]
         dc_rec = 0.0
         U_T = U.T
@@ -74,14 +71,11 @@ def reference_backward_batch(params, cache, dpred):
             dc_rec = dc * f_t
             dh_rec = U_T @ dp
         # per-step products (steps, 4H, .) summed over time
-        dW = np.matmul(dpre, Lc["x"].transpose(1, 0, 2)).sum(axis=0)
+        dW, dU, db = grads.layers[layer]
+        dW[...] = np.matmul(dpre, Lc["x"].transpose(1, 0, 2)).sum(axis=0)
         # the state before step 0 is zero, so step 0 adds nothing to dU
-        dU = np.matmul(dpre[1:], Lc["h"][:-1].transpose(0, 2, 1)).sum(axis=0)
-        db = dpre.sum(axis=0).sum(axis=1)
-        for gate, blk in zip(FUSED_GATES, blocks):
-            grads[f"l{layer}.W{gate}"] = dW[blk].T
-            grads[f"l{layer}.U{gate}"] = dU[blk].T
-            grads[f"l{layer}.b{gate}"] = db[blk]
+        dU[...] = np.matmul(dpre[1:], Lc["h"][:-1].transpose(0, 2, 1)).sum(axis=0)
+        db[...] = dpre.sum(axis=0).sum(axis=1)
         if layer > 0:
             d_output = np.matmul(W.T, dpre)
     return grads
@@ -108,7 +102,7 @@ def reference_train(train_samples, val_samples, config):
 
     history = []
     best_val = math.inf
-    best_params = {k: v.copy() for k, v in params.items()}
+    best_params = params.copy()
     bad_epochs = 0
     n = len(X_train)
     for epoch in range(1, config.epochs + 1):
@@ -129,7 +123,7 @@ def reference_train(train_samples, val_samples, config):
         history.append(EpochRecord(epoch, train_loss, val_loss))
         if val_loss < best_val:
             best_val = val_loss
-            best_params = {k: v.copy() for k, v in params.items()}
+            best_params = params.copy()
             bad_epochs = 0
         else:
             bad_epochs += 1

@@ -154,6 +154,15 @@ class TestAnalyzeCommand:
             per_method.setdefault(r.split(",")[1], []).append(r)
         assert {len(v) for v in per_method.values()} == {7}
 
+    def test_text_labels_tell_half_step_levels_apart(self, synth_dir, tmp_path):
+        # two decimals would print 0.10, 0.12, 0.12, 0.14, 0.14
+        assert main(["analyze", *curve_paths(synth_dir), "--alpha-grid", "0.105:0.145:0.01",
+                     "--format", "text", "--out-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "kinetics.txt").read_text().splitlines()
+        assert [line.split("|")[0].strip() for line in lines[3:8]] == [
+            "0.105", "0.115", "0.125", "0.135", "0.145"]
+        assert lines[1].startswith(" alpha |") and lines[-1].startswith("   Avg |")
+
     def test_reruns_are_byte_identical(self, synth_dir, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):

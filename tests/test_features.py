@@ -269,6 +269,14 @@ class TestWindowSequences:
         # the first window of each curve starts at that curve's first temperature
         assert np.count_nonzero(samples.windows()[:, 0, 3] == 25.0) == 2
 
+    def test_every_window_of_a_curve_holds_its_one_id_object(self):
+        ids = ["".join(("curve-", str(k))) for k in range(2)]  # built at run time
+        samples = window_sequences({ids[0]: toy_curve(30), ids[1]: toy_curve(26)},
+                                   look_back=10)
+        assert list(samples.curve_ids) == [ids[0]] * 20 + [ids[1]] * 16
+        assert all(cid is ids[0] for cid in samples.curve_ids[:20])
+        assert all(cid is ids[1] for cid in samples.curve_ids[20:])
+
     def test_target_is_next_step_mass(self):
         samples = window_sequences({"c": toy_curve(25)}, look_back=20)
         assert samples.targets[0] == pytest.approx(80.0)  # mass after rows 0..19

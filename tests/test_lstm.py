@@ -19,6 +19,7 @@ from pyrokin.seqmodel.lstm import (
     INFER_MIN_BLOCK,
     L2_BYTES,
     LstmModel,
+    Params,
     backward_batch,
     forward_batch,
     infer,
@@ -66,19 +67,18 @@ def gradient_check(config: TrainConfig, window, target: float,
 
     worst = 0.0
     for key in sorted(params):
-        tensor = params[key]
-        flat = tensor.reshape(-1)
-        grad_flat = analytic[key].reshape(-1)
-        for j in range(flat.size):
-            original = flat[j]
-            flat[j] = original + epsilon
+        tensor = params[key]  # a view of the parameter vector
+        for j in np.ndindex(tensor.shape):
+            original = tensor[j]
+            tensor[j] = original + epsilon
             up = loss_at()
-            flat[j] = original - epsilon
+            tensor[j] = original - epsilon
             down = loss_at()
-            flat[j] = original
+            tensor[j] = original
             numeric = (up - down) / (2.0 * epsilon)
-            denom = max(abs(grad_flat[j]) + abs(numeric), 1e-8)
-            worst = max(worst, abs(grad_flat[j] - numeric) / denom)
+            analytic_j = analytic[key][j]
+            denom = max(abs(analytic_j) + abs(numeric), 1e-8)
+            worst = max(worst, abs(analytic_j - numeric) / denom)
     return worst
 
 
@@ -97,9 +97,7 @@ def predict_one(model, window):
 
 
 def zero_params(feature_count, config):
-    rng = np.random.default_rng(0)
-    params = init_params(feature_count, config, rng)
-    return {k: np.zeros_like(v) for k, v in params.items()}
+    return Params(feature_count, config)
 
 
 # ---------------------------------------------------------------- reference
@@ -802,11 +800,12 @@ class TestCheckpoint:
     def test_weights_are_exact_row_major_little_endian_float64(self):
         config = TrainConfig(hidden_units=3, lstm_layers=1, look_back=4)
         params = init_params(4, config, np.random.default_rng(5))
-        # extreme finite values, in a tensor stored column-major
-        params["l0.Wi"] = np.asfortranarray([[-0.0, 5e-324, 0.1],
-                                             [1.7976931348623157e308, -2.5e-310, 1 / 3],
-                                             [-1e-300, 1e300, np.pi],
-                                             [2.0**-1074, -(2.0**1023), 0.0]])
+        # extreme finite values, in a tensor that is a strided view of the
+        # parameter vector
+        params["l0.Wi"][...] = [[-0.0, 5e-324, 0.1],
+                                [1.7976931348623157e308, -2.5e-310, 1 / 3],
+                                [-1e-300, 1e300, np.pi],
+                                [2.0**-1074, -(2.0**1023), 0.0]]
         model = LstmModel(params, config, tiny_scaler(4), "model1", 4)
         text = save_model(model)
         weights = json.loads(text)["weights"]

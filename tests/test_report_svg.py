@@ -58,6 +58,10 @@ class TestReport:
         assert "Ea(kJ/mol)" in text
         assert text.strip().splitlines()[-1].startswith("   Avg")
 
+    def test_text_table_levels_on_the_hundredths_keep_two_decimals(self):
+        lines = analysis_to_text(small_table()).splitlines()
+        assert [line[:9] for line in lines[3:5]] == ["  0.10 | ", "  0.20 | "]
+
     def test_text_table_average_value(self):
         text = analysis_to_text(small_table())
         # mean of 151.0 and 152.0 kJ/mol
