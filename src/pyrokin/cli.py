@@ -51,21 +51,6 @@ from .report import (
     predictions_to_csv,
     thermo_to_csv,
 )
-from .seqmodel import (
-    MODEL1,
-    MODEL2,
-    SearchSpace,
-    TrainConfig,
-    evaluate,
-    load_model,
-    random_search,
-    save_model,
-    split_dataset,
-    train,
-    window_sequences,
-)
-from .seqmodel.features import FEATURE_COLUMNS
-from .seqmodel.metrics import metrics_from_arrays
 from .svgplot import emit_svg
 from .synthkin import blend_models, model_to_json, simulate, suite_models
 from .tga_io import (
@@ -80,6 +65,11 @@ from .tga_io import (
     spec_to_sidecar,
 )
 from .thermo import thermo_profile
+
+# The LSTM package (``seqmodel``) is imported only inside the model commands, so
+# the kinetic commands start without it. Its feature modes are spelled out here
+# for the parser; a test checks them against ``seqmodel.features.FEATURE_COLUMNS``.
+FEATURE_MODES = ("model1", "model2")
 
 # kinetics.txt prints conversion to two decimals; finer levels would collide there
 MIN_ALPHA_STEP = 0.01
@@ -197,10 +187,12 @@ def _windows(paths, mode, look_back, dt=None):
     feature rows are windowed. Returns the prepared curves by curve id and
     their windows.
     """
+    from .seqmodel import window_sequences
+
     curves = {}
     for path in paths:
         curve = _load_curve_file(path)
-        curve = resample_uniform(curve, dt) if dt else curve
+        curve = resample_uniform(curve, dt) if dt is not None else curve
         cid = _curve_id(curve)
         if "," in cid:
             raise InputError(f"curve id {cid!r} of {path} holds a comma, "
@@ -354,6 +346,8 @@ def cmd_synth(args):
 
 
 def cmd_features(args):
+    from .seqmodel.features import FEATURE_COLUMNS
+
     curves, samples = _windows(args.curves, args.mode, 1, args.dt)
     ids = [cid for cid, curve in curves.items() for _ in range(curve.n_points)]
     table = np.column_stack([samples.rows, samples.mass_pct]).tolist()
@@ -365,6 +359,8 @@ def cmd_features(args):
 
 
 def cmd_train(args):
+    from .seqmodel import TrainConfig, save_model, split_dataset, train
+
     if args.config:
         config = TrainConfig.from_json(_read_text(args.config, ConfigError),
                                        f"config file {args.config}")
@@ -383,6 +379,8 @@ def cmd_train(args):
 
 
 def cmd_tune(args):
+    from .seqmodel import SearchSpace, random_search, split_dataset
+
     _, samples = _windows(args.curves, args.mode, args.look_back, args.dt)
     holdout = tuple(args.holdout.split(",")) if args.holdout else ()
     train_set, val_set, _ = split_dataset(samples, holdout_curves=holdout, seed=args.seed)
@@ -411,6 +409,8 @@ def cmd_tune(args):
 
 
 def cmd_predict(args):
+    from .seqmodel import load_model, metrics_from_arrays
+
     model = load_model(_read_text(args.model))
     look_back = model.config.look_back
     curves, samples = _windows([args.curve], model.feature_mode, look_back, args.dt)
@@ -432,6 +432,8 @@ def cmd_predict(args):
 
 
 def cmd_evaluate(args):
+    from .seqmodel import evaluate, load_model, metrics_from_arrays
+
     if args.predictions:
         _, actual, predicted = predictions_from_csv(_read_text(args.predictions))
         metrics = metrics_from_arrays(actual, predicted)
@@ -521,14 +523,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", parents=[common],
                        help="emit model feature rows for curves")
     p.add_argument("curves", nargs="+")
-    p.add_argument("--mode", choices=(MODEL1, MODEL2), default=MODEL1)
+    p.add_argument("--mode", choices=FEATURE_MODES, default="model1")
     p.add_argument("--dt", type=_finite_float, default=None,
                    help="optional resampling step (K) before featurization")
     p.set_defaults(func=cmd_features)
 
     train_common = argparse.ArgumentParser(add_help=False)
     train_common.add_argument("--seed", type=int, default=0, help="master random seed")
-    train_common.add_argument("--mode", choices=(MODEL1, MODEL2), default=MODEL2)
+    train_common.add_argument("--mode", choices=FEATURE_MODES, default="model2")
     train_common.add_argument("--dt", type=_finite_float, default=None)
     train_common.add_argument("--look-back", type=int, default=20)
     train_common.add_argument("--holdout", default=None,

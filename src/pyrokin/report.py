@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InputError
 from .kinetics import METHODS, AnalysisTable, KineticEstimate
-from .seqmodel.metrics import EvalMetrics
 from .tga_io import csv_text, read_csv
+
+if TYPE_CHECKING:
+    from .seqmodel.metrics import EvalMetrics
 
 ANALYSIS_CSV_HEADER = "alpha,method,ea_kj_mol,a_per_s,r_squared"
 THERMO_CSV_HEADER = "alpha,method,quantity,value"

@@ -114,22 +114,23 @@ class TgaCurve:
     mass_fraction: np.ndarray
 
     def __post_init__(self):
-        if self.heating_rate_beta <= 0.0:
+        # each check is written so that a NaN fails it: every comparison with NaN is false
+        if not self.heating_rate_beta > 0.0:
             raise DomainError(f"heating rate must be positive, got {self.heating_rate_beta}")
         n = len(self.time_s)
         if not (len(self.temperature_k) == n == len(self.mass_fraction)):
             raise InputError("time, temperature, and mass series must have equal length")
         if n < 2:
             raise InputError("curve needs at least 2 points")
-        dt = np.diff(self.time_s)
-        if np.any(dt <= 0.0):
-            row = int(np.argmax(dt <= 0.0)) + 1
+        increasing = np.diff(self.time_s) > 0.0
+        if not np.all(increasing):
+            row = int(np.argmin(increasing)) + 1
             raise InputError(f"time not strictly increasing at row {row}")
-        dT = np.diff(self.temperature_k)
-        if np.any(dT < 0.0):
-            row = int(np.argmax(dT < 0.0)) + 1
+        rising = np.diff(self.temperature_k) >= 0.0
+        if not np.all(rising):
+            row = int(np.argmin(rising)) + 1
             raise InputError(f"temperature decreases at row {row}")
-        if np.any(self.mass_fraction <= 0.0) or np.any(self.mass_fraction > 1.0 + 1e-12):
+        if not (np.all(self.mass_fraction > 0.0) and np.all(self.mass_fraction <= 1.0 + 1e-12)):
             raise InputError("mass fraction must lie in (0, 1]")
         if abs(self.mass_fraction[0] - 1.0) > 1e-12:
             raise InputError("first mass fraction must equal 1 after normalization")

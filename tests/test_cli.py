@@ -118,6 +118,17 @@ class TestSynthCommand:
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_rate_whose_curve_is_nan_writes_nothing(self, tmp_path, capsys):
+        """A/beta overflows at beta = 1e-300, and inf * 0 is NaN at the first
+        grid point, so every mass would be NaN: such a curve could not be
+        read back, and no bundle is written."""
+        out = tmp_path / "out"
+        assert main(["synth", "--beta", "1e-300", "--out-dir", str(out)]) == 2
+        assert "mass fraction" in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
 
 class TestAnalyzeCommand:
     def test_recovers_ground_truth_within_one_percent(self, synth_dir, tmp_path, capsys):
@@ -486,6 +497,26 @@ class TestTrainPredictEvaluate:
 
     def test_evaluate_without_inputs_exits_2(self, tmp_path):
         assert main(["evaluate", "--out-dir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["features", "CURVES"],
+    ["train", "CURVES", "--epochs", "1", "--hidden", "4", "--look-back", "5"],
+    ["tune", "CURVES", "--trials", "1", "--look-back", "5", "--epochs-choices", "1",
+     "--hidden-choices", "4"],
+    ["predict", "CURVE", "--model", "MODEL"],
+    ["evaluate", "CURVES", "--model", "MODEL"],
+], ids=lambda argv: argv[0])
+def test_zero_resampling_step_exits_2(synth_dir, trained, tmp_path, capsys, argv):
+    """--dt 0 is a step, not the absence of one: it exits 2 as on analyze."""
+    inputs = {"CURVES": curve_paths(synth_dir, (5, 10, 15)),
+              "CURVE": curve_paths(synth_dir, (15,)),
+              "MODEL": [str(trained / "model.json")]}
+    argv = [a for arg in argv for a in inputs.get(arg, [arg])]
+    out = tmp_path / "out"
+    assert main([*argv, "--dt", "0", "--out-dir", str(out)]) == 2
+    assert "dT must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _edited(edit):
@@ -1062,6 +1093,44 @@ class TestParserReuse:
         monkeypatch.setattr(cli, "build_parser", refuse)
         assert main(["massbalance", "--char", "27.74"]) == 0
         assert "vm_pct = 72.26" in capsys.readouterr().out
+
+
+class TestLstmImportBoundary:
+    """The kinetic commands never load the LSTM package; the model commands do."""
+
+    def test_feature_modes_are_the_feature_layouts(self):
+        from pyrokin.seqmodel.features import FEATURE_COLUMNS
+
+        assert cli.FEATURE_MODES == tuple(sorted(FEATURE_COLUMNS))
+
+    def test_kinetic_commands_do_not_import_seqmodel(self, synth_dir, tmp_path):
+        script = """
+import sys
+from pyrokin.cli import main
+
+curves, out = sys.argv[1:4], sys.argv[4]
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("pyrokin.seqmodel"))
+
+assert loaded() == [], loaded()
+for argv in (["synth", "--beta", "10", "--out-dir", out + "/synth"],
+             ["analyze", *curves, "--format", "svg", "--out-dir", out + "/analyze"],
+             ["thermo", "--kinetics", out + "/analyze/kinetics.csv", "--curve", curves[0],
+              "--out-dir", out + "/thermo"],
+             ["massbalance", "--char", "20", "--out-dir", out]):
+    assert main(argv) == 0, argv
+assert loaded() == [], loaded()
+assert main(["features", curves[0], "--out-dir", out + "/features"]) == 0
+assert "pyrokin.seqmodel" in sys.modules
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-c", script, *curve_paths(synth_dir, (5, 10, 20)),
+             str(tmp_path)], capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        assert (tmp_path / "thermo" / "thermo.csv").exists()
+        assert (tmp_path / "features" / "features.csv").exists()
 
 
 class TestManifest:

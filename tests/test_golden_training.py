@@ -29,10 +29,16 @@ RECORDED_ON = ("2.4.6", "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFI
 
 
 def _environment():
-    from numpy._core._multiarray_umath import __cpu_features__
+    """This build's numpy version, BLAS configuration and AVX-512 support, or
+    None where numpy cannot report them: ``numpy._core`` is new in numpy 2 and
+    ``show_config(mode=...)`` in 1.25, so an older build is not the recording one."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
 
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return (np.__version__, blas.get("openblas configuration")), __cpu_features__["AVX512F"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return (np.__version__, blas.get("openblas configuration")), __cpu_features__["AVX512F"]
+    except (ImportError, AttributeError, KeyError, TypeError):
+        return None
 
 
 pytestmark = pytest.mark.skipif(
