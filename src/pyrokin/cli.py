@@ -33,7 +33,6 @@ from .manifest import write_manifest
 from .preprocess import (
     DEFAULT_M0_AT_C,
     DEFAULT_SMOOTH_WINDOW,
-    DEFAULT_STAGE_WINDOWS,
     compute_dtg,
     find_peaks,
 )
@@ -125,40 +124,32 @@ def _parse_alpha_grid(text: str):
     try:
         start, stop, step = (float(tok) for tok in text.split(":"))
     except ValueError:
-        raise InputError(
-            f"bad --alpha-grid {text!r}; expected start:stop:step"
-        ) from None
+        raise argparse.ArgumentTypeError(f"expected start:stop:step, got {text!r}") from None
     if not (0.0 < start <= stop < 1.0 and MIN_ALPHA_STEP <= step < math.inf):
-        raise InputError(
-            f"bad --alpha-grid {text!r}; need 0 < start <= stop < 1 and a finite "
-            f"step of at least {MIN_ALPHA_STEP}"
+        raise argparse.ArgumentTypeError(
+            f"need 0 < start <= stop < 1 and a finite step of at least {MIN_ALPHA_STEP}, "
+            f"got {text!r}"
         )
     n = int(round((stop - start) / step))
     grid = tuple(round(start + i * step, 10) for i in range(n + 1))
     if not 0.0 < grid[0] <= grid[-1] < 1.0:
-        raise InputError(f"bad --alpha-grid {text!r}; levels {grid[0]}..{grid[-1]} "
-                         f"leave (0, 1)")
+        raise argparse.ArgumentTypeError(f"levels {grid[0]}..{grid[-1]} of {text!r} leave (0, 1)")
     return grid
 
 
-def _finite_field(text: str, flag: str) -> float:
-    """One number of a list-valued flag, by the rule of ``_finite_float``."""
-    try:
-        return _finite_float(text)
-    except argparse.ArgumentTypeError as exc:
-        raise InputError(f"bad {flag}: {exc}") from None
-
-
 def _parse_float_list(text: str):
-    return tuple(_finite_field(tok, f"numeric list {text!r}")
-                 for tok in text.split(",") if tok.strip())
+    return tuple(_finite_float(tok) for tok in text.split(",") if tok.strip())
 
 
 def _parse_int_list(text: str):
     try:
         return tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
-        raise InputError(f"bad integer list {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected integers, got {text!r}") from None
+
+
+def _parse_str_list(text: str):
+    return tuple(text.split(",")) if text else ()
 
 
 def _parse_stage_windows(text: str):
@@ -168,10 +159,10 @@ def _parse_stage_windows(text: str):
     for part in text.split(","):
         name, *bounds = part.split(":")
         if len(bounds) != 2:
-            raise InputError(f"bad --stage-windows entry {part!r}; expected name:lo_c:hi_c")
-        lo, hi = (_finite_field(b, f"--stage-windows entry {part!r}") for b in bounds)
+            raise argparse.ArgumentTypeError(f"bad entry {part!r}; expected name:lo_c:hi_c")
+        lo, hi = map(_finite_float, bounds)
         if not lo < hi:
-            raise InputError(f"bad --stage-windows entry {part!r}; need lo_c < hi_c")
+            raise argparse.ArgumentTypeError(f"bad entry {part!r}; need lo_c < hi_c")
         windows[name.strip()] = (lo + KELVIN_OFFSET, hi + KELVIN_OFFSET)
     return windows
 
@@ -230,10 +221,9 @@ def _emit(args, command, inputs, config: dict, files: dict):
 
 def cmd_analyze(args):
     curves = [_load_curve_file(p) for p in args.curves]
-    alpha_grid = _parse_alpha_grid(args.alpha_grid)
     table = run_analysis(
         curves,
-        alpha_grid=alpha_grid,
+        alpha_grid=args.alpha_grid,
         model=KineticModelAssumption(order=args.order),
         smooth_window=args.smooth_window,
         m0_at_c=args.m0_at,
@@ -244,7 +234,7 @@ def cmd_analyze(args):
         raise InputError("--format svg needs at least 2 included conversion levels, "
                          f"got {len(table.included_alphas)} ({levels})")
     config = {
-        "alpha_grid": list(alpha_grid),
+        "alpha_grid": list(args.alpha_grid),
         "smooth_window": args.smooth_window,
         "m0_at": args.m0_at,
         "dt": args.dt,
@@ -275,12 +265,7 @@ def cmd_thermo(args):
     elif args.curve:
         inputs.append(args.curve)
         curve = resample_uniform(_load_curve_file(args.curve), args.dt)
-        windows = (
-            _parse_stage_windows(args.stage_windows)
-            if args.stage_windows
-            else DEFAULT_STAGE_WINDOWS
-        )
-        peaks = find_peaks(compute_dtg(curve, args.smooth_window), windows)
+        peaks = find_peaks(compute_dtg(curve, args.smooth_window), args.stage_windows)
         stage_peaks = [p for p in peaks if p.stage_label == args.stage]
         if not stage_peaks:
             raise InputError(
@@ -315,8 +300,7 @@ def cmd_thermo(args):
 
 
 def cmd_synth(args):
-    betas = _parse_float_list(args.beta)
-    if not betas:
+    if not args.beta:
         raise InputError("need at least one heating rate")
     models = {name: (model, spec) for name, model, spec in suite_models()}
     if args.preset == "blend":
@@ -333,16 +317,22 @@ def cmd_synth(args):
             f"unknown preset {args.preset!r}; choose from "
             f"{sorted(models) + ['blend']}"
         )
-    config = {"preset": args.preset, "betas": list(betas), "dt": args.dt,
+    config = {"preset": args.preset, "betas": list(args.beta), "dt": args.dt,
               "frac": args.frac}
-    files = {}
-    for beta in betas:
+    stems = {}  # file stem: heating rate; checked before anything is simulated
+    for beta in args.beta:
         stem = f"{name}_beta{beta:g}"
+        if stem in stems:
+            raise InputError(f"heating rates {stems[stem]!r} and {beta!r} K/min would "
+                             f"both be written to {stem}.csv")
+        stems[stem] = beta
+    files = {}
+    for stem, beta in stems.items():
         files[f"{stem}.csv"] = curve_to_csv(simulate(model, beta, args.dt, spec=spec))
         files[f"{stem}.json"] = spec_to_sidecar(spec, beta)
     files[f"{name}_model.json"] = model_to_json(model)
     _emit(args, "synth", [], config, files)
-    print(f"wrote {len(betas)} curves for preset {name}")
+    print(f"wrote {len(stems)} curves for preset {name}")
 
 
 def cmd_features(args):
@@ -368,11 +358,11 @@ def cmd_train(args):
         # every train flag's dest is the TrainConfig field it sets
         config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     _, samples = _windows(args.curves, args.mode, config.look_back, args.dt)
-    holdout = tuple(args.holdout.split(",")) if args.holdout else ()
-    train_set, val_set, _ = split_dataset(samples, holdout_curves=holdout, seed=args.seed)
+    train_set, val_set, _ = split_dataset(samples, holdout_curves=args.holdout, seed=args.seed)
     model, history = train(train_set, val_set, config)
     _emit(args, "train", args.curves,
-          {"mode": args.mode, "dt": args.dt, "holdout": list(holdout), **config.to_dict()},
+          {"mode": args.mode, "dt": args.dt, "holdout": list(args.holdout),
+           **config.to_dict()},
           {"model.json": save_model(model), "history.csv": history_to_csv(history)})
     best = min(rec.val_loss for rec in history)
     print(f"trained {len(history)} epochs; best val loss = {best:.6g}")
@@ -382,26 +372,17 @@ def cmd_tune(args):
     from .seqmodel import SearchSpace, random_search, split_dataset
 
     _, samples = _windows(args.curves, args.mode, args.look_back, args.dt)
-    holdout = tuple(args.holdout.split(",")) if args.holdout else ()
-    train_set, val_set, _ = split_dataset(samples, holdout_curves=holdout, seed=args.seed)
-    space = SearchSpace(
-        learning_rate_bounds=tuple(_parse_float_list(args.lr_bounds)),
-        batch_sizes=_parse_int_list(args.batch_choices),
-        epochs_choices=_parse_int_list(args.epochs_choices),
-        dropout_choices=_parse_float_list(args.dropout_choices),
-        hidden_choices=_parse_int_list(args.hidden_choices),
-        layer_choices=_parse_int_list(args.layers_choices),
-        activations=tuple(args.activations.split(",")),
-        optimizers=tuple(args.optimizers.split(",")),
-        look_back_choices=(args.look_back,),
-        early_stop_patience=args.early_stop_patience,
-    )
+    train_set, val_set, _ = split_dataset(samples, holdout_curves=args.holdout, seed=args.seed)
+    # a catalogue flag left out is None and keeps SearchSpace's default
+    given = {f.name: getattr(args, f.name) for f in fields(SearchSpace)
+             if getattr(args, f.name, None) is not None}
+    space = SearchSpace(**given, look_back_choices=(args.look_back,))
     best_config, leaderboard = random_search(
         space, args.trials, args.seed, train_set, val_set
     )
     _emit(args, "tune", args.curves,
           {"mode": args.mode, "trials": args.trials, "dt": args.dt,
-           "holdout": list(holdout), "space": str(space)},
+           "holdout": list(args.holdout), "space": str(space)},
           {"leaderboard.csv": leaderboard_to_csv(leaderboard),
            "best_config.json": json.dumps(best_config.to_dict(), indent=2,
                                           sort_keys=True) + "\n"})
@@ -485,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="csv: machine output only; text: plus aligned tables; "
                         "svg: plus charts")
     p.add_argument("curves", nargs="+", help="curve CSVs (each with a .json sidecar)")
-    p.add_argument("--alpha-grid", default="0.1:0.7:0.1")
+    p.add_argument("--alpha-grid", type=_parse_alpha_grid, default="0.1:0.7:0.1")
     p.add_argument("--smooth-window", type=int, default=DEFAULT_SMOOTH_WINDOW)
     p.add_argument("--m0-at", type=_finite_float, default=DEFAULT_M0_AT_C,
                    help="temperature (C) whose mass defines conversion zero")
@@ -504,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="curve CSV whose DTG peak supplies the reference temperature")
     p.add_argument("--stage", default="hemicellulose",
                    help="stage whose peak is the reference")
-    p.add_argument("--stage-windows", default=None,
+    p.add_argument("--stage-windows", type=_parse_stage_windows, default=None,
                    help="override stage windows: name:lo_c:hi_c[,...]")
     p.add_argument("--smooth-window", type=int, default=DEFAULT_SMOOTH_WINDOW)
     p.add_argument("--dt", type=_finite_float, default=0.5)
@@ -514,7 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="generate synthetic ground-truth curves")
     p.add_argument("--preset", default="single-step",
                    help="single-step, three-component-ds, three-component-scg, or blend")
-    p.add_argument("--beta", default="5,10,15,20", help="heating rates (K/min)")
+    p.add_argument("--beta", type=_parse_float_list, default="5,10,15,20",
+                   help="heating rates (K/min)")
     p.add_argument("--dt", type=_finite_float, default=0.5)
     p.add_argument("--frac", type=_finite_float, default=0.75,
                    help="first-parent fraction for the blend preset")
@@ -533,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     train_common.add_argument("--mode", choices=FEATURE_MODES, default="model2")
     train_common.add_argument("--dt", type=_finite_float, default=None)
     train_common.add_argument("--look-back", type=int, default=20)
-    train_common.add_argument("--holdout", default=None,
+    train_common.add_argument("--holdout", type=_parse_str_list, default=(),
                               help="comma-separated curve ids excluded from train/val")
     train_common.add_argument("--patience", dest="early_stop_patience", type=int, default=5)
 
@@ -557,14 +539,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="random hyperparameter search")
     p.add_argument("curves", nargs="+")
     p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--lr-bounds", default="0.0001,0.01")
-    p.add_argument("--batch-choices", default="32,64")
-    p.add_argument("--epochs-choices", default="10,20,30,40,50")
-    p.add_argument("--dropout-choices", default="0.1,0.2,0.3,0.4,0.5")
-    p.add_argument("--hidden-choices", default="64,96,128,160,192,224,256")
-    p.add_argument("--layers-choices", default="1,2,3")
-    p.add_argument("--activations", default="relu,sigmoid,tanh")
-    p.add_argument("--optimizers", default="adam,sgd,rmsprop")
+    # the catalogue: each dest is a SearchSpace field, whose default applies
+    p.add_argument("--lr-bounds", dest="learning_rate_bounds", type=_parse_float_list)
+    p.add_argument("--batch-choices", dest="batch_sizes", type=_parse_int_list)
+    p.add_argument("--epochs-choices", type=_parse_int_list)
+    p.add_argument("--dropout-choices", type=_parse_float_list)
+    p.add_argument("--hidden-choices", type=_parse_int_list)
+    p.add_argument("--layers-choices", dest="layer_choices", type=_parse_int_list)
+    p.add_argument("--activations", type=_parse_str_list)
+    p.add_argument("--optimizers", type=_parse_str_list)
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("predict", parents=[common],

@@ -595,9 +595,13 @@ def load_model(text: str) -> LstmModel:
     if unexpected:
         raise InputError(f"checkpoint weights not in the config: {', '.join(unexpected)}")
     packed = version == 2
+    # every tensor is checked before the vector the config sizes is allocated,
+    # so a config far larger than its weights is rejected, not allocated
+    arrays = {k: _checkpoint_array(weights[k], shape, f"weight {k}", packed)
+              for k, shape in shapes.items()}
     params = Params(feature_count, config)
-    for k, shape in shapes.items():
-        params[k][...] = _checkpoint_array(weights[k], shape, f"weight {k}", packed)
+    for k, array in arrays.items():
+        params[k][...] = array
     return LstmModel(
         params=params,
         config=config,

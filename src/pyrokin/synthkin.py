@@ -111,7 +111,11 @@ def simulate(model: PseudoComponentModel, beta: float, dT: float,
     h = (model.t_end - model.t_start) / n_steps
 
     eas = np.array([c.ea for c in model.components])
-    a_over_beta = np.array([c.a for c in model.components]) / beta_s
+    with np.errstate(over="ignore", divide="ignore"):
+        a_over_beta = np.array([c.a for c in model.components]) / beta_s
+    if not np.isfinite(a_over_beta).all():
+        raise DomainError(f"heating rate {beta!r} K/min is too small: A/beta overflows, "
+                          f"so every mass fraction would be NaN")
     fracs = np.array([c.fraction for c in model.components])
 
     # temperature integral per component, shape (components, grid points)

@@ -1,9 +1,10 @@
 """The training loop that ``train`` replaced, kept as the reference for the
 histories and weights it produced: it gathers the whole training split's
 ``(n, look_back, F)`` window stack before the first step, scales the feature
-rows once per split, gives every step a fresh forward cache, and
+rows once per split, gives every step a fresh forward cache,
 backpropagates with ``reference_backward_batch``, the BPTT that
-``backward_batch`` replaced."""
+``backward_batch`` replaced, and steps with ``ReferenceOptimizer``, which
+shares no code with the package's flat-vector optimizers."""
 
 import math
 
@@ -17,7 +18,44 @@ from pyrokin.seqmodel.lstm import (
     forward_batch,
     init_params,
 )
-from pyrokin.seqmodel.training import EpochRecord, _dataset_loss, _make_optimizer
+from pyrokin.seqmodel.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    RMSPROP_EPS,
+    RMSPROP_RHO,
+    EpochRecord,
+    _dataset_loss,
+)
+
+
+class ReferenceOptimizer:
+    """SGD, RMSprop and Adam written from their update rules, one tensor at
+    a time over the ``param_shapes`` views, with state per tensor. Each
+    expression is evaluated left to right in the package's order, so an
+    update made in another order changes the bits."""
+
+    def __init__(self, config):
+        self.kind, self.lr = config.optimizer, config.learning_rate
+        self.m, self.v = {}, {}
+        self.t = 0
+
+    def step(self, params, grads):
+        self.t += 1
+        for key, p in params.items():
+            g = grads[key]
+            if self.kind == "sgd":
+                p -= g * self.lr
+            elif self.kind == "rmsprop":
+                v = self.v.get(key, 0.0) * RMSPROP_RHO + g * g * (1.0 - RMSPROP_RHO)
+                p -= g * self.lr / (np.sqrt(v) + RMSPROP_EPS)
+                self.v[key] = v
+            else:
+                m = self.m.get(key, 0.0) * ADAM_BETA1 + g * (1.0 - ADAM_BETA1)
+                v = self.v.get(key, 0.0) * ADAM_BETA2 + g * g * (1.0 - ADAM_BETA2)
+                bias1, bias2 = 1.0 - ADAM_BETA1**self.t, 1.0 - ADAM_BETA2**self.t
+                p -= m / bias1 * self.lr / (np.sqrt(v / bias2) + ADAM_EPS)
+                self.m[key], self.v[key] = m, v
 
 
 def reference_backward_batch(params, cache, dpred):
@@ -98,7 +136,7 @@ def reference_train(train_samples, val_samples, config):
 
     rng = np.random.default_rng(config.seed)
     params = init_params(feature_count, config, rng)
-    optimizer = _make_optimizer(config)
+    optimizer = ReferenceOptimizer(config)
 
     history = []
     best_val = math.inf

@@ -1,8 +1,10 @@
+import argparse
 import base64
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from pyrokin import cli
 from pyrokin.cli import _parse_alpha_grid, check_mass_balance, main, vm_from_char
-from pyrokin.errors import DomainError, InputError
+from pyrokin.errors import DomainError
 from pyrokin.report import predictions_to_csv
 import numpy as np
 
@@ -128,6 +130,30 @@ class TestSynthCommand:
         assert main(["synth", "--beta", "1e-300", "--out-dir", str(out)]) == 2
         assert "mass fraction" in capsys.readouterr().err
         assert not out.exists() or not list(out.iterdir())
+
+    def test_rate_whose_a_over_beta_overflows_is_named(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["synth", "--beta", "1e-300", "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "heating rate 1e-300 K/min" in err and "overflows" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("betas, first, file", [
+        ("5,5", "5.0", "single-step_beta5.csv"),
+        ("10,10.0000001", "10.0", "single-step_beta10.csv"),
+    ])
+    def test_rates_sharing_a_file_name_write_nothing(self, tmp_path, capsys, monkeypatch,
+                                                      betas, first, file):
+        """A second rate whose file stem equals an earlier one would overwrite
+        its curve; both are rejected before anything is simulated."""
+        monkeypatch.setattr(cli, "simulate", None)
+        out = tmp_path / "out"
+        assert main(["synth", "--beta", betas, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"heating rates {first} and {betas.split(',')[1]}" in err and file in err
+        assert not out.exists()
 
 
 class TestAnalyzeCommand:
@@ -1052,7 +1078,7 @@ FIELDS = st.one_of(st.floats().map(repr), st.text(max_size=6))
 def test_alpha_grid_is_bounded_or_rejected(text):
     try:
         grid = _parse_alpha_grid(text)
-    except InputError:
+    except argparse.ArgumentTypeError:
         return
     assert 0.0 < grid[0] and grid[-1] < 1.0 and len(grid) <= 101
     assert all(a < b for a, b in zip(grid, grid[1:]))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pyrokin.errors import PyrokinError
+from pyrokin.errors import InputError, PyrokinError
 from pyrokin.seqmodel.features import MinMaxScaler
 from pyrokin.seqmodel.lstm import LstmModel, init_params, load_model, save_model
 from pyrokin.seqmodel.training import TrainConfig
@@ -117,6 +117,15 @@ def test_valid_document_with_one_value_replaced_or_removed(reader, data):
 @pytest.mark.parametrize("reader", VALID)
 def test_valid_documents_parse(reader):
     READERS[reader](VALID[reader])
+
+
+@pytest.mark.parametrize("reader", ["checkpoint", "checkpoint-v1"])
+def test_config_far_larger_than_its_weights_is_rejected_before_allocation(reader):
+    # at 10**6 hidden units the parameter vector would take 32 TB
+    doc = json.loads(VALID[reader])
+    doc["config"]["hidden_units"] = 10**6
+    with pytest.raises(InputError, match="weight l0"):
+        load_model(json.dumps(doc))
 
 
 # mostly base64 characters, so that many edits keep the text decodable
