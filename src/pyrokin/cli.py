@@ -31,10 +31,12 @@ from .errors import ConfigError, DomainError, InputError, PyrokinError
 from .kinetics import METHODS, KineticModelAssumption, run_analysis
 from .manifest import write_manifest
 from .preprocess import (
+    DEFAULT_ALPHA_GRID,
     DEFAULT_M0_AT_C,
     DEFAULT_SMOOTH_WINDOW,
     compute_dtg,
     find_peaks,
+    kelvin_windows,
 )
 from .report import (
     analysis_from_csv,
@@ -70,7 +72,8 @@ from .thermo import thermo_profile
 # for the parser; a test checks them against ``seqmodel.features.FEATURE_COLUMNS``.
 FEATURE_MODES = ("model1", "model2")
 
-# kinetics.txt prints conversion to two decimals; finer levels would collide there
+# caps an --alpha-grid at 99 levels in (0, 1); kinetics.txt prints as many
+# decimals as the levels need to tell them apart
 MIN_ALPHA_STEP = 0.01
 
 MASS_BALANCE_TOL = 0.005
@@ -153,18 +156,21 @@ def _parse_str_list(text: str):
 
 
 def _parse_stage_windows(text: str):
-    """Format: name:lo_c:hi_c[,name:lo_c:hi_c...] with finite lo_c < hi_c;
-    returns kelvin windows."""
+    """Format: name:lo_c:hi_c[,name:lo_c:hi_c...] with finite lo_c < hi_c and
+    no name twice; returns kelvin windows."""
     windows = {}
     for part in text.split(","):
         name, *bounds = part.split(":")
+        name = name.strip()
         if len(bounds) != 2:
             raise argparse.ArgumentTypeError(f"bad entry {part!r}; expected name:lo_c:hi_c")
         lo, hi = map(_finite_float, bounds)
         if not lo < hi:
             raise argparse.ArgumentTypeError(f"bad entry {part!r}; need lo_c < hi_c")
-        windows[name.strip()] = (lo + KELVIN_OFFSET, hi + KELVIN_OFFSET)
-    return windows
+        if name in windows:
+            raise argparse.ArgumentTypeError(f"stage {name!r} is given twice")
+        windows[name] = (lo, hi)
+    return kelvin_windows(windows)
 
 
 def _curve_id(curve) -> str:
@@ -178,7 +184,7 @@ def _windows(paths, mode, look_back, dt=None):
     feature rows are windowed. Returns the prepared curves by curve id and
     their windows.
     """
-    from .seqmodel import window_sequences
+    from .seqmodel.features import window_sequences
 
     curves = {}
     for path in paths:
@@ -349,7 +355,9 @@ def cmd_features(args):
 
 
 def cmd_train(args):
-    from .seqmodel import TrainConfig, save_model, split_dataset, train
+    from .seqmodel.features import split_dataset
+    from .seqmodel.lstm import save_model
+    from .seqmodel.training import TrainConfig, train
 
     if args.config:
         config = TrainConfig.from_json(_read_text(args.config, ConfigError),
@@ -369,14 +377,15 @@ def cmd_train(args):
 
 
 def cmd_tune(args):
-    from .seqmodel import SearchSpace, random_search, split_dataset
+    from .seqmodel.features import split_dataset
+    from .seqmodel.search import SearchSpace, random_search
 
-    _, samples = _windows(args.curves, args.mode, args.look_back, args.dt)
-    train_set, val_set, _ = split_dataset(samples, holdout_curves=args.holdout, seed=args.seed)
     # a catalogue flag left out is None and keeps SearchSpace's default
     given = {f.name: getattr(args, f.name) for f in fields(SearchSpace)
              if getattr(args, f.name, None) is not None}
     space = SearchSpace(**given, look_back_choices=(args.look_back,))
+    _, samples = _windows(args.curves, args.mode, args.look_back, args.dt)
+    train_set, val_set, _ = split_dataset(samples, holdout_curves=args.holdout, seed=args.seed)
     best_config, leaderboard = random_search(
         space, args.trials, args.seed, train_set, val_set
     )
@@ -390,7 +399,8 @@ def cmd_tune(args):
 
 
 def cmd_predict(args):
-    from .seqmodel import load_model, metrics_from_arrays
+    from .seqmodel.lstm import load_model
+    from .seqmodel.metrics import metrics_from_arrays
 
     model = load_model(_read_text(args.model))
     look_back = model.config.look_back
@@ -413,7 +423,8 @@ def cmd_predict(args):
 
 
 def cmd_evaluate(args):
-    from .seqmodel import evaluate, load_model, metrics_from_arrays
+    from .seqmodel.lstm import load_model
+    from .seqmodel.metrics import evaluate, metrics_from_arrays
 
     if args.predictions:
         _, actual, predicted = predictions_from_csv(_read_text(args.predictions))
@@ -466,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="csv: machine output only; text: plus aligned tables; "
                         "svg: plus charts")
     p.add_argument("curves", nargs="+", help="curve CSVs (each with a .json sidecar)")
-    p.add_argument("--alpha-grid", type=_parse_alpha_grid, default="0.1:0.7:0.1")
+    p.add_argument("--alpha-grid", type=_parse_alpha_grid, default=DEFAULT_ALPHA_GRID)
     p.add_argument("--smooth-window", type=int, default=DEFAULT_SMOOTH_WINDOW)
     p.add_argument("--m0-at", type=_finite_float, default=DEFAULT_M0_AT_C,
                    help="temperature (C) whose mass defines conversion zero")

@@ -21,15 +21,25 @@ DEFAULT_M0_AT_C = 160.0
 DEFAULT_ALPHA_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
 PEAK_THRESHOLD_FRAC = 0.05
 
-# Conventional lignocellulosic decomposition stages, in kelvin. The lignin
+# Conventional lignocellulosic decomposition stages, in degrees Celsius: the
+# one table of stage windows (the fibre features use it too). The lignin
 # stage intentionally spans the whole active range; lignin devolatilizes
-# slowly without a sharp peak of its own.
-DEFAULT_STAGE_WINDOWS = {
-    "moisture": (0.0, 160.0 + KELVIN_OFFSET),
-    "hemicellulose": (225.0 + KELVIN_OFFSET, 325.0 + KELVIN_OFFSET),
-    "cellulose": (315.0 + KELVIN_OFFSET, 405.0 + KELVIN_OFFSET),
-    "lignin": (160.0 + KELVIN_OFFSET, 900.0 + KELVIN_OFFSET),
+# slowly without a sharp peak of its own. Moisture starts at 0 K.
+STAGE_WINDOWS_C = {
+    "moisture": (-KELVIN_OFFSET, 160.0),
+    "hemicellulose": (225.0, 325.0),
+    "cellulose": (315.0, 405.0),
+    "lignin": (160.0, 900.0),
 }
+
+
+def kelvin_windows(windows_c):
+    """Stage windows in degrees Celsius to the kelvin windows ``find_peaks`` reads."""
+    return {name: (lo + KELVIN_OFFSET, hi + KELVIN_OFFSET)
+            for name, (lo, hi) in windows_c.items()}
+
+
+DEFAULT_STAGE_WINDOWS = kelvin_windows(STAGE_WINDOWS_C)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import numpy as np
 
 from ..constants import KELVIN_OFFSET
 from ..errors import DomainError, InputError
+from ..preprocess import STAGE_WINDOWS_C
 from ..tga_io import TgaCurve
 
 MODEL1 = "model1"
@@ -24,12 +25,8 @@ MODEL1_FEATURES = ("ds_pct", "scg_pct", "heating_rate", "temperature")
 MODEL2_FEATURES = MODEL1_FEATURES + ("cellulose_t", "hemicellulose_t", "lignin_t")
 FEATURE_COLUMNS = {MODEL1: MODEL1_FEATURES, MODEL2: MODEL2_FEATURES}
 
-# Decomposition windows in degrees Celsius used for the dynamic fibre features.
-FIBRE_WINDOWS_C = {
-    "cellulose": (315.0, 405.0),
-    "hemicellulose": (225.0, 325.0),
-    "lignin": (160.0, 900.0),
-}
+# The decomposition stage windows (degrees Celsius) of the dynamic fibre features.
+FIBRE_WINDOWS_C = {name: w for name, w in STAGE_WINDOWS_C.items() if name != "moisture"}
 
 DEFAULT_LOOK_BACK = 20
 

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ..errors import ConfigError
 from .training import TrainConfig, train
+
+# Each catalogue a trial draws one value from, in draw order, and the
+# TrainConfig field the value sets.
+_PICKED = {"batch_sizes": "batch_size", "epochs_choices": "epochs",
+           "dropout_choices": "dropout", "hidden_choices": "hidden_units",
+           "layer_choices": "lstm_layers", "activations": "activation",
+           "optimizers": "optimizer", "look_back_choices": "look_back"}
 
 
 @dataclass(frozen=True)
@@ -33,34 +39,25 @@ class SearchSpace:
     early_stop_patience: int = 5
 
     def __post_init__(self):
-        bounds = self.learning_rate_bounds
-        if not (len(bounds) == 2 and all(0.0 < b < math.inf for b in bounds)
-                and bounds[0] <= bounds[1]):
-            raise ConfigError(
-                f"learning_rate_bounds must be two finite positive numbers lo <= hi, "
-                f"got {bounds}"
-            )
         empty = [f.name for f in fields(self) if getattr(self, f.name) == ()]
         if empty:
             raise ConfigError(f"empty search choices: {', '.join(empty)}")
+        # every value must make a valid TrainConfig, so none fails a later trial
+        for name, field in {"learning_rate_bounds": "learning_rate", **_PICKED}.items():
+            for value in getattr(self, name):
+                TrainConfig(**{field: value})
+        TrainConfig(early_stop_patience=self.early_stop_patience)
+        bounds = self.learning_rate_bounds
+        if len(bounds) != 2 or not bounds[0] <= bounds[1]:
+            raise ConfigError(f"learning_rate_bounds must be two numbers lo <= hi, got {bounds}")
 
     def sample(self, rng: np.random.Generator, seed: int) -> TrainConfig:
         lo, hi = self.learning_rate_bounds
-        lr = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-        pick = lambda choices: choices[int(rng.integers(len(choices)))]
-        return TrainConfig(
-            learning_rate=lr,
-            batch_size=pick(self.batch_sizes),
-            epochs=pick(self.epochs_choices),
-            dropout=pick(self.dropout_choices),
-            hidden_units=pick(self.hidden_choices),
-            lstm_layers=pick(self.layer_choices),
-            activation=pick(self.activations),
-            optimizer=pick(self.optimizers),
-            look_back=pick(self.look_back_choices),
-            early_stop_patience=self.early_stop_patience,
-            seed=seed,
-        )
+        values = {"learning_rate": float(np.exp(rng.uniform(np.log(lo), np.log(hi))))}
+        for name, field in _PICKED.items():
+            choices = getattr(self, name)
+            values[field] = choices[int(rng.integers(len(choices)))]
+        return TrainConfig(**values, early_stop_patience=self.early_stop_patience, seed=seed)
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,9 @@ from pyrokin.kinetics import (
 )
 from pyrokin.constants import GAS_CONSTANT as R
 from pyrokin.preprocess import compute_dtg
-from pyrokin.seqmodel import (
-    TrainConfig,
-    evaluate,
-    split_dataset,
-    train,
-    window_sequences,
-)
+from pyrokin.seqmodel.features import split_dataset, window_sequences
+from pyrokin.seqmodel.metrics import evaluate
+from pyrokin.seqmodel.training import TrainConfig, train
 from pyrokin.synthkin import (
     PseudoComponent,
     PseudoComponentModel,

@@ -18,7 +18,7 @@ from pyrokin.errors import DomainError
 from pyrokin.report import predictions_to_csv
 import numpy as np
 
-from pyrokin.seqmodel import MODEL2, build_features
+from pyrokin.seqmodel.features import MODEL2, build_features
 from pyrokin.seqmodel.lstm import CHECKPOINT_VERSION, load_model, save_model
 from pyrokin.synthkin import simulate, suite_models
 from pyrokin.tga_io import (
@@ -84,6 +84,11 @@ class TestMassBalanceOps:
         assert main(["massbalance", "--char", "29.04", "--vm", "70.69"]) == 0
         assert "INCONSISTENT" in capsys.readouterr().out
 
+    def test_cli_confirms_consistent_pair(self, capsys):
+        assert main(["massbalance", "--char", "29.04", "--vm", "70.96"]) == 0
+        out = capsys.readouterr().out
+        assert "mass balance: consistent (70.96 + 29.04 = 100)" in out
+
 
 class TestSynthCommand:
     def test_writes_curve_and_sidecar_per_beta(self, tmp_path, capsys):
@@ -104,6 +109,11 @@ class TestSynthCommand:
         )
         assert rc == 0
         assert (tmp_path / "blend-0.5_beta10.csv").exists()
+
+    def test_empty_heating_rate_list_exits_2(self, tmp_path, capsys):
+        assert main(["synth", "--beta", "", "--out-dir", str(tmp_path / "out")]) == 2
+        assert "need at least one heating rate" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_preset_is_config_error(self, tmp_path, capsys):
         rc = main(["synth", "--preset", "nope", "--out-dir", str(tmp_path)])
@@ -368,6 +378,53 @@ class TestThermoCommand:
         manifest = json.loads((tmp_path / "tm" / "manifest.json").read_text())
         assert manifest["inputs"] == [kinetics]
 
+    def test_without_tm_or_curve_exits_2(self, synth_dir, tmp_path, capsys):
+        kin = tmp_path / "k"
+        assert main(["analyze", *curve_paths(synth_dir), "--out-dir", str(kin)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["thermo", "--kinetics", str(kin / "kinetics.csv"),
+                     "--out-dir", str(out)]) == 2
+        assert "need --tm or --curve" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_stage_windows_override_the_default_table(self, synth_dir, tmp_path, capsys):
+        kin = tmp_path / "k"
+        assert main(["analyze", *curve_paths(synth_dir), "--out-dir", str(kin)]) == 0
+        argv = ["thermo", "--kinetics", str(kin / "kinetics.csv"),
+                "--curve", curve_paths(synth_dir, (10,))[0]]
+        runs = {}
+        for name, extra in (("default", []),
+                            ("same", ["--stage-windows", "hemicellulose:225:325"]),
+                            ("moved", ["--stage-windows", "hemicellulose:300:340"])):
+            capsys.readouterr()
+            assert main([*argv, *extra, "--out-dir", str(tmp_path / name)]) == 0
+            runs[name] = (capsys.readouterr().out,
+                          (tmp_path / name / "thermo.csv").read_bytes())
+        # the default hemicellulose window, given as a flag, is the same window
+        assert runs["same"] == runs["default"]
+        # a window ending below the single-step peak (625.5 K) moves Tm to
+        # its last grid point, 613.0 K, from the default window's 598.0 K
+        assert "Tm = 598.00 K" in runs["default"][0]
+        assert "Tm = 613.00 K" in runs["moved"][0]
+        assert runs["moved"][1] != runs["default"][1]
+
+    @pytest.mark.parametrize("windows", [
+        "hemicellulose:225:325,hemicellulose:300:400",
+        "hemicellulose:225:325, hemicellulose :300:400",
+    ])
+    def test_repeated_stage_name_exits_2_before_reading(self, tmp_path, capsys, windows):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["thermo", "--kinetics", str(tmp_path / "absent.csv"),
+                  "--curve", str(tmp_path / "absent-curve.csv"),
+                  "--stage-windows", windows, "--out-dir", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "stage 'hemicellulose' is given twice" in err
+        assert not out.exists()
+
     def test_bad_kinetics_header_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "kinetics.csv"
         bad.write_text("alpha,method\n0.1,friedman\n")
@@ -523,6 +580,16 @@ class TestTrainPredictEvaluate:
 
     def test_evaluate_without_inputs_exits_2(self, tmp_path):
         assert main(["evaluate", "--out-dir", str(tmp_path)]) == 2
+
+    def test_look_back_past_every_curve_exits_2(self, synth_dir, tmp_path, capsys):
+        # at --dt 6 each fixture curve has 101 rows
+        out = tmp_path / "out"
+        rc = main(["train", *curve_paths(synth_dir, (5, 10, 15)), "--dt", "6.0",
+                   "--look-back", "101", "--epochs", "1", "--hidden", "4",
+                   "--out-dir", str(out)])
+        assert rc == 2
+        assert "no windows" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -713,6 +780,28 @@ class TestTuneCommand:
         )
         assert rc == 0
         assert (out / "model.json").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--activations", "tanh,bogus"),
+        ("--batch-choices", "32,0"),
+        ("--dropout-choices", "0.0,1.0"),
+        ("--layers-choices", "1,0"),
+    ])
+    def test_catalogue_value_train_config_rejects_exits_4(self, synth_dir, tmp_path, capsys,
+                                                         monkeypatch, flag, value):
+        """Every catalogue value is checked before the first trial trains, not
+        only the values a trial happens to draw: each seed's one trial would
+        draw the valid value or the bad one, and neither trains."""
+        def no_training(*args):
+            raise AssertionError("a trial trained")
+        monkeypatch.setattr("pyrokin.seqmodel.search.train", no_training)
+        out = tmp_path / "out"
+        for seed in range(4):
+            argv = [*self.tune_args(synth_dir, out), "--trials", "1", "--seed", str(seed),
+                    flag, value]
+            assert main(argv) == 4
+            assert "config error" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_malformed_config_file_exits_4(self, synth_dir, tmp_path):
         bad = tmp_path / "bad.json"

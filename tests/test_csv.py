@@ -29,10 +29,10 @@ from pyrokin.report import (
     predictions_to_csv,
     thermo_to_csv,
 )
-from pyrokin.seqmodel import MODEL2, TrainConfig, build_features
+from pyrokin.seqmodel.features import MODEL2, build_features
 from pyrokin.seqmodel.metrics import EvalMetrics
 from pyrokin.seqmodel.search import TrialResult
-from pyrokin.seqmodel.training import EpochRecord
+from pyrokin.seqmodel.training import EpochRecord, TrainConfig
 from pyrokin.tga_io import (
     CSV_HEADER_2COL,
     CSV_HEADER_3COL,

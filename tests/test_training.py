@@ -298,6 +298,16 @@ class TestRandomSearch:
         {"hidden_choices": ()},
         {"optimizers": ()},
         {"look_back_choices": ()},
+        {"activations": ("tanh", "bogus")},
+        {"optimizers": ("adam", "lbfgs")},
+        {"batch_sizes": (32, 0)},
+        {"epochs_choices": (0,)},
+        {"dropout_choices": (0.0, 1.0)},
+        {"hidden_choices": (4, -1)},
+        {"layer_choices": (0,)},
+        {"look_back_choices": (0,)},
+        {"early_stop_patience": -1},
+        {"learning_rate_bounds": (0.001, True)},
     ])
     def test_malformed_space_is_config_error(self, change):
         with pytest.raises(ConfigError):
