@@ -363,8 +363,10 @@ def cmd_train(args):
         config = TrainConfig.from_json(_read_text(args.config, ConfigError),
                                        f"config file {args.config}")
     else:
-        # every train flag's dest is the TrainConfig field it sets
-        config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
+        # every train flag's dest is the TrainConfig field it sets; a flag
+        # left out is None and keeps TrainConfig's default
+        config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)
+                                if getattr(args, f.name) is not None})
     _, samples = _windows(args.curves, args.mode, config.look_back, args.dt)
     train_set, val_set, _ = split_dataset(samples, holdout_curves=args.holdout, seed=args.seed)
     model, history = train(train_set, val_set, config)
@@ -379,11 +381,13 @@ def cmd_train(args):
 def cmd_tune(args):
     from .seqmodel.features import split_dataset
     from .seqmodel.search import SearchSpace, random_search
+    from .seqmodel.training import TrainConfig
 
     # a catalogue flag left out is None and keeps SearchSpace's default
     given = {f.name: getattr(args, f.name) for f in fields(SearchSpace)
-             if getattr(args, f.name, None) is not None}
-    space = SearchSpace(**given, look_back_choices=(args.look_back,))
+             if getattr(args, f.name) is not None}
+    space = SearchSpace(**given)
+    TrainConfig(look_back=args.look_back)  # every trial's; checked before any curve is read
     _, samples = _windows(args.curves, args.mode, args.look_back, args.dt)
     train_set, val_set, _ = split_dataset(samples, holdout_curves=args.holdout, seed=args.seed)
     best_config, leaderboard = random_search(
@@ -391,7 +395,7 @@ def cmd_tune(args):
     )
     _emit(args, "tune", args.curves,
           {"mode": args.mode, "trials": args.trials, "dt": args.dt,
-           "holdout": list(args.holdout), "space": str(space)},
+           "holdout": list(args.holdout), "look_back": args.look_back, "space": str(space)},
           {"leaderboard.csv": leaderboard_to_csv(leaderboard),
            "best_config.json": json.dumps(best_config.to_dict(), indent=2,
                                           sort_keys=True) + "\n"})
@@ -528,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     train_common.add_argument("--look-back", type=int, default=20)
     train_common.add_argument("--holdout", type=_parse_str_list, default=(),
                               help="comma-separated curve ids excluded from train/val")
-    train_common.add_argument("--patience", dest="early_stop_patience", type=int, default=5)
+    train_common.add_argument("--patience", dest="early_stop_patience", type=int)
 
     p = sub.add_parser("train", parents=[common, train_common],
                        help="train the mass-loss predictor")
@@ -536,14 +540,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None,
                    help="JSON training config (e.g. best_config.json from tune); "
                         "overrides the individual hyperparameter flags")
-    p.add_argument("--lr", dest="learning_rate", type=_finite_float, default=0.005)
-    p.add_argument("--batch", dest="batch_size", type=int, default=32)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--dropout", type=_finite_float, default=0.0)
-    p.add_argument("--hidden", dest="hidden_units", type=int, default=32)
-    p.add_argument("--layers", dest="lstm_layers", type=int, default=1)
-    p.add_argument("--activation", choices=("relu", "sigmoid", "tanh"), default="tanh")
-    p.add_argument("--optimizer", choices=("adam", "sgd", "rmsprop"), default="adam")
+    # each dest is a TrainConfig field, whose default applies
+    p.add_argument("--lr", dest="learning_rate", type=_finite_float)
+    p.add_argument("--batch", dest="batch_size", type=int)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--dropout", type=_finite_float)
+    p.add_argument("--hidden", dest="hidden_units", type=int)
+    p.add_argument("--layers", dest="lstm_layers", type=int)
+    p.add_argument("--activation", choices=("relu", "sigmoid", "tanh"))
+    p.add_argument("--optimizer", choices=("adam", "sgd", "rmsprop"))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("tune", parents=[common, train_common],

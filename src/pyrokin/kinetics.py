@@ -79,8 +79,6 @@ class KineticEstimate:
     ea: float  # J/mol
     a: float  # 1/s
     r_squared: float
-    slope: float
-    intercept: float
 
 
 def r_squared(ss_res, ss_tot):
@@ -189,7 +187,7 @@ def fit_levels(alphas, betas, temps, rates,
                 raise NumericalError(
                     f"{method} at alpha={alpha:g}: A overflows a float (ln A = {ln_a:.6g})"
                 ) from None
-            estimates.append(KineticEstimate(method, alpha, ea, a, r2s[i], slope, intercept))
+            estimates.append(KineticEstimate(method, alpha, ea, a, r2s[i]))
     return estimates
 
 
@@ -198,7 +196,6 @@ class AnalysisTable:
     """All per-conversion estimates for one sample across heating rates."""
 
     sample_id: str
-    betas: tuple[float, ...]  # K/min, as supplied
     estimates: tuple[KineticEstimate, ...]
     included_alphas: tuple[float, ...]
     excluded_alphas: tuple[float, ...] = ()
@@ -274,7 +271,6 @@ def run_analysis(curves, alpha_grid=DEFAULT_ALPHA_GRID,
     betas_s = np.array([ac.heating_rate_beta / 60.0 for ac in alpha_curves])
     return AnalysisTable(
         sample_id=curves[0].spec.sample_id,
-        betas=tuple(sorted(betas)),
         estimates=tuple(fit_levels(included, betas_s, temps, betas_s * dadT, model)),
         included_alphas=tuple(included),
         excluded_alphas=tuple(excluded),

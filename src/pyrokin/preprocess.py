@@ -46,16 +46,10 @@ DEFAULT_STAGE_WINDOWS = kelvin_windows(STAGE_WINDOWS_C)
 class AlphaCurve:
     """Conversion and conversion rate against temperature for one run."""
 
-    parent: TgaCurve
+    heating_rate_beta: float  # K/min
     temperature_k: np.ndarray
     alpha: np.ndarray
     dalpha_dT: np.ndarray
-    m0: float
-    mf: float
-
-    @property
-    def heating_rate_beta(self) -> float:
-        return self.parent.heating_rate_beta
 
 
 @dataclass(frozen=True)
@@ -139,12 +133,10 @@ def compute_alpha(curve: TgaCurve, m0: float, mf: float,
     raw = (m0 - curve.mass_fraction) / (m0 - mf)
     alpha = np.maximum.accumulate(np.clip(raw, 0.0, 1.0))
     return AlphaCurve(
-        parent=curve,
-        temperature_k=curve.temperature_k.copy(),
+        heating_rate_beta=curve.heating_rate_beta,
+        temperature_k=curve.temperature_k,
         alpha=alpha,
         dalpha_dT=-dm_dT / (m0 - mf),
-        m0=m0,
-        mf=mf,
     )
 
 

@@ -36,11 +36,8 @@ def analysis_to_csv(table: AnalysisTable) -> str:
 
 
 def analysis_from_csv(text: str) -> AnalysisTable:
-    """Rebuild a (partial) analysis table from its machine CSV form.
-
-    Regression internals are not stored in the CSV, so slope/intercept come
-    back as NaN; averages and downstream thermodynamics are unaffected.
-    """
+    """Rebuild an analysis table, without a sample id or warnings, from its
+    machine CSV form."""
     t = read_csv(text, (ANALYSIS_CSV_HEADER,), text_columns=("method",))
     for method in t["method"]:
         if method not in METHODS:
@@ -50,15 +47,13 @@ def analysis_from_csv(text: str) -> AnalysisTable:
             raise InputError(f"ea_kj_mol value {ea_kj!r} overflows when scaled to J/mol")
     estimates = tuple(
         KineticEstimate(method=method, alpha=alpha, ea=ea_kj * 1000.0, a=a,
-                        r_squared=r_squared, slope=float("nan"), intercept=float("nan"))
+                        r_squared=r_squared)
         for method, alpha, ea_kj, a, r_squared in zip(
             t["method"], t["alpha"].tolist(), t["ea_kj_mol"].tolist(),
             t["a_per_s"].tolist(), t["r_squared"].tolist())
     )
     alphas = tuple(dict.fromkeys(e.alpha for e in estimates))
-    return AnalysisTable(
-        sample_id="", betas=(), estimates=estimates, included_alphas=alphas
-    )
+    return AnalysisTable(sample_id="", estimates=estimates, included_alphas=alphas)
 
 
 def _alpha_decimals(alphas) -> int:

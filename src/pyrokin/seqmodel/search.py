@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -14,7 +14,7 @@ from .training import TrainConfig, train
 _PICKED = {"batch_sizes": "batch_size", "epochs_choices": "epochs",
            "dropout_choices": "dropout", "hidden_choices": "hidden_units",
            "layer_choices": "lstm_layers", "activations": "activation",
-           "optimizers": "optimizer", "look_back_choices": "look_back"}
+           "optimizers": "optimizer"}
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,7 @@ class SearchSpace:
     layer_choices: tuple[int, ...] = (1, 2, 3)
     activations: tuple[str, ...] = ("relu", "sigmoid", "tanh")
     optimizers: tuple[str, ...] = ("adam", "sgd", "rmsprop")
-    look_back_choices: tuple[int, ...] = (20,)
-    early_stop_patience: int = 5
+    early_stop_patience: int = TrainConfig.early_stop_patience
 
     def __post_init__(self):
         empty = [f.name for f in fields(self) if getattr(self, f.name) == ()]
@@ -73,14 +72,16 @@ def random_search(space: SearchSpace, trials: int, master_seed: int,
 
     Trial i derives all of its randomness from (master_seed, i), so repeated
     searches with the same master seed reproduce the leaderboard exactly.
-    Ties in validation loss break by trial index.
+    Every trial takes the training windows' look-back. Ties in validation
+    loss break by trial index.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     results = []
     for i in range(trials):
         rng = np.random.default_rng([master_seed, i])
-        config = space.sample(rng, seed=int(rng.integers(2**31)))
+        config = replace(space.sample(rng, seed=int(rng.integers(2**31))),
+                         look_back=train_samples.look_back)
         _, history = train(train_samples, val_samples, config)
         val_loss = min(rec.val_loss for rec in history)
         results.append(TrialResult(trial=i, config=config, val_loss=val_loss))

@@ -31,16 +31,18 @@ _INTEGER_FIELDS = ("batch_size", "epochs", "hidden_units", "lstm_layers", "look_
 class TrainConfig:
     """Hyperparameters of one training run.
 
-    The tuning search space constrains these to its catalogue of values;
-    direct construction accepts anything structurally valid so that small
-    diagnostic models (e.g. for gradient checking) remain expressible.
+    The defaults are ``pyrokin train``'s: a flag, or a field of a
+    ``--config`` file, left out takes its field's. The tuning search space
+    constrains these to its catalogue of values; direct construction accepts
+    anything structurally valid so that small diagnostic models (e.g. for
+    gradient checking) remain expressible.
     """
 
     learning_rate: float = 0.005
     batch_size: int = 32
     epochs: int = 30
-    dropout: float = 0.2
-    hidden_units: int = 64
+    dropout: float = 0.0
+    hidden_units: int = 32
     lstm_layers: int = 1
     activation: str = "tanh"
     optimizer: str = "adam"

@@ -30,7 +30,6 @@ class ThermoEstimate:
     delta_h: float  # J/mol
     delta_g: float  # J/mol
     delta_s: float  # J/(mol K)
-    t_m: float  # K
 
 
 def delta_h(ea: float, t_m: float) -> float:
@@ -77,7 +76,6 @@ def thermo_profile(table: AnalysisTable, t_m: float) -> list[ThermoEstimate]:
                 delta_h=dh,
                 delta_g=dg,
                 delta_s=delta_s(dh, dg, t_m),
-                t_m=t_m,
             )
         )
     return out

@@ -118,8 +118,7 @@ def friedman(slice_, model=FIRST_ORDER):
     slope, intercept, r2 = linear_fit(1.0 / slice_.temperatures, np.log(slice_.rates))
     ea = -slope * GAS_CONSTANT
     ln_a = intercept - math.log(model.f(slice_.alpha))
-    return KineticEstimate(METHOD_FRIEDMAN, slice_.alpha, ea, math.exp(ln_a), r2,
-                           slope, intercept)
+    return KineticEstimate(METHOD_FRIEDMAN, slice_.alpha, ea, math.exp(ln_a), r2)
 
 
 def kas(slice_, model=FIRST_ORDER):
@@ -129,8 +128,7 @@ def kas(slice_, model=FIRST_ORDER):
     if ea <= 0.0:
         raise DomainError(f"non-positive Ea ({ea:.4g} J/mol); cannot extract A")
     ln_a = math.log(ea * model.g(slice_.alpha) / GAS_CONSTANT) + intercept
-    return KineticEstimate(METHOD_KAS, slice_.alpha, ea, math.exp(ln_a), r2,
-                           slope, intercept)
+    return KineticEstimate(METHOD_KAS, slice_.alpha, ea, math.exp(ln_a), r2)
 
 
 def fwo(slice_, model=FIRST_ORDER):
@@ -139,8 +137,7 @@ def fwo(slice_, model=FIRST_ORDER):
     if ea <= 0.0:
         raise DomainError(f"non-positive Ea ({ea:.4g} J/mol); cannot extract A")
     ln_a = math.log(GAS_CONSTANT * model.g(slice_.alpha) / ea) + intercept + DOYLE_INTERCEPT
-    return KineticEstimate(METHOD_FWO, slice_.alpha, ea, math.exp(ln_a), r2,
-                           slope, intercept)
+    return KineticEstimate(METHOD_FWO, slice_.alpha, ea, math.exp(ln_a), r2)
 
 
 METHOD_FUNCS = {METHOD_FRIEDMAN: friedman, METHOD_KAS: kas, METHOD_FWO: fwo}
@@ -209,7 +206,6 @@ def reference_run_analysis(curves, alpha_grid=DEFAULT_ALPHA_GRID, model=FIRST_OR
             estimates.append(METHOD_FUNCS[method](sl, model))
     return AnalysisTable(
         sample_id=curves[0].spec.sample_id,
-        betas=tuple(sorted(betas)),
         estimates=tuple(estimates),
         included_alphas=tuple(s.alpha for s in slices),
         excluded_alphas=tuple(excluded),

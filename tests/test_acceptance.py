@@ -78,10 +78,10 @@ def test_c01_kinetic_recovery_oracle():
 def _table_from_column(method, eas_kj):
     grid = tuple(round(0.1 * (i + 1), 10) for i in range(len(eas_kj)))
     ests = tuple(
-        KineticEstimate(method, a, ea * 1000.0, 1.0, 0.99, 0.0, 0.0)
+        KineticEstimate(method, a, ea * 1000.0, 1.0, 0.99)
         for a, ea in zip(grid, eas_kj)
     )
-    return AnalysisTable("fixture", (), ests, grid)
+    return AnalysisTable("fixture", ests, grid)
 
 
 # Literature-reported per-conversion Ea columns (kJ/mol). Two Blend-3

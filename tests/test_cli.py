@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -20,6 +21,7 @@ import numpy as np
 
 from pyrokin.seqmodel.features import MODEL2, build_features
 from pyrokin.seqmodel.lstm import CHECKPOINT_VERSION, load_model, save_model
+from pyrokin.seqmodel.training import TrainConfig
 from pyrokin.synthkin import simulate, suite_models
 from pyrokin.tga_io import (
     DATE_SEEDS,
@@ -519,6 +521,37 @@ def test_train_flag_reaches_saved_config(synth_dir, tmp_path, flag, field, value
     assert saved == {**TRAIN_DEFAULTS, field: value}
 
 
+def test_partial_config_file_trains_as_the_same_flags(synth_dir, tmp_path):
+    """A field a --config file leaves out takes the default a flag left out
+    takes: TrainConfig's."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epochs": 1, "lstm_layers": 2}))
+    curves = curve_paths(synth_dir, (10, 15, 20))
+    assert main(["train", *curves, "--dt", "2", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "config")]) == 0
+    assert main(["train", *curves, "--dt", "2", "--epochs", "1", "--layers", "2",
+                 "--out-dir", str(tmp_path / "flags")]) == 0
+    for name in ("model.json", "history.csv"):
+        assert ((tmp_path / "config" / name).read_bytes()
+                == (tmp_path / "flags" / name).read_bytes()), name
+
+
+class TestTrainFlagDefaults:
+    """TrainConfig declares every training default; the parser declares only
+    the two values the split, the manifest and tune's windows read too."""
+
+    @pytest.mark.parametrize("command", ["train", "tune"])
+    def test_seed_and_look_back_defaults_are_train_config_defaults(self, command):
+        args = cli._PARSER.parse_args([command, "c.csv"])
+        assert args.seed == TrainConfig.seed
+        assert args.look_back == TrainConfig.look_back
+
+    def test_no_hyperparameter_flag_has_a_default(self):
+        args = cli._PARSER.parse_args(["train", "c.csv"])
+        hyper = [f.name for f in fields(TrainConfig) if f.name not in ("seed", "look_back")]
+        assert {name: getattr(args, name) for name in hyper} == dict.fromkeys(hyper)
+
+
 def titles(svg_path):
     """The text of every <text> element of an SVG; parsing fails on bad XML."""
     root = ElementTree.parse(svg_path).getroot()
@@ -801,6 +834,15 @@ class TestTuneCommand:
                     flag, value]
             assert main(argv) == 4
             assert "config error" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_zero_look_back_exits_4_before_reading_curves(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        for curves in (curve_paths(synth_dir, (5, 10, 20)), [str(tmp_path / "missing.csv")]):
+            argv = ["tune", *curves, "--dt", "6.0", "--look-back", "0", "--trials", "1",
+                    "--out-dir", str(out)]
+            assert main(argv) == 4
+            assert "look_back" in capsys.readouterr().err
             assert not out.exists()
 
     def test_malformed_config_file_exits_4(self, synth_dir, tmp_path):

@@ -244,9 +244,8 @@ class TestReadCsv:
 
 
 def small_table_csv():
-    ests = tuple(KineticEstimate(m, 0.1, 150e3, 1e13, 0.999, -18000.0, 30.0)
-                 for m in ("friedman", "kas", "fwo"))
-    return analysis_to_csv(AnalysisTable("s", (5.0, 10.0, 15.0), ests, (0.1,)))
+    ests = tuple(KineticEstimate(m, 0.1, 150e3, 1e13, 0.999) for m in ("friedman", "kas", "fwo"))
+    return analysis_to_csv(AnalysisTable("s", ests, (0.1,)))
 
 
 REPORT_READERS = {

@@ -249,10 +249,10 @@ class TestNoisyRecovery:
 def table_from_ea_column(method, eas_kj):
     grid = [round(0.1 * (i + 1), 10) for i in range(len(eas_kj))]
     ests = tuple(
-        KineticEstimate(method, a, ea * 1000.0, 1.0, 0.99, 0.0, 0.0)
+        KineticEstimate(method, a, ea * 1000.0, 1.0, 0.99)
         for a, ea in zip(grid, eas_kj)
     )
-    return AnalysisTable("fixture", (), ests, tuple(grid))
+    return AnalysisTable("fixture", ests, tuple(grid))
 
 
 class TestAveraging:
@@ -298,23 +298,16 @@ class TestRunAnalysis:
         assert len(single_step_analysis.estimates) == 7 * 3
 
     def test_unreachable_alpha_excluded_with_warning(self):
-        from pyrokin.tga_io import DATE_SEEDS, TgaCurve
-
         # conversion curves starting at 0.25, so alpha=0.1 is unreachable
         acs = []
         for beta in (5.0, 10.0, 20.0):
             T = np.linspace(500.0, 600.0, 11)
-            parent = TgaCurve(
-                DATE_SEEDS, beta, (T - T[0]) * 60.0 / beta, T, np.linspace(1.0, 0.5, 11)
-            )
             acs.append(
                 AlphaCurve(
-                    parent=parent,
+                    heating_rate_beta=beta,
                     temperature_k=T,
                     alpha=np.linspace(0.25, 0.9, 11),
                     dalpha_dT=np.full(11, 1e-3),
-                    m0=1.0,
-                    mf=0.0,
                 )
             )
         included, temps, dadT, excluded, warnings = reachable_levels(acs, (0.1, 0.5, 0.7))
@@ -326,8 +319,7 @@ class TestRunAnalysis:
 
 def bit_fields(table):
     """Every field of every estimate, floats as their bytes."""
-    return [(e.method, e.alpha, *(np.float64(v).tobytes() for v in
-                                  (e.ea, e.a, e.r_squared, e.slope, e.intercept)))
+    return [(e.method, e.alpha, *(np.float64(v).tobytes() for v in (e.ea, e.a, e.r_squared)))
             for e in table.estimates]
 
 
@@ -356,6 +348,5 @@ class TestMatchesTheSlicePath:
         table = run_analysis(curves, grid, model, smooth_window)
         ref = reference_run_analysis(curves, grid, model, smooth_window)
         assert bit_fields(table) == bit_fields(ref)
-        for field in ("sample_id", "betas", "included_alphas", "excluded_alphas",
-                      "warnings"):
+        for field in ("sample_id", "included_alphas", "excluded_alphas", "warnings"):
             assert getattr(table, field) == getattr(ref, field), field

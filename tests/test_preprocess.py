@@ -148,12 +148,10 @@ def t_alpha(ac, alpha):
 def hand_curve(temperature_k, alpha, dalpha_dT=None):
     temperature_k = np.asarray(temperature_k, dtype=float)
     return AlphaCurve(
-        parent=make_curve(temperature_k, np.linspace(1.0, 0.5, len(temperature_k))),
+        heating_rate_beta=10.0,
         temperature_k=temperature_k,
         alpha=np.asarray(alpha, dtype=float),
         dalpha_dT=np.zeros(len(temperature_k)) if dalpha_dT is None else dalpha_dT,
-        m0=1.0,
-        mf=0.0,
     )
 
 

@@ -36,10 +36,9 @@ def small_table():
     for method in ("friedman", "kas", "fwo"):
         for alpha in (0.1, 0.2):
             ests.append(
-                KineticEstimate(method, alpha, 150e3 + alpha * 1e4, 1e13, 0.999,
-                                -18000.0, 30.0)
+                KineticEstimate(method, alpha, 150e3 + alpha * 1e4, 1e13, 0.999)
             )
-    return AnalysisTable("sample", (5.0, 10.0, 15.0), tuple(ests), (0.1, 0.2))
+    return AnalysisTable("sample", tuple(ests), (0.1, 0.2))
 
 
 class TestReport:

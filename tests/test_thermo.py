@@ -15,8 +15,8 @@ DELTA_G_200KJ_600K_1E15 = 178140.26875476283
 
 
 def one_row_table(method="friedman", alpha=0.5, ea=200e3, a=1e15):
-    est = KineticEstimate(method, alpha, ea, a, 1.0, 0.0, 0.0)
-    return AnalysisTable("x", (), (est,), (alpha,))
+    est = KineticEstimate(method, alpha, ea, a, 1.0)
+    return AnalysisTable("x", (est,), (alpha,))
 
 
 class TestDeltaH:
@@ -109,10 +109,10 @@ class TestThermoProfile:
     def test_alpha_independent_kinetics_give_constant_gibbs(self):
         # one reaction: same (Ea, A) at every conversion level
         ests = tuple(
-            KineticEstimate("kas", a, 180e3, 1e13, 1.0, 0.0, 0.0)
+            KineticEstimate("kas", a, 180e3, 1e13, 1.0)
             for a in (0.1, 0.3, 0.5, 0.7)
         )
-        table = AnalysisTable("x", (), ests, (0.1, 0.3, 0.5, 0.7))
+        table = AnalysisTable("x", ests, (0.1, 0.3, 0.5, 0.7))
         profile = thermo_profile(table, t_m=600.0)
         gibbs = {e.delta_g for e in profile}
         assert len(gibbs) == 1
@@ -124,14 +124,15 @@ class TestThermoProfile:
         assert n_rows == 3 * 3 * 7  # quantities x methods x conversion grid
 
     def test_identity_holds_for_every_emitted_estimate(self, single_step_analysis):
-        profile = thermo_profile(single_step_analysis, t_m=625.0)
+        t_m = 625.0
+        profile = thermo_profile(single_step_analysis, t_m=t_m)
         for est in profile:
-            assert est.delta_g - est.delta_h + est.t_m * est.delta_s == pytest.approx(
+            assert est.delta_g - est.delta_h + t_m * est.delta_s == pytest.approx(
                 0.0, abs=1e-9 * abs(est.delta_g)
             )
             assert est.delta_h < 181e3
 
     def test_empty_table_rejected(self):
-        table = AnalysisTable("x", (), (), ())
+        table = AnalysisTable("x", (), ())
         with pytest.raises(InputError):
             thermo_profile(table, 600.0)

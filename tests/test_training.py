@@ -240,7 +240,6 @@ class TestRandomSearch:
             layer_choices=(1,),
             activations=("tanh",),
             optimizers=("adam",),
-            look_back_choices=(10,),
         )
 
     def test_single_point_space_returns_that_config(self):
@@ -248,6 +247,7 @@ class TestRandomSearch:
         best, board = random_search(self.space_point(), 1, 0, samples[:60], samples[60:80])
         assert best.hidden_units == 4
         assert best.epochs == 2
+        assert best.look_back == 10  # the dataset's
         assert len(board) == 1
 
     def test_same_master_seed_reproduces_leaderboard(self):
@@ -261,13 +261,13 @@ class TestRandomSearch:
             layer_choices=(1,),
             activations=("tanh", "relu"),
             optimizers=("adam", "sgd"),
-            look_back_choices=(10,),
         )
         _, b1 = random_search(space, 4, 9, samples[:60], samples[60:80])
         _, b2 = random_search(space, 4, 9, samples[:60], samples[60:80])
         assert [(r.trial, r.val_loss, r.config) for r in b1] == [
             (r.trial, r.val_loss, r.config) for r in b2
         ]
+        assert {r.config.look_back for r in b1} == {10}
 
     def test_leaderboard_sorted_and_best_not_above_median(self):
         samples = linear_mass_samples()
@@ -280,12 +280,12 @@ class TestRandomSearch:
             layer_choices=(1,),
             activations=("tanh",),
             optimizers=("adam", "sgd", "rmsprop"),
-            look_back_choices=(10,),
         )
         _, board = random_search(space, 5, 2, samples[:60], samples[60:80])
         losses = [r.val_loss for r in board]
         assert losses == sorted(losses)
         assert losses[0] <= float(np.median(losses))
+        assert {r.config.look_back for r in board} == {10}
 
     @pytest.mark.parametrize("change", [
         {"learning_rate_bounds": (0.01,)},
@@ -297,7 +297,6 @@ class TestRandomSearch:
         {"batch_sizes": ()},
         {"hidden_choices": ()},
         {"optimizers": ()},
-        {"look_back_choices": ()},
         {"activations": ("tanh", "bogus")},
         {"optimizers": ("adam", "lbfgs")},
         {"batch_sizes": (32, 0)},
@@ -305,7 +304,6 @@ class TestRandomSearch:
         {"dropout_choices": (0.0, 1.0)},
         {"hidden_choices": (4, -1)},
         {"layer_choices": (0,)},
-        {"look_back_choices": (0,)},
         {"early_stop_patience": -1},
         {"learning_rate_bounds": (0.001, True)},
     ])
