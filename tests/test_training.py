@@ -297,6 +297,7 @@ class TestRandomSearch:
         {"batch_sizes": ()},
         {"hidden_choices": ()},
         {"optimizers": ()},
+        {"activations": ()},
         {"activations": ("tanh", "bogus")},
         {"optimizers": ("adam", "lbfgs")},
         {"batch_sizes": (32, 0)},
@@ -304,6 +305,7 @@ class TestRandomSearch:
         {"dropout_choices": (0.0, 1.0)},
         {"hidden_choices": (4, -1)},
         {"layer_choices": (0,)},
+        {"dropout_choices": (-0.1,)},
         {"early_stop_patience": -1},
         {"learning_rate_bounds": (0.001, True)},
     ])
