@@ -359,14 +359,21 @@ def cmd_train(args):
     from .seqmodel.lstm import save_model
     from .seqmodel.training import TrainConfig, train
 
+    # every train flag's dest is the TrainConfig field it sets; a flag left
+    # out is None and keeps TrainConfig's default
+    given = {f.name: getattr(args, f.name) for f in fields(TrainConfig)
+             if getattr(args, f.name) is not None}
     if args.config:
+        # beside a file, --seed seeds only the split; any other flag would
+        # change nothing
+        clash = [args.flags[name] for name in given if name != "seed"]
+        if clash:
+            raise ConfigError(f"--config sets every training field; also given: "
+                              f"{', '.join(clash)}")
         config = TrainConfig.from_json(_read_text(args.config, ConfigError),
                                        f"config file {args.config}")
     else:
-        # every train flag's dest is the TrainConfig field it sets; a flag
-        # left out is None and keeps TrainConfig's default
-        config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)
-                                if getattr(args, f.name) is not None})
+        config = TrainConfig(**given)
     _, samples = _windows(args.curves, args.mode, config.look_back, args.dt)
     train_set, val_set, _ = split_dataset(samples, holdout_curves=args.holdout, seed=args.seed)
     model, history = train(train_set, val_set, config)
@@ -387,15 +394,16 @@ def cmd_tune(args):
     given = {f.name: getattr(args, f.name) for f in fields(SearchSpace)
              if getattr(args, f.name) is not None}
     space = SearchSpace(**given)
-    TrainConfig(look_back=args.look_back)  # every trial's; checked before any curve is read
-    _, samples = _windows(args.curves, args.mode, args.look_back, args.dt)
+    look_back = TrainConfig.look_back if args.look_back is None else args.look_back
+    TrainConfig(look_back=look_back)  # every trial's; checked before any curve is read
+    _, samples = _windows(args.curves, args.mode, look_back, args.dt)
     train_set, val_set, _ = split_dataset(samples, holdout_curves=args.holdout, seed=args.seed)
     best_config, leaderboard = random_search(
         space, args.trials, args.seed, train_set, val_set
     )
     _emit(args, "tune", args.curves,
           {"mode": args.mode, "trials": args.trials, "dt": args.dt,
-           "holdout": list(args.holdout), "look_back": args.look_back, "space": str(space)},
+           "holdout": list(args.holdout), "look_back": look_back, "space": str(space)},
           {"leaderboard.csv": leaderboard_to_csv(leaderboard),
            "best_config.json": json.dumps(best_config.to_dict(), indent=2,
                                           sort_keys=True) + "\n"})
@@ -529,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     train_common.add_argument("--seed", type=int, default=0, help="master random seed")
     train_common.add_argument("--mode", choices=FEATURE_MODES, default="model2")
     train_common.add_argument("--dt", type=_finite_float, default=None)
-    train_common.add_argument("--look-back", type=int, default=20)
+    train_common.add_argument("--look-back", type=int)
     train_common.add_argument("--holdout", type=_parse_str_list, default=(),
                               help="comma-separated curve ids excluded from train/val")
     train_common.add_argument("--patience", dest="early_stop_patience", type=int)
@@ -539,7 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("curves", nargs="+")
     p.add_argument("--config", default=None,
                    help="JSON training config (e.g. best_config.json from tune); "
-                        "overrides the individual hyperparameter flags")
+                        "no other training flag may be given beside it but --seed, "
+                        "which then seeds only the train/validation split")
     # each dest is a TrainConfig field, whose default applies
     p.add_argument("--lr", dest="learning_rate", type=_finite_float)
     p.add_argument("--batch", dest="batch_size", type=int)
@@ -549,7 +558,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers", dest="lstm_layers", type=int)
     p.add_argument("--activation", choices=("relu", "sigmoid", "tanh"))
     p.add_argument("--optimizer", choices=("adam", "sgd", "rmsprop"))
-    p.set_defaults(func=cmd_train)
+    # each dest's flag, which cmd_train names when refusing one beside --config
+    p.set_defaults(func=cmd_train,
+                   flags={a.dest: a.option_strings[0] for a in p._actions if a.option_strings})
 
     p = sub.add_parser("tune", parents=[common, train_common],
                        help="random hyperparameter search")

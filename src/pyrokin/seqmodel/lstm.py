@@ -25,18 +25,15 @@ projects its ``block + T - 1`` rows once, ``(4H, block + T - 1)``, in place
 of a ``(T, 4H, block)`` projection of a window stack: the projection is
 hoisted out of the window overlap as well as out of the recurrence.
 
-Training gathers each mini-batch from the scaled feature rows and keeps
-one step's buffers: ``forward_batch`` writes a step's gate activations,
-states, dropout masks and dropped-out outputs into the previous step's
-cache when given it as ``reuse``, and ``backward_batch`` consumes the
-cache's gate activations, writing each step's pre-activation gradients
-over that step's spent gates and summing the weight gradients step by
-step; its gradients into the layers below go over the top layer's spent
-cell states. So a training step allocates no array of the cache's ``(T,
-4H, N)`` or ``(T, H, N)`` sizes, nor a ``(T, 4H, in)`` or ``(T - 1, 4H, H)``
-stack of per-step weight-gradient products (reusing spent workspace, as in
-arXiv:1604.01946; Gruslys et al., arXiv:1606.03401, make the same case for
-BPTT memory).
+Training gathers each mini-batch from the scaled feature rows, and
+``backward_batch`` consumes the cache's gate activations, writing each
+step's pre-activation gradients over that step's spent gates and summing
+the weight gradients step by step; its gradients into the layers below go
+over the top layer's spent cell states. So a backward pass allocates no
+array of the cache's ``(T, 4H, N)`` or ``(T, H, N)`` sizes, nor a
+``(T, 4H, in)`` or ``(T - 1, 4H, H)`` stack of per-step weight-gradient
+products (reusing spent workspace, as in arXiv:1604.01946; Gruslys et al.,
+arXiv:1606.03401, make the same case for BPTT memory).
 
 Inside the kernels the layout is gate-major and batch-minor: a layer's
 pre-activations are ``(T, 4H, N)`` and its states ``h``, ``c`` are
@@ -190,8 +187,7 @@ def _gate_blocks(hidden):
 
 
 def forward_batch(params, X, config, training: bool = False,
-                  rng: np.random.Generator | None = None, want_cache: bool = False,
-                  reuse: dict | None = None):
+                  rng: np.random.Generator | None = None, want_cache: bool = False):
     """Run a batch of windows through the network.
 
     ``X`` has shape (batch, look_back, features). Returns ``(pred, cache)``
@@ -209,12 +205,7 @@ def forward_batch(params, X, config, training: bool = False,
     1/keep or 0 and its dropped-out output ``out`` (T, H, N), the next
     layer's input (both None elsewhere). ``backward_batch`` consumes the
     cache, overwriting ``acts`` with the pre-activation gradients and the
-    top layer's ``c`` with its gradient into the layer below. ``reuse`` is
-    an earlier call's cache, which the caller gives up: when its layer
-    buffers have this batch's shapes, the new cache is written into them
-    instead of into fresh arrays (a mask's uniforms are drawn straight into
-    the old mask), so a training loop keeps one step's buffers for all its
-    steps. A cache of another shape is left untouched.
+    top layer's ``c`` with its gradient into the layer below.
     """
     n, steps, features = X.shape
     hidden = config.hidden_units
@@ -223,9 +214,6 @@ def forward_batch(params, X, config, training: bool = False,
     use_dropout = training and config.dropout > 0.0 and config.lstm_layers > 1
     if use_dropout and rng is None:
         raise ConfigError("training-mode dropout requires an RNG")
-    if reuse is not None and ([old["acts"].shape for old in reuse["layers"]]
-                              != [(steps, 4 * hidden, n)] * config.lstm_layers):
-        reuse = None
     # steps whose gate activations, c and tanh(c) are kept: without a cache
     # only the current step's are needed
     kept = steps if want_cache else 1
@@ -241,16 +229,11 @@ def forward_batch(params, X, config, training: bool = False,
         # (one window stays on the per-step path: its gathered projection is
         # a matrix-vector product, which rounds unlike a GEMM column)
         sliding = layer == 0 and n > 1 and X.strides[0] == X.strides[1]
-        old = reuse["layers"][layer] if reuse is not None else None
-        if old is not None:
-            acts, h_s, c_s, tc_s = old["acts"], old["h"], old["c"], old["tc"]
-        else:
-            # the sliding projection is shared by every step, so the gate
-            # activations go to their own buffer: one step's when no cache
-            # is kept
-            acts = np.empty((kept if sliding else steps, 4 * hidden, n))
-            h_s = np.empty((steps, hidden, n))
-            c_s, tc_s = np.empty((kept, hidden, n)), np.empty((kept, hidden, n))
+        # the sliding projection is shared by every step, so the gate
+        # activations go to their own buffer: one step's when no cache is kept
+        acts = np.empty((kept if sliding else steps, 4 * hidden, n))
+        h_s = np.empty((steps, hidden, n))
+        c_s, tc_s = np.empty((kept, hidden, n)), np.empty((kept, hidden, n))
         if sliding:
             spanned = as_strided(X, (n + steps - 1, features), X.strides[::2],
                                  writeable=False)
@@ -283,10 +266,7 @@ def forward_batch(params, X, config, training: bool = False,
         output = h_s
         if use_dropout and layer < config.lstm_layers - 1:
             keep = 1.0 - config.dropout
-            if old is not None and old["mask"] is not None:
-                mask, output = old["mask"], old["out"]
-            else:
-                mask, output = np.empty((n, steps, hidden)), np.empty((steps, hidden, n))
+            mask, output = np.empty((n, steps, hidden)), np.empty((steps, hidden, n))
             # the uniforms are drawn into the mask, which becomes 1/keep or 0
             rng.random(out=mask)
             np.less(mask, keep, out=mask)

@@ -200,12 +200,11 @@ def train(train_samples: WindowDataset, val_samples: WindowDataset, config: Trai
     the feature rows, once when both splits share them (as the splits of
     one dataset do). Each mini-batch is gathered from the scaled rows by its
     windows' row indices, so no window stack of a whole split is built.
-    Every step after the first writes its forward cache into the previous
-    one (``forward_batch``'s ``reuse``), which is dropped only before a
-    batch of another size (the short last batch) and before the validation
-    pass: at the peak, training holds the rows, one batch and one step's
-    buffers. The parameters, their gradients and the optimizer state are
-    each one flat vector, and every step writes the same gradient vector.
+    Each step's forward cache is dropped before the next step's forward pass
+    and before the validation pass: at the peak, training holds the rows,
+    one batch and one step's cache. The parameters, their gradients and the
+    optimizer state are each one flat vector, and every step writes the same
+    gradient vector.
 
     Mini-batch gradients are averaged within each batch and applied as one
     optimizer update; epoch-level shuffling, weight initialization, and
@@ -241,17 +240,15 @@ def train(train_samples: WindowDataset, val_samples: WindowDataset, config: Trai
     best_params = params.copy()
     bad_epochs = 0
     n = len(train_samples)
-    cache = None
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         sq_err_total = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            if len(idx) != config.batch_size:
-                cache = None  # freed before the short batch allocates its own
             Xb = rows.take(starts[idx, None] + offsets, axis=0)
+            cache = None  # freed before this step allocates its own
             pred, cache = forward_batch(params, Xb, config, training=True, rng=rng,
-                                        want_cache=True, reuse=cache)
+                                        want_cache=True)
             err = pred - y_train[idx]
             sq_err_total += float((err**2).sum())
             backward_batch(params, cache, 2.0 * err / len(idx), grads)

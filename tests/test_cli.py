@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from pyrokin import cli
 from pyrokin.cli import _parse_alpha_grid, check_mass_balance, main, vm_from_char
-from pyrokin.errors import DomainError
+from pyrokin.errors import DomainError, InputError
 from pyrokin.report import predictions_to_csv
 import numpy as np
 
@@ -538,18 +538,41 @@ def test_partial_config_file_trains_as_the_same_flags(synth_dir, tmp_path):
 
 class TestTrainFlagDefaults:
     """TrainConfig declares every training default; the parser declares only
-    the two values the split, the manifest and tune's windows read too."""
+    the seed, which the split and the manifest read too."""
 
     @pytest.mark.parametrize("command", ["train", "tune"])
-    def test_seed_and_look_back_defaults_are_train_config_defaults(self, command):
+    def test_seed_and_look_back_defaults_are_train_config_defaults(self, command,
+                                                                   monkeypatch):
         args = cli._PARSER.parse_args([command, "c.csv"])
         assert args.seed == TrainConfig.seed
-        assert args.look_back == TrainConfig.look_back
+        # the look-back left out is TrainConfig's, for train's config and
+        # for tune's windows
+        windowed = []
+
+        def windows(paths, mode, look_back, dt=None):
+            windowed.append(look_back)
+            raise InputError("stop before reading curves")
+        monkeypatch.setattr(cli, "_windows", windows)
+        assert main([command, "c.csv"]) == 2
+        assert windowed == [TrainConfig.look_back]
 
     def test_no_hyperparameter_flag_has_a_default(self):
         args = cli._PARSER.parse_args(["train", "c.csv"])
-        hyper = [f.name for f in fields(TrainConfig) if f.name not in ("seed", "look_back")]
+        hyper = [f.name for f in fields(TrainConfig) if f.name != "seed"]
         assert {name: getattr(args, name) for name in hyper} == dict.fromkeys(hyper)
+
+    def test_training_flags_beside_config_exit_4(self, synth_dir, tmp_path, capsys):
+        """A flag that the file would override is refused, not dropped."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 1, "lstm_layers": 2}))
+        out = tmp_path / "out"
+        assert main(["train", *curve_paths(synth_dir, (10, 15, 20)), "--dt", "2",
+                     "--config", str(cfg), "--epochs", "3", "--look-back", "10",
+                     "--seed", "4", "--out-dir", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "config error" in err and "--epochs, --look-back" in err
+        assert "--seed" not in err
+        assert not out.exists()
 
 
 def titles(svg_path):
@@ -813,6 +836,20 @@ class TestTuneCommand:
         )
         assert rc == 0
         assert (out / "model.json").exists()
+
+    def test_train_with_seed_retrains_the_best_trial(self, synth_dir, tmp_path):
+        """With tune's curves, mode, --dt and --seed, train --config
+        best_config.json splits as tune did and trains as the best trial
+        did: the retrained best validation loss is the leaderboard's."""
+        tuned, out = tmp_path / "t", tmp_path / "retrain"
+        assert main(self.tune_args(synth_dir, tuned)) == 0
+        assert main(["train", *curve_paths(synth_dir, (5, 10, 20)), "--mode", "model1",
+                     "--dt", "6.0", "--config", str(tuned / "best_config.json"),
+                     "--seed", "7", "--out-dir", str(out)]) == 0
+        best_trial = (tuned / "leaderboard.csv").read_text().splitlines()[1].split(",")[2]
+        history = (out / "history.csv").read_text().splitlines()[1:]
+        retrained = min((row.split(",")[2] for row in history), key=float)
+        assert retrained == best_trial
 
     @pytest.mark.parametrize("flag, value", [
         ("--activations", "tanh,bogus"),

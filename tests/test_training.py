@@ -146,10 +146,9 @@ class TestTrain:
 
 
 class TestMatchesReferenceLoop:
-    """``train`` gathers each batch from the scaled rows and reuses one
-    step's buffers; the loop it replaced (tests/reference_training.py)
-    stacked the whole split and gave every step fresh arrays. The values
-    and the order of the arithmetic are the same, so are the bits."""
+    """``train`` gathers each batch from the scaled rows; the loop it
+    replaced (tests/reference_training.py) stacked the whole split. The
+    values and the order of the arithmetic are the same, so are the bits."""
 
     @pytest.mark.parametrize(
         "layers, dropout, optimizer, batch_size, look_back, patience",
@@ -165,6 +164,10 @@ class TestMatchesReferenceLoop:
             # one-step windows: a gathered batch has equal window and step
             # strides, so forward_batch takes its sliding path
             (2, 0.0, "rmsprop", 7, 1, 5),
+            # last batches of one and of two windows, where numpy multiplies
+            # matrices by vectors
+            (3, 0.2, "adam", 79, 10, 5),
+            (3, 0.2, "rmsprop", 39, 10, 5),
         ],
     )
     def test_history_and_weights_bitwise(self, layers, dropout, optimizer, batch_size,
@@ -198,7 +201,7 @@ class TestMatchesReferenceLoop:
 class TestTrainMemory:
     def test_peak_is_a_fraction_of_the_window_stack(self):
         # a stack of the training split would take 5,000 * 20 * 4 * 8 bytes;
-        # train holds the rows (1/20 of that), one batch and one step's buffers
+        # train holds the rows (1/20 of that), one batch and one step's cache
         samples = linear_mass_samples(n_rows=5060, look_back=20)
         train_set, val_set = samples[:5000], samples[5000:]
         stack_bytes = len(train_set) * 20 * train_set.rows.shape[1] * 8
