@@ -72,6 +72,10 @@ from .thermo import thermo_profile
 # for the parser; a test checks them against ``seqmodel.features.FEATURE_COLUMNS``.
 FEATURE_MODES = ("model1", "model2")
 
+# synth's presets, and the blend preset's first-parent (date seed) fraction
+SYNTH_PRESETS = ("single-step", "three-component-ds", "three-component-scg", "blend")
+BLEND_FRAC = 0.75
+
 # caps an --alpha-grid at 99 levels in (0, 1); kinetics.txt prints as many
 # decimals as the levels need to tell them apart
 MIN_ALPHA_STEP = 0.01
@@ -308,23 +312,22 @@ def cmd_thermo(args):
 def cmd_synth(args):
     if not args.beta:
         raise InputError("need at least one heating rate")
+    if args.preset not in SYNTH_PRESETS:
+        raise ConfigError(f"unknown preset {args.preset!r}; choose from {list(SYNTH_PRESETS)}")
     models = {name: (model, spec) for name, model, spec in suite_models()}
+    config = {"preset": args.preset, "betas": list(args.beta), "dt": args.dt}
     if args.preset == "blend":
+        frac = config["frac"] = BLEND_FRAC if args.frac is None else args.frac
         ds_model, _ = models["three-component-ds"]
         scg_model, _ = models["three-component-scg"]
-        model = blend_models(ds_model, scg_model, args.frac)
-        spec = blend_spec(DATE_SEEDS, SPENT_COFFEE_GROUNDS, args.frac)
-        name = f"blend-{args.frac:g}"
-    elif args.preset in models:
+        model = blend_models(ds_model, scg_model, frac)
+        spec = blend_spec(DATE_SEEDS, SPENT_COFFEE_GROUNDS, frac)
+        name = f"blend-{frac:g}"
+    elif args.frac is not None:
+        raise ConfigError(f"--frac applies only to the blend preset, not {args.preset!r}")
+    else:
         model, spec = models[args.preset]
         name = args.preset
-    else:
-        raise ConfigError(
-            f"unknown preset {args.preset!r}; choose from "
-            f"{sorted(models) + ['blend']}"
-        )
-    config = {"preset": args.preset, "betas": list(args.beta), "dt": args.dt,
-              "frac": args.frac}
     stems = {}  # file stem: heating rate; checked before anything is simulated
     for beta in args.beta:
         stem = f"{name}_beta{beta:g}"
@@ -415,7 +418,7 @@ def cmd_predict(args):
     from .seqmodel.metrics import metrics_from_arrays
 
     model = load_model(_read_text(args.model))
-    look_back = model.config.look_back
+    look_back = model.params.config.look_back
     curves, samples = _windows([args.curve], model.feature_mode, look_back, args.dt)
     [(cid, prepared)] = curves.items()
     predicted = model.predict(samples)
@@ -439,12 +442,16 @@ def cmd_evaluate(args):
     from .seqmodel.metrics import evaluate, metrics_from_arrays
 
     if args.predictions:
+        ignored = (([f"--model {args.model}"] if args.model else [])
+                   + (["--dt"] if args.dt is not None else []) + args.curves)
+        if ignored:
+            raise InputError(f"--predictions is scored alone; also given: {', '.join(ignored)}")
         _, actual, predicted = predictions_from_csv(_read_text(args.predictions))
         metrics = metrics_from_arrays(actual, predicted)
         inputs = [args.predictions]
     elif args.model and args.curves:
         model = load_model(_read_text(args.model))
-        _, samples = _windows(args.curves, model.feature_mode, model.config.look_back,
+        _, samples = _windows(args.curves, model.feature_mode, model.params.config.look_back,
                               args.dt)
         metrics = evaluate(model, samples)
         inputs = [args.model, *args.curves]
@@ -516,13 +523,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", parents=[common],
                        help="generate synthetic ground-truth curves")
-    p.add_argument("--preset", default="single-step",
-                   help="single-step, three-component-ds, three-component-scg, or blend")
+    p.add_argument("--preset", default="single-step", help=", ".join(SYNTH_PRESETS))
     p.add_argument("--beta", type=_parse_float_list, default="5,10,15,20",
                    help="heating rates (K/min)")
     p.add_argument("--dt", type=_finite_float, default=0.5)
-    p.add_argument("--frac", type=_finite_float, default=0.75,
-                   help="first-parent fraction for the blend preset")
+    p.add_argument("--frac", type=_finite_float,
+                   help=f"first-parent fraction, blend preset only (default {BLEND_FRAC:g})")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("features", parents=[common],

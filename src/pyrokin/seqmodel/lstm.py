@@ -186,13 +186,15 @@ def _gate_blocks(hidden):
     return [slice(k * hidden, (k + 1) * hidden) for k in range(len(FUSED_GATES))]
 
 
-def forward_batch(params, X, config, training: bool = False,
-                  rng: np.random.Generator | None = None, want_cache: bool = False):
+def forward_batch(params, X, config, rng: np.random.Generator | None = None,
+                  want_cache: bool = False):
     """Run a batch of windows through the network.
 
     ``X`` has shape (batch, look_back, features). Returns ``(pred, cache)``
-    with ``pred`` of shape (batch,). Inverted dropout is applied between
-    stacked layers when ``training`` is set and the config asks for it.
+    with ``pred`` of shape (batch,). A pass with ``want_cache`` is a training
+    step: inverted dropout, drawn from ``rng``, is applied between stacked
+    layers when the config asks for it. A pass without it is inference,
+    which never drops out and leaves ``rng`` alone.
 
     When ``X.strides[0] == X.strides[1]``, window j's step t is row j + t of
     one sequence of ``batch + look_back - 1`` rows (a sliding view, such as
@@ -202,8 +204,8 @@ def forward_batch(params, X, config, training: bool = False,
     With ``want_cache`` the cache keeps every layer's gate activations
     ``acts`` (T, 4H, N), states ``h``, ``c`` and ``tanh(c)`` as ``tc``;
     a layer below a dropout boundary also keeps its ``mask`` (N, T, H) of
-    1/keep or 0 and its dropped-out output ``out`` (T, H, N), the next
-    layer's input (both None elsewhere). ``backward_batch`` consumes the
+    1/keep or 0 (None elsewhere), and the layer above it reads the
+    dropped-out output as its input ``x``. ``backward_batch`` consumes the
     cache, overwriting ``acts`` with the pre-activation gradients and the
     top layer's ``c`` with its gradient into the layer below.
     """
@@ -211,7 +213,7 @@ def forward_batch(params, X, config, training: bool = False,
     hidden = config.hidden_units
     bi, bf, bo, bg = _gate_blocks(hidden)
     sig = slice(0, 3 * hidden)
-    use_dropout = training and config.dropout > 0.0 and config.lstm_layers > 1
+    use_dropout = want_cache and config.dropout > 0.0 and config.lstm_layers > 1
     if use_dropout and rng is None:
         raise ConfigError("training-mode dropout requires an RNG")
     # steps whose gate activations, c and tanh(c) are kept: without a cache
@@ -275,7 +277,7 @@ def forward_batch(params, X, config, training: bool = False,
         # "x" (the layer input) and "mask" are batch-major like X
         entry = {"x": seq.transpose(2, 0, 1), "h": h_s, "mask": mask}
         if want_cache:
-            entry.update(acts=acts, c=c_s, tc=tc_s, out=output if mask is not None else None)
+            entry.update(acts=acts, c=c_s, tc=tc_s)
         layers.append(entry)
         seq = output
 
@@ -382,19 +384,17 @@ def backward_batch(params, cache, dpred, grads=None):
 
 @dataclass(frozen=True)
 class LstmModel:
-    """Trained network: weights, tuning config, scaler, and feature layout."""
+    """Trained network: weights (with their config), scaler, and feature layout."""
 
     params: Params
-    config: "TrainConfig"
     scaler: MinMaxScaler
     feature_mode: str
-    feature_count: int
 
     def predict(self, samples: WindowDataset) -> np.ndarray:
         """Mass-percent predictions for raw windows: scaled with the stored
         scaler, run through ``infer`` and mapped back to target units."""
         rows = self.scaler.scale_window(samples.rows)
-        scaled = infer(self.params, rows, samples.starts, self.config)
+        scaled = infer(self.params, rows, samples.starts)
         return self.scaler.unscale_target(scaled)
 
 
@@ -421,7 +421,7 @@ def infer_block(steps: int, hidden: int) -> int:
     return min(fit, INFER_MAX_BLOCK) if fit >= INFER_MIN_BLOCK else INFER_MAX_BLOCK
 
 
-def infer(params, rows: np.ndarray, starts: np.ndarray, config: "TrainConfig") -> np.ndarray:
+def infer(params, rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Predictions for the windows of scaled feature ``rows`` (R, features)
     that start at ``starts``, each ``look_back`` rows long.
 
@@ -435,8 +435,8 @@ def infer(params, rows: np.ndarray, starts: np.ndarray, config: "TrainConfig") -
     every block up to 67 hidden units. Past that the forms agree to
     rounding, not bit for bit (1e-12 relative in the tests at H=96).
     """
-    steps = config.look_back
-    block = infer_block(steps, config.hidden_units)
+    steps = params.config.look_back
+    block = infer_block(steps, params.config.hidden_units)
     pred = np.empty(len(starts))
     for k in range(0, len(starts), block):
         s = starts[k : k + block]
@@ -445,7 +445,7 @@ def infer(params, rows: np.ndarray, starts: np.ndarray, config: "TrainConfig") -
             X = sliding_window_view(span, steps, axis=0).transpose(0, 2, 1)
         else:
             X = rows[s[:, None] + np.arange(steps)]
-        pred[k : k + block], _ = forward_batch(params, X, config)
+        pred[k : k + block], _ = forward_batch(params, X, params.config)
     return pred
 
 
@@ -462,8 +462,8 @@ def save_model(model: LstmModel) -> str:
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "feature_mode": model.feature_mode,
-        "feature_count": model.feature_count,
-        "config": model.config.to_dict(),
+        "feature_count": model.params.feature_count,
+        "config": model.params.config.to_dict(),
         "scaler": {
             "feature_min": model.scaler.feature_min.tolist(),
             "feature_max": model.scaler.feature_max.tolist(),
@@ -582,10 +582,4 @@ def load_model(text: str) -> LstmModel:
     params = Params(feature_count, config)
     for k, array in arrays.items():
         params[k][...] = array
-    return LstmModel(
-        params=params,
-        config=config,
-        scaler=scaler,
-        feature_mode=feature_mode,
-        feature_count=feature_count,
-    )
+    return LstmModel(params=params, scaler=scaler, feature_mode=feature_mode)

@@ -7,7 +7,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from ..errors import ConfigError
-from .training import TrainConfig, train
+from .lstm import ACTIVATIONS
+from .training import OPTIMIZERS, TrainConfig, train
 
 # Each catalogue a trial draws one value from, in draw order, and the
 # TrainConfig field the value sets.
@@ -33,8 +34,8 @@ class SearchSpace:
     dropout_choices: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5)
     hidden_choices: tuple[int, ...] = (64, 96, 128, 160, 192, 224, 256)
     layer_choices: tuple[int, ...] = (1, 2, 3)
-    activations: tuple[str, ...] = ("relu", "sigmoid", "tanh")
-    optimizers: tuple[str, ...] = ("adam", "sgd", "rmsprop")
+    activations: tuple[str, ...] = tuple(ACTIVATIONS)
+    optimizers: tuple[str, ...] = tuple(OPTIMIZERS)
     early_stop_patience: int = TrainConfig.early_stop_patience
 
     def __post_init__(self):

@@ -14,8 +14,6 @@ from ..errors import ConfigError, InputError, TrainingError
 from .features import DEFAULT_LOOK_BACK, MinMaxScaler, WindowDataset
 from .lstm import ACTIVATIONS, LstmModel, backward_batch, forward_batch, infer, init_params
 
-OPTIMIZERS = ("adam", "sgd", "rmsprop")
-
 # Conventional moment/decay constants for the from-scratch optimizers.
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -72,7 +70,7 @@ class TrainConfig:
                 f"activation {self.activation!r} not one of {sorted(ACTIVATIONS)}"
             )
         if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer {self.optimizer!r} not one of {OPTIMIZERS}")
+            raise ConfigError(f"optimizer {self.optimizer!r} not one of {tuple(OPTIMIZERS)}")
         if self.look_back < 1 or self.early_stop_patience < 0:
             raise ConfigError("look_back must be >= 1 and patience >= 0")
 
@@ -99,10 +97,10 @@ class TrainConfig:
 
 # The optimizers update the whole flat parameter vector in place with the
 # elementwise expressions of a per-tensor update, in the same order, so the
-# bits are those of the per-tensor update. Each keeps flat state and at most
-# one scratch vector; the gradient, spent once read, is the second.
+# bits are those of the per-tensor update. Each allocates its flat state and
+# at most one scratch vector up front; the gradient, spent once read, is the second.
 class _Sgd:
-    def __init__(self, lr):
+    def __init__(self, lr, size):
         self.lr = lr
 
     def step(self, params, grads):
@@ -112,14 +110,12 @@ class _Sgd:
 
 
 class _RmsProp:
-    def __init__(self, lr):
+    def __init__(self, lr, size):
         self.lr = lr
-        self.v = self.scratch = None
+        self.v, self.scratch = np.zeros(size), np.empty(size)
 
     def step(self, params, grads):
         g = grads.flat
-        if self.v is None:
-            self.v, self.scratch = np.zeros_like(g), np.empty_like(g)
         v, s = self.v, self.scratch
         # v = rho * v + (1 - rho) * g**2
         v *= RMSPROP_RHO
@@ -135,9 +131,9 @@ class _RmsProp:
 
 
 class _Adam:
-    def __init__(self, lr):
+    def __init__(self, lr, size):
         self.lr = lr
-        self.m = self.v = self.scratch = None
+        self.m, self.v, self.scratch = np.zeros(size), np.zeros(size), np.empty(size)
         self.t = 0
 
     def step(self, params, grads):
@@ -145,8 +141,6 @@ class _Adam:
         bias1 = 1.0 - ADAM_BETA1**self.t
         bias2 = 1.0 - ADAM_BETA2**self.t
         g = grads.flat
-        if self.m is None:
-            self.m, self.v, self.scratch = np.zeros_like(g), np.zeros_like(g), np.empty_like(g)
         m, v, s = self.m, self.v, self.scratch
         # m = beta1 * m + (1 - beta1) * g
         m *= ADAM_BETA1
@@ -167,10 +161,8 @@ class _Adam:
         params.flat -= g
 
 
-def _make_optimizer(config: TrainConfig):
-    return {"sgd": _Sgd, "rmsprop": _RmsProp, "adam": _Adam}[config.optimizer](
-        config.learning_rate
-    )
+# Each optimizer by its TrainConfig name, in the tuning catalogue's order.
+OPTIMIZERS = {"adam": _Adam, "sgd": _Sgd, "rmsprop": _RmsProp}
 
 
 # Validation squared errors are summed in groups of this many windows, the
@@ -178,8 +170,8 @@ def _make_optimizer(config: TrainConfig):
 LOSS_GROUP = 512
 
 
-def _dataset_loss(params, rows, starts, y, config) -> float:
-    sq_err = (infer(params, rows, starts, config) - y) ** 2
+def _dataset_loss(params, rows, starts, y) -> float:
+    sq_err = (infer(params, rows, starts) - y) ** 2
     total = 0.0
     for start in range(0, len(starts), LOSS_GROUP):
         total += float(sq_err[start : start + LOSS_GROUP].sum())
@@ -220,7 +212,6 @@ def train(train_samples: WindowDataset, val_samples: WindowDataset, config: Trai
         raise ConfigError(
             f"sample look-back {train_samples.look_back} != configured {config.look_back}"
         )
-    feature_count = train_samples.rows.shape[1]
 
     scaler = MinMaxScaler.fit(train_samples)
     rows = scaler.scale_window(train_samples.rows)
@@ -231,8 +222,8 @@ def train(train_samples: WindowDataset, val_samples: WindowDataset, config: Trai
     starts, offsets = train_samples.starts, np.arange(config.look_back)
 
     rng = np.random.default_rng(config.seed)
-    params = init_params(feature_count, config, rng)
-    optimizer = _make_optimizer(config)
+    params = init_params(train_samples.rows.shape[1], config, rng)
+    optimizer = OPTIMIZERS[config.optimizer](config.learning_rate, len(params.flat))
     grads = params.zeros_like()  # every step's gradients, then the optimizer's scratch
 
     history: list[EpochRecord] = []
@@ -247,15 +238,14 @@ def train(train_samples: WindowDataset, val_samples: WindowDataset, config: Trai
             idx = order[start : start + config.batch_size]
             Xb = rows.take(starts[idx, None] + offsets, axis=0)
             cache = None  # freed before this step allocates its own
-            pred, cache = forward_batch(params, Xb, config, training=True, rng=rng,
-                                        want_cache=True)
+            pred, cache = forward_batch(params, Xb, config, rng=rng, want_cache=True)
             err = pred - y_train[idx]
             sq_err_total += float((err**2).sum())
             backward_batch(params, cache, 2.0 * err / len(idx), grads)
             optimizer.step(params, grads)
         cache = None  # freed before inference allocates its blocks
         train_loss = sq_err_total / n
-        val_loss = _dataset_loss(params, val_rows, val_samples.starts, y_val, config)
+        val_loss = _dataset_loss(params, val_rows, val_samples.starts, y_val)
         if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
             raise TrainingError(f"loss diverged at epoch {epoch}")
         history.append(EpochRecord(epoch, train_loss, val_loss))
@@ -268,11 +258,5 @@ def train(train_samples: WindowDataset, val_samples: WindowDataset, config: Trai
             if bad_epochs > config.early_stop_patience:
                 break
 
-    model = LstmModel(
-        params=best_params,
-        config=config,
-        scaler=scaler,
-        feature_mode=train_samples.feature_mode,
-        feature_count=feature_count,
-    )
+    model = LstmModel(params=best_params, scaler=scaler, feature_mode=train_samples.feature_mode)
     return model, history

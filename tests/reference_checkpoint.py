@@ -9,8 +9,8 @@ def save_model_v1(model) -> str:
     doc = {
         "format_version": 1,
         "feature_mode": model.feature_mode,
-        "feature_count": model.feature_count,
-        "config": model.config.to_dict(),
+        "feature_count": model.params.feature_count,
+        "config": model.params.config.to_dict(),
         "scaler": {
             "feature_min": model.scaler.feature_min.tolist(),
             "feature_max": model.scaler.feature_max.tolist(),

@@ -149,15 +149,13 @@ def reference_train(train_samples, val_samples, config):
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             Xb, yb = X_train[idx], y_train[idx]
-            pred, cache = forward_batch(
-                params, Xb, config, training=True, rng=rng, want_cache=True
-            )
+            pred, cache = forward_batch(params, Xb, config, rng=rng, want_cache=True)
             err = pred - yb
             sq_err_total += float((err**2).sum())
             grads = reference_backward_batch(params, cache, 2.0 * err / len(idx))
             optimizer.step(params, grads)
         train_loss = sq_err_total / n
-        val_loss = _dataset_loss(params, val_rows, val_samples.starts, y_val, config)
+        val_loss = _dataset_loss(params, val_rows, val_samples.starts, y_val)
         history.append(EpochRecord(epoch, train_loss, val_loss))
         if val_loss < best_val:
             best_val = val_loss
@@ -168,6 +166,5 @@ def reference_train(train_samples, val_samples, config):
             if bad_epochs > config.early_stop_patience:
                 break
 
-    model = LstmModel(params=best_params, config=config, scaler=scaler,
-                      feature_mode=train_samples.feature_mode, feature_count=feature_count)
+    model = LstmModel(params=best_params, scaler=scaler, feature_mode=train_samples.feature_mode)
     return model, history

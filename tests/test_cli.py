@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from pyrokin import cli
 from pyrokin.cli import _parse_alpha_grid, check_mass_balance, main, vm_from_char
 from pyrokin.errors import DomainError, InputError
+from pyrokin.manifest import config_digest
 from pyrokin.report import predictions_to_csv
 import numpy as np
 
@@ -120,6 +121,36 @@ class TestSynthCommand:
     def test_unknown_preset_is_config_error(self, tmp_path, capsys):
         rc = main(["synth", "--preset", "nope", "--out-dir", str(tmp_path)])
         assert rc == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["--preset", "blend-0.5"],  # a suite_models name, not a preset
+        ["--preset", "blend-0.5", "--frac", "0.25"],
+        ["--preset", "single-step", "--frac", "0.3"],  # --frac is the blend's
+        ["--preset", "three-component-ds", "--frac", "0.75"],
+        ["--frac", "0.5"],  # beside the default preset
+    ])
+    def test_frac_or_preset_that_would_not_make_the_curves_exits_4(self, argv, tmp_path,
+                                                                   capsys):
+        out = tmp_path / "out"
+        assert main(["synth", *argv, "--beta", "10", "--out-dir", str(out)]) == 4
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, name, recorded", [
+        (["--preset", "blend"], "blend-0.75", {"preset": "blend", "frac": 0.75}),
+        (["--preset", "blend", "--frac", "0.5"], "blend-0.5", {"preset": "blend", "frac": 0.5}),
+        (["--preset", "single-step"], "single-step", {"preset": "single-step"}),
+        ([], "single-step", {"preset": "single-step"}),
+    ])
+    def test_manifest_records_the_frac_that_made_the_curves(self, argv, name, recorded,
+                                                            tmp_path):
+        out = tmp_path / "out"
+        assert main(["synth", *argv, "--beta", "10", "--out-dir", str(out)]) == 0
+        assert {p.name for p in out.iterdir()} == {
+            f"{name}_beta10.csv", f"{name}_beta10.json", f"{name}_model.json", "manifest.json"}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config_digest"] == config_digest(
+            {**recorded, "betas": [10.0], "dt": 0.5})
 
     def test_reruns_are_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -637,6 +668,24 @@ class TestTrainPredictEvaluate:
     def test_evaluate_without_inputs_exits_2(self, tmp_path):
         assert main(["evaluate", "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("extra", [["--model", "MODEL", "CURVE"], ["--model", "MODEL"],
+                                       ["CURVE"], ["--dt", "4.0"]])
+    def test_evaluate_predictions_beside_other_inputs_exits_2(self, synth_dir, trained,
+                                                              tmp_path, capsys, extra):
+        """A predictions file is scored alone: a model, curves or a step
+        beside it are named and refused, not ignored."""
+        pred = tmp_path / "pred.csv"
+        pred.write_text(predictions_to_csv([100.0, 200.0], [95.0, 60.0], [94.0, 61.0]))
+        inputs = {"MODEL": str(trained / "model.json"), "CURVE": curve_paths(synth_dir, (15,))[0]}
+        extra = [inputs.get(arg, arg) for arg in extra]
+        out = tmp_path / "out"
+        assert main(["evaluate", "--predictions", str(pred), *extra,
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--predictions is scored alone" in err
+        assert all(arg in err for arg in extra if arg != "4.0")
+        assert not out.exists()
+
     def test_look_back_past_every_curve_exits_2(self, synth_dir, tmp_path, capsys):
         # at --dt 6 each fixture curve has 101 rows
         out = tmp_path / "out"
@@ -782,7 +831,8 @@ class TestCheckpointVersions:
         for key, value in model.params.items():
             assert from_v1.params[key].dtype == value.dtype
             assert from_v1.params[key].tobytes() == value.tobytes(), key
-        assert (from_v1.config, from_v1.feature_mode) == (model.config, model.feature_mode)
+        assert (from_v1.params.config, from_v1.feature_mode) == (model.params.config,
+                                                                 model.feature_mode)
         resaved = save_model(from_v1)
         assert resaved == v2_text
         assert save_model(load_model(resaved)) == resaved
@@ -1296,6 +1346,16 @@ class TestLstmImportBoundary:
         from pyrokin.seqmodel.features import FEATURE_COLUMNS
 
         assert cli.FEATURE_MODES == tuple(sorted(FEATURE_COLUMNS))
+
+    def test_activation_and_optimizer_choices_are_the_catalogues(self):
+        from pyrokin.seqmodel.lstm import ACTIVATIONS
+        from pyrokin.seqmodel.training import OPTIMIZERS
+
+        [commands] = [a for a in cli._PARSER._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+        choices = {a.dest: a.choices for a in commands.choices["train"]._actions}
+        assert choices["activation"] == tuple(ACTIVATIONS)
+        assert choices["optimizer"] == tuple(OPTIMIZERS)
 
     def test_kinetic_commands_do_not_import_seqmodel(self, synth_dir, tmp_path):
         script = """

@@ -31,7 +31,7 @@ def valid_model():
     scaler = MinMaxScaler(feature_min=np.zeros(4), feature_max=np.ones(4),
                           target_min=0.0, target_max=100.0)
     params = init_params(4, config, np.random.default_rng(0))
-    return LstmModel(params, config, scaler, "model1", 4)
+    return LstmModel(params, scaler, "model1")
 
 
 VALID = {

@@ -93,7 +93,7 @@ def tiny_scaler(n_features):
 
 def predict_one(model, window):
     """Scaled prediction for one already-scaled (look_back, features) window."""
-    return float(infer(model.params, window, np.array([0]), model.config)[0])
+    return float(infer(model.params, window, np.array([0]))[0])
 
 
 def zero_params(feature_count, config):
@@ -270,8 +270,8 @@ def assert_matches_reference(n, steps, features, hidden, layers, activation,
     X = np.random.default_rng(seed + 1).random((n, steps, features))
     dpred = np.random.default_rng(seed + 2).standard_normal(n)
 
-    pred, cache = forward_batch(params, X, config, training=True,
-                                rng=np.random.default_rng(seed + 3), want_cache=True)
+    pred, cache = forward_batch(params, X, config, rng=np.random.default_rng(seed + 3),
+                                want_cache=True)
     ref_pred, ref_cache = ref_forward_batch(params, X, config, training=True,
                                             rng=np.random.default_rng(seed + 3))
     # the prediction is a sum too, whose terms carry h's term magnitude
@@ -334,8 +334,7 @@ class TestCacheLayout:
                              dropout=dropout)
         params = init_params(features, config, np.random.default_rng(0))
         X = np.random.default_rng(1).random((n, steps, features))
-        _, cache = forward_batch(params, X, config, training=True,
-                                 rng=np.random.default_rng(2), want_cache=True)
+        _, cache = forward_batch(params, X, config, rng=np.random.default_rng(2), want_cache=True)
         _, ref_cache = ref_forward_batch(params, X, config, training=True,
                                          rng=np.random.default_rng(2))
         assert cache["config"] is config
@@ -361,18 +360,17 @@ class TestCacheReuse:
         config = TrainConfig(hidden_units=5, lstm_layers=3, look_back=4, dropout=0.3)
         params = init_params(3, config, np.random.default_rng(0))
         X = np.random.default_rng(2).random((6, 4, 3))
-        _, cache = forward_batch(params, X, config, training=True,
-                                 rng=np.random.default_rng(2), want_cache=True)
+        _, cache = forward_batch(params, X, config, rng=np.random.default_rng(2),
+                                 want_cache=True)
         keep = 1.0 - config.dropout
         draws = np.random.default_rng(2).random((2, 6, 4, 5))
         for k, (entry, above) in enumerate(zip(cache["layers"], cache["layers"][1:])):
             mask = entry["mask"]
             assert np.array_equal(mask, (draws[k] < keep) / keep)
-            assert entry["out"].shape == (4, 5, 6)
-            assert np.array_equal(entry["out"], entry["h"] * mask.transpose(1, 2, 0))
             # the layer above reads the dropped-out states as its input
-            assert np.shares_memory(above["x"], entry["out"])
-        assert cache["layers"][-1]["mask"] is cache["layers"][-1]["out"] is None
+            assert above["x"].shape == (6, 4, 5)
+            assert np.array_equal(above["x"], entry["h"].transpose(2, 0, 1) * mask)
+        assert cache["layers"][-1]["mask"] is None
 
     def test_fresh_step_allocates_its_cache_and_less_than_one_mask_more(self):
         # tune_small's largest shape: 3 layers, H=32, N=64, T=20, 7 features,
@@ -386,15 +384,19 @@ class TestCacheReuse:
         X = np.random.default_rng(1).random((n, steps, features))
         tracemalloc.start()
         try:
-            _, cache = forward_batch(params, X, config, training=True,
-                                     rng=np.random.default_rng(2), want_cache=True)
+            _, cache = forward_batch(params, X, config, rng=np.random.default_rng(2),
+                                     want_cache=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # every entry but "x", a view of X or of the layer below's output
-        cache_bytes = sum(array.nbytes for entry in cache["layers"]
+        # every entry but "x", a view of X or of the layer below's states,
+        # plus the dropped-out states a layer above a mask reads as its "x"
+        layers = cache["layers"]
+        cache_bytes = sum(array.nbytes for entry in layers
                           for key, array in entry.items()
                           if key != "x" and array is not None)
+        cache_bytes += sum(above["x"].nbytes for entry, above in zip(layers, layers[1:])
+                           if entry["mask"] is not None)
         assert peak < cache_bytes + 8 * n * steps * hidden
 
 
@@ -408,8 +410,7 @@ class TestBackwardInTheCache:
     FEATURES = 7
 
     def cache(self, params, X, config):
-        _, cache = forward_batch(params, X, config, training=True,
-                                 rng=np.random.default_rng(3), want_cache=True)
+        _, cache = forward_batch(params, X, config, rng=np.random.default_rng(3), want_cache=True)
         return cache
 
     @pytest.mark.parametrize("layers, dropout, steps, n, hidden, activation", [
@@ -504,7 +505,7 @@ class TestForward:
                              activation="sigmoid", dropout=0.0)
         params = zero_params(5, config)
         params["dense.b"][0] = 0.73
-        model = LstmModel(params, config, tiny_scaler(5), "model1", 5)
+        model = LstmModel(params, tiny_scaler(5), "model1")
         window = np.ones((4, 5))
         assert predict_one(model, window) == pytest.approx(0.73, abs=1e-15)
 
@@ -523,14 +524,14 @@ class TestForward:
             params[f"l0.b{gate}"][0] = b
         params["dense.w"][0] = 2.0
         params["dense.b"][0] = 0.5
-        model = LstmModel(params, config, tiny_scaler(1), "model1", 1)
+        model = LstmModel(params, tiny_scaler(1), "model1")
         window = np.array([[1.0], [-0.5]])
         assert predict_one(model, window) == pytest.approx(HAND_FORWARD_VALUE, abs=1e-12)
 
     def test_inference_is_bitwise_deterministic(self):
         config = TrainConfig(hidden_units=6, lstm_layers=2, look_back=8, dropout=0.3)
         params = init_params(4, config, np.random.default_rng(11))
-        model = LstmModel(params, config, tiny_scaler(4), "model1", 4)
+        model = LstmModel(params, tiny_scaler(4), "model1")
         window = np.random.default_rng(2).random((8, 4))
         assert predict_one(model, window) == predict_one(model, window)
 
@@ -538,7 +539,19 @@ class TestForward:
         config = TrainConfig(hidden_units=2, lstm_layers=2, look_back=3, dropout=0.5)
         params = init_params(3, config, np.random.default_rng(0))
         with pytest.raises(ConfigError, match="RNG"):
-            forward_batch(params, np.ones((1, 3, 3)), config, training=True)
+            forward_batch(params, np.ones((1, 3, 3)), config, want_cache=True)
+
+    def test_inference_ignores_the_rng(self):
+        # a pass without a cache is inference: no dropout, and no draw
+        config = TrainConfig(hidden_units=4, lstm_layers=3, look_back=5, dropout=0.5)
+        params = init_params(3, config, np.random.default_rng(0))
+        X = np.random.default_rng(1).random((7, 5, 3))
+        rng = np.random.default_rng(2)
+        with_rng, cache = forward_batch(params, X, config, rng=rng)
+        without, _ = forward_batch(params, X, config)
+        assert cache is None
+        assert with_rng.tobytes() == without.tobytes()
+        assert rng.random() == np.random.default_rng(2).random()
 
 
 class TestInfer:
@@ -572,13 +585,12 @@ class TestInfer:
         starts = np.arange(n)
         params = init_params(7, config, np.random.default_rng(9))
         whole, _ = forward_batch(params, gathered(rows, starts, 20), config)
-        assert np.allclose(infer(params, rows, starts, config), whole, rtol=1e-12, atol=0.0)
+        assert np.allclose(infer(params, rows, starts), whole, rtol=1e-12, atol=0.0)
 
     def test_empty_stack(self):
         config = TrainConfig(hidden_units=4, look_back=6)
         params = init_params(3, config, np.random.default_rng(0))
-        pred = infer(params, np.random.default_rng(1).random((10, 3)),
-                     np.array([], dtype=int), config)
+        pred = infer(params, np.random.default_rng(1).random((10, 3)), np.array([], dtype=int))
         assert pred.shape == (0,)
 
 
@@ -617,7 +629,7 @@ class TestSlidingInfer:
             return forward_batch(params, X, config, **kwargs)
 
         monkeypatch.setattr(lstm, "forward_batch", spy)
-        got = infer(params, rows, starts, config)
+        got = infer(params, rows, starts)
         monkeypatch.undo()
         expected = blockwise_reference(params, rows, starts, config)
         if rtol is None:
@@ -721,17 +733,17 @@ class TestCheckpoint:
         config = TrainConfig(hidden_units=5, lstm_layers=2, look_back=6,
                              activation="relu")
         params = init_params(4, config, np.random.default_rng(21))
-        model = LstmModel(params, config, tiny_scaler(4), "model1", 4)
+        model = LstmModel(params, tiny_scaler(4), "model1")
         again = load_model(save_model(model))
         window = np.random.default_rng(3).random((6, 4))
         assert predict_one(model, window) == predict_one(again, window)
-        assert again.config == model.config
+        assert again.params.config == model.params.config
         assert again.feature_mode == "model1"
 
     def test_unsupported_version_rejected(self):
         config = TrainConfig(hidden_units=2, lstm_layers=1, look_back=3)
         params = init_params(2, config, np.random.default_rng(0))
-        model = LstmModel(params, config, tiny_scaler(2), "model1", 2)
+        model = LstmModel(params, tiny_scaler(2), "model1")
         text = save_model(model)
         version = f'"format_version": {CHECKPOINT_VERSION}'
         assert version in text
@@ -747,7 +759,7 @@ class TestCheckpoint:
                                 [1.7976931348623157e308, -2.5e-310, 1 / 3],
                                 [-1e-300, 1e300, np.pi],
                                 [2.0**-1074, -(2.0**1023), 0.0]]
-        model = LstmModel(params, config, tiny_scaler(4), "model1", 4)
+        model = LstmModel(params, tiny_scaler(4), "model1")
         text = save_model(model)
         weights = json.loads(text)["weights"]
         assert sorted(weights) == sorted(params)

@@ -131,7 +131,7 @@ class TestTrain:
         samples = linear_mass_samples(mode=mode)
         model, _ = train(samples[:40], samples[40:60], quick_config(epochs=1))
         assert model.feature_mode == mode
-        assert model.feature_count == samples.rows.shape[1]
+        assert model.params.feature_count == samples.rows.shape[1]
 
     def test_validation_loss_is_the_mse_of_infer(self):
         # 1,100 windows: two 512-window loss groups and a remainder
@@ -140,8 +140,8 @@ class TestTrain:
         rng = np.random.default_rng(6)
         rows, y = rng.random((1104, 3)), rng.random(1100)
         starts = rng.permutation(1100)
-        mse = float(((infer(params, rows, starts, config) - y) ** 2).mean())
-        assert _dataset_loss(params, rows, starts, y, config) == pytest.approx(
+        mse = float(((infer(params, rows, starts) - y) ** 2).mean())
+        assert _dataset_loss(params, rows, starts, y) == pytest.approx(
             mse, rel=1e-15, abs=0.0)
 
 
@@ -228,7 +228,7 @@ def evaluate_scaled_loss(model, samples):
     y = model.scaler.scale_target(samples.targets)
     # each window as its own rows: starts look_back apart, so every block is gathered
     n, steps, features = X.shape
-    pred = infer(model.params, X.reshape(-1, features), np.arange(n) * steps, model.config)
+    pred = infer(model.params, X.reshape(-1, features), np.arange(n) * steps)
     return float(((pred - y) ** 2).mean())
 
 
