@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .constants import KELVIN_OFFSET
 from .errors import ConfigError, DomainError, InputError, PyrokinError
-from .kinetics import METHODS, KineticModelAssumption, run_analysis
+from .kinetics import KineticModelAssumption, by_method, run_analysis
 from .manifest import write_manifest
 from .preprocess import (
     DEFAULT_ALPHA_GRID,
@@ -256,10 +256,8 @@ def cmd_analyze(args):
     files["ea_vs_alpha.csv"] = ea_plot_csv(table)
     if args.format == "svg":
         files["ea_vs_alpha.svg"] = emit_svg(
-            ea_plot_series(table),
-            {"title": f"Ea vs conversion: {table.sample_id}",
-             "xlabel": "conversion", "ylabel": "Ea (kJ/mol)"},
-        )
+            ea_plot_series(table), f"Ea vs conversion: {table.sample_id}",
+            "conversion", "Ea (kJ/mol)")
     _emit(args, "analyze", args.curves, config, files)
     for warning in table.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -269,10 +267,8 @@ def cmd_analyze(args):
 
 def cmd_thermo(args):
     table = analysis_from_csv(_read_text(args.kinetics))
-    inputs = [args.kinetics]
-    if args.tm is not None:
-        t_m = args.tm
-    elif args.curve:
+    inputs, config = [args.kinetics], {}
+    if args.tm is None:  # the parser lets exactly one of --tm and --curve through
         inputs.append(args.curve)
         curve = resample_uniform(_load_curve_file(args.curve), args.dt)
         peaks = find_peaks(compute_dtg(curve, args.smooth_window), args.stage_windows)
@@ -282,29 +278,23 @@ def cmd_thermo(args):
                 f"no {args.stage!r} peak found in {args.curve}; pass --tm explicitly"
             )
         t_m = stage_peaks[0].T_peak
+        config["stage"] = args.stage
     else:
-        raise InputError("need --tm or --curve to fix the reference peak temperature")
+        t_m = args.tm
+    config["tm"] = t_m
     profile = thermo_profile(table, t_m)
-    config = {"tm": t_m, "stage": args.stage}
     files = {"thermo.csv": thermo_to_csv(profile)}
     if args.format == "svg":
+        groups = by_method(profile)
         for quantity, pick, unit in (
             ("dH", lambda e: e.delta_h / 1000.0, "kJ/mol"),
             ("dG", lambda e: e.delta_g / 1000.0, "kJ/mol"),
             ("dS", lambda e: e.delta_s, "J/(mol K)"),
         ):
-            series = []
-            for method in METHODS:
-                ests = [e for e in profile if e.method == method]
-                if ests:
-                    series.append(
-                        (method, [e.alpha for e in ests], [pick(e) for e in ests])
-                    )
+            series = [(method, [e.alpha for e in ests], [pick(e) for e in ests])
+                      for method, ests in groups.items()]
             files[f"thermo_{quantity.lower()}.svg"] = emit_svg(
-                series,
-                {"title": f"{quantity} vs conversion", "xlabel": "conversion",
-                 "ylabel": f"{quantity} ({unit})"},
-            )
+                series, f"{quantity} vs conversion", "conversion", f"{quantity} ({unit})")
     _emit(args, "thermo", inputs, config, files)
     print(f"thermo profile at Tm = {t_m:.2f} K: {len(profile)} estimates")
 
@@ -427,9 +417,7 @@ def cmd_predict(args):
     svg = emit_svg(
         [("actual", temps.tolist(), actual.tolist()),
          ("predicted", temps.tolist(), predicted.tolist())],
-        {"title": f"mass-loss prediction: {cid}",
-         "xlabel": "temperature (C)", "ylabel": "mass (%)"},
-    )
+        f"mass-loss prediction: {cid}", "temperature (C)", "mass (%)")
     _emit(args, "predict", [args.model, args.curve],
           {"dt": args.dt},
           {"predictions.csv": predictions_to_csv(temps, actual, predicted),
@@ -509,10 +497,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "svg"), default="csv",
                    help="csv: machine output only; svg: plus charts")
     p.add_argument("--kinetics", required=True, help="kinetics.csv from analyze")
-    p.add_argument("--tm", type=_finite_float, default=None,
-                   help="reference peak temperature (K)")
-    p.add_argument("--curve", default=None,
-                   help="curve CSV whose DTG peak supplies the reference temperature")
+    reference = p.add_mutually_exclusive_group(required=True)
+    reference.add_argument("--tm", type=_finite_float,
+                           help="reference peak temperature (K)")
+    reference.add_argument("--curve",
+                           help="curve CSV whose DTG peak supplies the reference temperature")
     p.add_argument("--stage", default="hemicellulose",
                    help="stage whose peak is the reference")
     p.add_argument("--stage-windows", type=_parse_stage_windows, default=None,

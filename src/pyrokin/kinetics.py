@@ -201,17 +201,18 @@ class AnalysisTable:
     excluded_alphas: tuple[float, ...] = ()
     warnings: tuple[str, ...] = ()
 
-    def by_method(self, method: str) -> list[KineticEstimate]:
-        return [e for e in self.estimates if e.method == method]
-
     def ea_averages(self) -> dict[str, float]:
         """Arithmetic mean of Ea (J/mol) over the included conversion grid."""
-        out = {}
-        for method in METHODS:
-            eas = [e.ea for e in self.by_method(method)]
-            if eas:
-                out[method] = float(np.mean(eas))
-        return out
+        return {method: float(np.mean([e.ea for e in rows]))
+                for method, rows in by_method(self.estimates).items()}
+
+
+def by_method(rows) -> dict[str, list]:
+    """A sequence of kinetic or thermodynamic estimate rows grouped by their
+    ``method``: the methods in ``METHODS`` order, each method's rows in their
+    given order, and no entry for a method without rows."""
+    return {method: group for method in METHODS
+            if (group := [row for row in rows if row.method == method])}
 
 
 def reachable_levels(alpha_curves, alpha_grid=DEFAULT_ALPHA_GRID):

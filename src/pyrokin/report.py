@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InputError
-from .kinetics import METHODS, AnalysisTable, KineticEstimate
+from .kinetics import METHODS, AnalysisTable, KineticEstimate, by_method
 from .tga_io import csv_text, read_csv
 
 if TYPE_CHECKING:
@@ -76,12 +76,14 @@ def analysis_to_text(table: AnalysisTable) -> str:
         header_top += f" | {label + ' model':^34}"
         header_sub += f" | {'Ea(kJ/mol)':>10} {'R^2':>8} {'A(1/s)':>12}"
     rows = [header_top, header_sub, "-" * len(header_sub)]
+    cells = {}  # (alpha, method): the first such estimate
+    for est in table.estimates:
+        cells.setdefault((est.alpha, est.method), est)
     for alpha in table.included_alphas:
         row = f"{alpha:>{width}.{decimals}f}"
         for method in METHODS:
-            match = [e for e in table.by_method(method) if e.alpha == alpha]
-            if match:
-                est = match[0]
+            est = cells.get((alpha, method))
+            if est is not None:
                 row += f" | {est.ea / 1000.0:>10.2f} {est.r_squared:>8.4f} {est.a:>12.3e}"
             else:
                 row += f" | {'-':>10} {'-':>8} {'-':>12}"
@@ -102,15 +104,8 @@ def analysis_to_text(table: AnalysisTable) -> str:
 
 def ea_plot_series(table: AnalysisTable):
     """Per-method (alpha, Ea kJ/mol) series for the Ea-vs-conversion chart."""
-    series = []
-    for method in METHODS:
-        ests = table.by_method(method)
-        if not ests:
-            continue
-        xs = [e.alpha for e in ests]
-        ys = [e.ea / 1000.0 for e in ests]
-        series.append((_METHOD_LABELS[method], xs, ys))
-    return series
+    return [(_METHOD_LABELS[method], [e.alpha for e in ests], [e.ea / 1000.0 for e in ests])
+            for method, ests in by_method(table.estimates).items()]
 
 
 def ea_plot_csv(table: AnalysisTable) -> str:

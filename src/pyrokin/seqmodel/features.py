@@ -30,6 +30,10 @@ FIBRE_WINDOWS_C = {name: w for name, w in STAGE_WINDOWS_C.items() if name != "mo
 
 DEFAULT_LOOK_BACK = 20
 
+# split_dataset's train, validation and in-distribution test shares of the
+# windows that are not held out
+SPLIT_FRACTIONS = (0.70, 0.15, 0.15)
+
 
 def lignocellulosic_remaining(temperature_c, window: tuple[float, float]):
     """Fraction of a fibre component not yet decomposed at each temperature.
@@ -146,18 +150,15 @@ def window_sequences(curves, mode: str = MODEL1,
     )
 
 
-def split_dataset(samples: WindowDataset, fractions=(0.70, 0.15, 0.15), holdout_curves=(),
-                  seed: int = 0):
+def split_dataset(samples: WindowDataset, holdout_curves=(), seed: int = 0):
     """Deterministic train/val/test split with curve-level holdout.
 
     Windows of held-out curves are excluded from train/val entirely and
     prepended to the test set; the rest are shuffled by ``seed`` and divided
-    by ``fractions``, whose third share becomes the in-distribution test
-    remainder. A holdout id that names no curve of ``samples`` is an
+    by ``SPLIT_FRACTIONS``, whose third share becomes the in-distribution
+    test remainder. A holdout id that names no curve of ``samples`` is an
     input error.
     """
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise DomainError(f"fractions must sum to 1, got {fractions}")
     unknown = sorted(set(holdout_curves) - set(samples.curves))
     if unknown:
         raise InputError(f"holdout curve ids name no curve of the dataset: {unknown}")
@@ -166,8 +167,8 @@ def split_dataset(samples: WindowDataset, fractions=(0.70, 0.15, 0.15), holdout_
     if not len(rest):
         raise InputError("holdout covers every curve; nothing left to train on")
     order = rest[np.random.default_rng(seed).permutation(len(rest))]
-    n_train = int(len(rest) * fractions[0])
-    n_val = int(len(rest) * fractions[1])
+    n_train = int(len(rest) * SPLIT_FRACTIONS[0])
+    n_val = int(len(rest) * SPLIT_FRACTIONS[1])
     return (
         samples[order[:n_train]],
         samples[order[n_train : n_train + n_val]],

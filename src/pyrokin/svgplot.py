@@ -33,11 +33,12 @@ def _axis_range(values):
     return lo - pad, hi + pad
 
 
-def emit_svg(series, style=None) -> str:
+def emit_svg(series, title, xlabel, ylabel) -> str:
     """Render named (x, y) series as a self-contained SVG document.
 
     ``series`` is a list of ``(name, xs, ys)`` triples, each with at least
-    two points. Axes auto-scale with a 5% margin; identical input produces
+    two points; ``title`` heads the chart and ``xlabel`` and ``ylabel`` name
+    its axes. Axes auto-scale with a 5% margin; identical input produces
     identical bytes.
     """
     if not series:
@@ -45,7 +46,6 @@ def emit_svg(series, style=None) -> str:
     for name, xs, ys in series:
         if len(xs) < 2 or len(xs) != len(ys):
             raise InputError(f"series {name!r} needs >= 2 (x, y) pairs")
-    style = style or {}
 
     x_lo, x_hi = _axis_range([x for _, xs, _ in series for x in xs])
     y_lo, y_hi = _axis_range([y for _, _, ys in series for y in ys])
@@ -109,23 +109,20 @@ def emit_svg(series, style=None) -> str:
             f'font-family="sans-serif">{_text(name)}</text>'
         )
 
-    if "title" in style:
-        out.append(
-            f'<text x="{WIDTH / 2:.0f}" y="{MARGIN_TOP - 6}" font-size="14" '
-            f'text-anchor="middle" font-family="sans-serif">{_text(style["title"])}</text>'
-        )
-    if "xlabel" in style:
-        out.append(
-            f'<text x="{MARGIN_LEFT + plot_w / 2:.0f}" y="{HEIGHT - 12}" font-size="12" '
-            f'text-anchor="middle" font-family="sans-serif">{_text(style["xlabel"])}</text>'
-        )
-    if "ylabel" in style:
-        cx, cy = 18, MARGIN_TOP + plot_h / 2
-        out.append(
-            f'<text x="{cx}" y="{cy:.0f}" font-size="12" text-anchor="middle" '
-            f'font-family="sans-serif" transform="rotate(-90 {cx} {cy:.0f})">'
-            f'{_text(style["ylabel"])}</text>'
-        )
+    out.append(
+        f'<text x="{WIDTH / 2:.0f}" y="{MARGIN_TOP - 6}" font-size="14" '
+        f'text-anchor="middle" font-family="sans-serif">{_text(title)}</text>'
+    )
+    out.append(
+        f'<text x="{MARGIN_LEFT + plot_w / 2:.0f}" y="{HEIGHT - 12}" font-size="12" '
+        f'text-anchor="middle" font-family="sans-serif">{_text(xlabel)}</text>'
+    )
+    cx, cy = 18, MARGIN_TOP + plot_h / 2
+    out.append(
+        f'<text x="{cx}" y="{cy:.0f}" font-size="12" text-anchor="middle" '
+        f'font-family="sans-serif" transform="rotate(-90 {cx} {cy:.0f})">'
+        f'{_text(ylabel)}</text>'
+    )
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -8,8 +8,6 @@ package importable, e.g. ``PYTHONPATH=src``); the names are TABLES' keys.
 
 import sys
 
-import numpy as np
-
 from pyrokin.kinetics import METHODS, run_analysis
 from pyrokin.synthkin import simulate, suite_models
 
@@ -35,8 +33,8 @@ def blend_ea():
         model, spec = models[name]
         table = run_analysis([simulate(model, beta, ORACLE_DT, spec=spec)
                               for beta in BLEND_BETAS])
-        rows.append((name, *(float(np.mean([e.ea for e in table.estimates
-                                            if e.method == m])) / 1e3 for m in METHODS)))
+        averages = table.ea_averages()
+        rows.append((name, *(averages[method] / 1e3 for method in METHODS)))
     return rows
 
 

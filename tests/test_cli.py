@@ -17,6 +17,7 @@ from pyrokin import cli
 from pyrokin.cli import _parse_alpha_grid, check_mass_balance, main, vm_from_char
 from pyrokin.errors import DomainError, InputError
 from pyrokin.manifest import config_digest
+from pyrokin.preprocess import DEFAULT_SMOOTH_WINDOW, compute_dtg, find_peaks
 from pyrokin.report import predictions_to_csv
 import numpy as np
 
@@ -404,21 +405,45 @@ class TestThermoCommand:
         argv = ["thermo", "--kinetics", kinetics, "--curve", curve, "--stage", "cellulose"]
         assert main([*argv, "--out-dir", str(tmp_path / "peak")]) == 0
         # the manifest lists the curve the reference temperature came from,
-        # after the kinetics file; with --tm the curve is not read
+        # after the kinetics file
         manifest = json.loads((tmp_path / "peak" / "manifest.json").read_text())
         assert manifest["inputs"] == [kinetics, curve]
-        assert main([*argv, "--tm", "625.0", "--out-dir", str(tmp_path / "tm")]) == 0
-        manifest = json.loads((tmp_path / "tm" / "manifest.json").read_text())
-        assert manifest["inputs"] == [kinetics]
 
-    def test_without_tm_or_curve_exits_2(self, synth_dir, tmp_path, capsys):
+    def test_config_records_the_stage_only_when_a_curve_is_read(self, synth_dir, tmp_path):
         kin = tmp_path / "k"
         assert main(["analyze", *curve_paths(synth_dir), "--out-dir", str(kin)]) == 0
-        capsys.readouterr()
+        kinetics, path = str(kin / "kinetics.csv"), curve_paths(synth_dir, (10,))[0]
+        argv = ["thermo", "--kinetics", kinetics, "--stage", "cellulose"]
+        assert main([*argv, "--curve", path, "--out-dir", str(tmp_path / "peak")]) == 0
+        assert main([*argv, "--tm", "625.0", "--out-dir", str(tmp_path / "tm")]) == 0
+        spec, beta = sidecar_to_spec(Path(path).with_suffix(".json").read_text())
+        curve = resample_uniform(load_curve(Path(path).read_text(), spec, beta), 0.5)
+        peaks = find_peaks(compute_dtg(curve, DEFAULT_SMOOTH_WINDOW))
+        t_m = next(p.T_peak for p in peaks if p.stage_label == "cellulose")
+        for name, config in (("peak", {"tm": t_m, "stage": "cellulose"}),
+                             ("tm", {"tm": 625.0})):
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+            assert manifest["config_digest"] == config_digest(config), name
+
+    def test_tm_beside_curve_exits_2(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "out"
-        assert main(["thermo", "--kinetics", str(kin / "kinetics.csv"),
-                     "--out-dir", str(out)]) == 2
-        assert "need --tm or --curve" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["thermo", "--kinetics", str(tmp_path / "kinetics.csv"), "--tm", "625.0",
+                  "--curve", curve_paths(synth_dir, (10,))[0], "--out-dir", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "argument --curve: not allowed with argument --tm" in err
+        assert not out.exists()
+
+    def test_without_tm_or_curve_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["thermo", "--kinetics", str(tmp_path / "kinetics.csv"), "--out-dir", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "one of the arguments --tm --curve is required" in err
         assert not out.exists()
 
     def test_stage_windows_override_the_default_table(self, synth_dir, tmp_path, capsys):

@@ -90,13 +90,13 @@ def ref_window_sequences(rows_by_curve, look_back):
     return samples
 
 
-def ref_split_dataset(samples, fractions=(0.70, 0.15, 0.15), holdout_curves=(), seed=0):
+def ref_split_dataset(samples, holdout_curves=(), seed=0):
     holdout_set = set(holdout_curves)
     held = [s for s in samples if s.curve_id in holdout_set]
     rest = [s for s in samples if s.curve_id not in holdout_set]
     perm = np.random.default_rng(seed).permutation(len(rest))
-    n_train = int(len(rest) * fractions[0])
-    n_val = int(len(rest) * fractions[1])
+    n_train = int(len(rest) * 0.70)
+    n_val = int(len(rest) * 0.15)
     return (
         [rest[i] for i in perm[:n_train]],
         [rest[i] for i in perm[n_train : n_train + n_val]],
@@ -326,10 +326,6 @@ class TestSplitDataset:
     def test_unknown_holdout_id_rejected(self):
         with pytest.raises(InputError, match="c9"):
             split_dataset(self.samples(40), holdout_curves=("c1", "c9"), seed=0)
-
-    def test_bad_fractions_rejected(self):
-        with pytest.raises(DomainError):
-            split_dataset(self.samples(40), fractions=(0.5, 0.4, 0.2), seed=0)
 
 
 def dataset_of(rows, look_back, mass=None):

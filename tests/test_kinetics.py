@@ -11,6 +11,7 @@ from pyrokin.kinetics import (
     AnalysisTable,
     KineticEstimate,
     KineticModelAssumption,
+    by_method,
     fit_levels,
     linear_fit,
     reachable_levels,
@@ -18,6 +19,7 @@ from pyrokin.kinetics import (
 )
 from pyrokin.preprocess import AlphaCurve
 from pyrokin.synthkin import simulate, suite_models
+from pyrokin.thermo import ThermoEstimate
 
 from reference_kinetics import reference_run_analysis
 
@@ -205,15 +207,15 @@ class TestSyntheticRecovery:
     def test_all_methods_within_documented_tolerances(self, single_step_analysis):
         tol = {"friedman": 0.01, "kas": 0.02, "fwo": 0.05}
         for method in METHODS:
-            for est in single_step_analysis.by_method(method):
+            for est in by_method(single_step_analysis.estimates)[method]:
                 assert abs(est.ea - 180e3) / 180e3 < tol[method], (method, est.alpha)
                 assert est.r_squared > 0.999
                 assert est.a > 0.0 and math.isfinite(est.a)
 
     def test_integral_methods_stay_close_to_friedman(self, single_step_analysis):
-        fr = {e.alpha: e.ea for e in single_step_analysis.by_method("friedman")}
+        fr = {e.alpha: e.ea for e in by_method(single_step_analysis.estimates)["friedman"]}
         for method, bound in (("kas", 0.02), ("fwo", 0.05)):
-            for est in single_step_analysis.by_method(method):
+            for est in by_method(single_step_analysis.estimates)[method]:
                 assert abs(est.ea - fr[est.alpha]) / fr[est.alpha] < bound
 
     def test_method_averages_recover_ground_truth(self, single_step_analysis):
@@ -238,7 +240,7 @@ class TestNoisyRecovery:
 
         def worst_friedman_err(window):
             table = run_analysis(curves, smooth_window=window)
-            return max(abs(e.ea - 180e3) / 180e3 for e in table.by_method("friedman"))
+            return max(abs(e.ea - 180e3) / 180e3 for e in by_method(table.estimates)["friedman"])
 
         raw = worst_friedman_err(1)
         smoothed = worst_friedman_err(9)
@@ -253,6 +255,21 @@ def table_from_ea_column(method, eas_kj):
         for a, ea in zip(grid, eas_kj)
     )
     return AnalysisTable("fixture", ests, tuple(grid))
+
+
+class TestByMethod:
+    def test_groups_in_methods_order_keeping_each_methods_row_order(self):
+        rows = [KineticEstimate(method, alpha, 1.0, 1.0, 1.0)
+                for alpha, method in ((0.2, "fwo"), (0.1, "kas"), (0.1, "fwo"), (0.3, "kas"))]
+        groups = by_method(rows)
+        assert list(groups) == ["kas", "fwo"]  # no friedman rows, no friedman entry
+        assert groups["kas"] == [rows[1], rows[3]]
+        assert groups["fwo"] == [rows[0], rows[2]]
+
+    def test_groups_thermodynamic_rows(self):
+        rows = [ThermoEstimate(0.1, method, 1.0, 1.0, 0.0) for method in reversed(METHODS)]
+        assert by_method(rows) == {method: [row] for method, row in
+                                   zip(METHODS, reversed(rows))}
 
 
 class TestAveraging:

@@ -31,6 +31,10 @@ from pyrokin.svgplot import (
 )
 
 
+# every chart's title, x-axis and y-axis labels
+LABELS = ("chart", "x", "y")
+
+
 def small_table():
     ests = []
     for method in ("friedman", "kas", "fwo"):
@@ -98,38 +102,44 @@ class TestReport:
 
 class TestSvg:
     def test_two_point_series_has_exactly_one_polyline(self):
-        svg = emit_svg([("line", [0.0, 1.0], [0.0, 1.0])])
+        svg = emit_svg([("line", [0.0, 1.0], [0.0, 1.0])], *LABELS)
         assert svg.count("<polyline") == 1
         assert svg.startswith("<svg ")
         assert svg.rstrip().endswith("</svg>")
 
     def test_identical_input_identical_bytes(self):
         series = [("a", [0.0, 0.5, 1.0], [1.0, 0.4, 0.2])]
-        assert emit_svg(series) == emit_svg(series)
+        assert emit_svg(series, *LABELS) == emit_svg(series, *LABELS)
 
     def test_legend_carries_series_names(self):
         svg = emit_svg(
             [
                 ("actual", [0.0, 1.0], [1.0, 0.5]),
                 ("predicted", [0.0, 1.0], [0.9, 0.55]),
-            ]
+            ],
+            *LABELS,
         )
         assert ">actual</text>" in svg
         assert ">predicted</text>" in svg
         assert svg.count("<polyline") == 2
 
     def test_no_external_references(self):
-        svg = emit_svg([("a", [0.0, 1.0], [0.0, 1.0])])
+        svg = emit_svg([("a", [0.0, 1.0], [0.0, 1.0])], *LABELS)
         assert "http" not in svg.replace("http://www.w3.org/2000/svg", "")
 
     def test_empty_input_rejected(self):
         with pytest.raises(InputError):
-            emit_svg([])
+            emit_svg([], *LABELS)
         with pytest.raises(InputError):
-            emit_svg([("one-point", [1.0], [1.0])])
+            emit_svg([("one-point", [1.0], [1.0])], *LABELS)
+
+    def test_title_and_axis_labels_are_escaped_text(self):
+        svg = emit_svg([("a", [0.0, 1.0], [0.0, 1.0])], "A & B", "x < 1", "y > 0")
+        for text in (">A &amp; B</text>", ">x &lt; 1</text>", ">y &gt; 0</text>"):
+            assert svg.count(text) == 1, text
 
     def test_constant_series_still_renders(self):
-        svg = emit_svg([("flat", [0.0, 1.0], [3.0, 3.0])])
+        svg = emit_svg([("flat", [0.0, 1.0], [3.0, 3.0])], *LABELS)
         assert svg.count("<polyline") == 1
 
 
@@ -173,6 +183,6 @@ def test_polyline_points_match_the_per_point_reference(kind, data):
         xs = data.draw(st.lists(values, min_size=size, max_size=size))
         ys = data.draw(st.lists(values, min_size=size, max_size=size))
         series.append((f"s{k}", xs, ys))
-    svg = emit_svg(series)
+    svg = emit_svg(series, *LABELS)
     assert re.findall(r'points="([^"]*)"', svg) == reference_points(series)
 
