@@ -82,6 +82,11 @@ MIN_ALPHA_STEP = 0.01
 
 MASS_BALANCE_TOL = 0.005
 
+# thermo's flags that only a --curve run reads, by dest (each flag is its dest
+# with dashes), and the values such a run takes for the flags left out
+THERMO_CURVE_DEFAULTS = {"stage": "hemicellulose", "stage_windows": None,
+                         "smooth_window": DEFAULT_SMOOTH_WINDOW, "dt": 0.5}
+
 
 def vm_from_char(eta_pct: float) -> float:
     """Volatile-matter percent from char yield: the two must sum to 100."""
@@ -266,19 +271,27 @@ def cmd_analyze(args):
 
 
 def cmd_thermo(args):
+    # the parser lets exactly one of --tm and --curve through, and leaves each
+    # curve-only flag that is not given None
+    given = {dest: value for dest in THERMO_CURVE_DEFAULTS
+             if (value := getattr(args, dest)) is not None}
+    if args.tm is not None and given:
+        flags = ", ".join("--" + dest.replace("_", "-") for dest in given)
+        raise InputError(f"--tm is the reference temperature; only --curve reads {flags}")
     table = analysis_from_csv(_read_text(args.kinetics))
     inputs, config = [args.kinetics], {}
-    if args.tm is None:  # the parser lets exactly one of --tm and --curve through
+    if args.tm is None:
+        opts = {**THERMO_CURVE_DEFAULTS, **given}
         inputs.append(args.curve)
-        curve = resample_uniform(_load_curve_file(args.curve), args.dt)
-        peaks = find_peaks(compute_dtg(curve, args.smooth_window), args.stage_windows)
-        stage_peaks = [p for p in peaks if p.stage_label == args.stage]
+        curve = resample_uniform(_load_curve_file(args.curve), opts["dt"])
+        peaks = find_peaks(compute_dtg(curve, opts["smooth_window"]), opts["stage_windows"])
+        stage_peaks = [p for p in peaks if p.stage_label == opts["stage"]]
         if not stage_peaks:
             raise InputError(
-                f"no {args.stage!r} peak found in {args.curve}; pass --tm explicitly"
+                f"no {opts['stage']!r} peak found in {args.curve}; pass --tm explicitly"
             )
         t_m = stage_peaks[0].T_peak
-        config["stage"] = args.stage
+        config["stage"] = opts["stage"]
     else:
         t_m = args.tm
     config["tm"] = t_m
@@ -502,12 +515,13 @@ def build_parser() -> argparse.ArgumentParser:
                            help="reference peak temperature (K)")
     reference.add_argument("--curve",
                            help="curve CSV whose DTG peak supplies the reference temperature")
-    p.add_argument("--stage", default="hemicellulose",
-                   help="stage whose peak is the reference")
-    p.add_argument("--stage-windows", type=_parse_stage_windows, default=None,
+    # the flags --curve alone reads; each default is in THERMO_CURVE_DEFAULTS
+    p.add_argument("--stage", help="stage whose peak is the reference "
+                                   f"(default {THERMO_CURVE_DEFAULTS['stage']})")
+    p.add_argument("--stage-windows", type=_parse_stage_windows,
                    help="override stage windows: name:lo_c:hi_c[,...]")
-    p.add_argument("--smooth-window", type=int, default=DEFAULT_SMOOTH_WINDOW)
-    p.add_argument("--dt", type=_finite_float, default=0.5)
+    p.add_argument("--smooth-window", type=int)
+    p.add_argument("--dt", type=_finite_float, help="resampling step (K) of the curve")
     p.set_defaults(func=cmd_thermo)
 
     p = sub.add_parser("synth", parents=[common],

@@ -51,20 +51,13 @@ class KineticModelAssumption:
 
     def f(self, alpha: float) -> float:
         """Differential form f(alpha) = (1 - alpha)^n."""
-        self._check_alpha(alpha)
         return (1.0 - alpha) ** self.order
 
     def g(self, alpha: float) -> float:
         """Integral form g(alpha), the antiderivative of 1/f."""
-        self._check_alpha(alpha)
         if self.order == 1.0:
             return -math.log1p(-alpha)
         return (1.0 - (1.0 - alpha) ** (1.0 - self.order)) / (1.0 - self.order)
-
-    @staticmethod
-    def _check_alpha(alpha: float):
-        if not (0.0 <= alpha < 1.0):
-            raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
 
 
 FIRST_ORDER = KineticModelAssumption()
@@ -93,7 +86,8 @@ def r_squared(ss_res, ss_tot):
 
 
 def linear_fit(x, y):
-    """Ordinary least squares of y on x along the last axis: one fit per row.
+    """Ordinary least squares of y on x, two arrays of one shape, along the
+    last axis: one fit per row.
 
     Returns ``(slope, intercept, r_squared)``, each shaped like the leading
     axes. A constant target with a perfect fit reports r_squared = 1 (the
@@ -102,8 +96,6 @@ def linear_fit(x, y):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise InputError(f"x and y must have equal shapes, got {x.shape} and {y.shape}")
     if x.shape[-1] < 3:
         raise InputError(f"need >= 3 points for a fit, got {x.shape[-1]}")
     x_mean = x.mean(axis=-1, keepdims=True)
@@ -152,8 +144,6 @@ def fit_levels(alphas, betas, temps, rates,
     betas = np.asarray(betas, dtype=float)
     temps = np.asarray(temps, dtype=float)
     rates = np.asarray(rates, dtype=float)
-    if np.any(temps <= 0.0) or np.any(betas <= 0.0):
-        raise DomainError("temperatures and heating rates must be positive")
     bad_rates = np.any(~np.isfinite(rates) | (rates <= 0.0), axis=1)
     x = 1.0 / temps
     regressands = (np.log(np.where(bad_rates[:, None], 1.0, rates)),  # bad levels raise below

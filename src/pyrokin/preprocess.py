@@ -58,7 +58,6 @@ class DtgPeak:
 
     stage_label: str
     T_peak: float  # K
-    peak_rate: float  # |dm/dT| maximum, 1/K
     window: tuple[float, float]  # K
 
 
@@ -103,14 +102,11 @@ def compute_dtg(curve: TgaCurve, smooth_window: int = DEFAULT_SMOOTH_WINDOW):
     return curve.temperature_k.copy(), deriv
 
 
-def mass_at_temperature(curve: TgaCurve, temperature_k: float) -> float:
-    """Linearly interpolated mass fraction; clamps outside the curve range."""
-    return float(np.interp(temperature_k, curve.temperature_k, curve.mass_fraction))
-
-
 def default_mass_bounds(curve: TgaCurve, m0_at_c: float = DEFAULT_M0_AT_C):
-    """(m0, mf) = (mass once moisture is gone, final mass)."""
-    return mass_at_temperature(curve, m0_at_c + KELVIN_OFFSET), float(curve.mass_fraction[-1])
+    """(m0, mf) = (mass once moisture is gone, final mass). m0 is linearly
+    interpolated, and clamped outside the curve's temperature range."""
+    m0 = np.interp(m0_at_c + KELVIN_OFFSET, curve.temperature_k, curve.mass_fraction)
+    return float(m0), float(curve.mass_fraction[-1])
 
 
 def compute_alpha(curve: TgaCurve, m0: float, mf: float,
@@ -123,12 +119,6 @@ def compute_alpha(curve: TgaCurve, m0: float, mf: float,
     """
     if m0 <= mf:
         raise DomainError(f"m0 must exceed mf, got m0={m0}, mf={mf}")
-    lo = float(curve.mass_fraction.min())
-    hi = float(curve.mass_fraction.max())
-    if not (lo - 1e-9 <= mf < m0 <= hi + 1e-9):
-        raise DomainError(
-            f"mass bounds ({m0}, {mf}) outside observed mass range [{lo}, {hi}]"
-        )
     _, dm_dT = compute_dtg(curve, smooth_window)
     raw = (m0 - curve.mass_fraction) / (m0 - mf)
     alpha = np.maximum.accumulate(np.clip(raw, 0.0, 1.0))
@@ -176,8 +166,6 @@ def find_peaks(dtg, windows=None):
     out of the result. Absence of a peak is a valid outcome, not an error.
     """
     temperature_k, dm_dT = dtg
-    if len(temperature_k) == 0:
-        return []
     if windows is None:
         windows = DEFAULT_STAGE_WINDOWS
     magnitude = np.abs(dm_dT)
@@ -197,7 +185,6 @@ def find_peaks(dtg, windows=None):
             DtgPeak(
                 stage_label=label,
                 T_peak=float(temperature_k[k]),
-                peak_rate=float(magnitude[k]),
                 window=(t_lo, t_hi),
             )
         )

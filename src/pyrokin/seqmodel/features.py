@@ -60,8 +60,6 @@ def build_features(curve: TgaCurve, mode: str = MODEL1) -> np.ndarray:
     spec = curve.spec
     fibres = {"cellulose": spec.cellulose_pct, "hemicellulose": spec.hemicellulose_pct,
               "lignin": spec.lignin_pct}
-    if mode == MODEL2 and None in fibres.values():
-        raise InputError(f"sample {spec.sample_id!r} lacks fibre metadata for extended features")
     temp_c = curve.temperature_k - KELVIN_OFFSET
     columns = [spec.ds_fraction * 100.0, spec.scg_fraction * 100.0,
                curve.heating_rate_beta, temp_c]

@@ -186,7 +186,7 @@ class EpochRecord:
 
 
 def train(train_samples: WindowDataset, val_samples: WindowDataset, config: TrainConfig):
-    """Fit the network on raw (unscaled) windows.
+    """Fit the network on raw (unscaled) windows of ``config.look_back`` rows.
 
     The feature scaler is fit on the training split only, then applied to
     the feature rows, once when both splits share them (as the splits of
@@ -208,10 +208,6 @@ def train(train_samples: WindowDataset, val_samples: WindowDataset, config: Trai
     """
     if not train_samples or not val_samples:
         raise InputError("train and validation sets must be non-empty")
-    if train_samples.look_back != config.look_back:
-        raise ConfigError(
-            f"sample look-back {train_samples.look_back} != configured {config.look_back}"
-        )
 
     scaler = MinMaxScaler.fit(train_samples)
     rows = scaler.scale_window(train_samples.rows)

@@ -103,8 +103,8 @@ class TgaCurve:
     """One thermogravimetric run at a fixed heating rate.
 
     ``time_s``, ``temperature_k`` and ``mass_fraction`` are parallel arrays;
-    time is strictly increasing, temperature non-decreasing, and mass is
-    normalized so the first sample equals 1.
+    time is strictly increasing, temperature non-decreasing and above 0 K,
+    and mass is normalized so the first sample equals 1.
     """
 
     spec: SampleSpec
@@ -130,6 +130,10 @@ class TgaCurve:
         if not np.all(rising):
             row = int(np.argmin(rising)) + 1
             raise InputError(f"temperature decreases at row {row}")
+        t0 = self.temperature_k[0]
+        if not t0 > 0.0:  # temperature never falls, so this covers every point
+            raise InputError(f"temperature must be above 0 K, got {t0:g} K "
+                             f"({t0 - KELVIN_OFFSET:g} C) at the first point")
         if not (np.all(self.mass_fraction > 0.0) and np.all(self.mass_fraction <= 1.0 + 1e-12)):
             raise InputError("mass fraction must lie in (0, 1]")
         if abs(self.mass_fraction[0] - 1.0) > 1e-12:
@@ -167,16 +171,15 @@ def csv_text(header: str, rows) -> str:
 def read_csv(data_stream, headers, text_columns=()) -> dict:
     """Read text written in the package's CSV dialect (see ``csv_text``).
 
-    ``data_stream`` is a string or a text file object; ``headers`` lists the
-    accepted header lines. Blank lines are skipped, and the header matches
-    without regard to case or surrounding spaces. Returns a dict from each
-    column name of the matched header to a float array, or to a list of
-    stripped strings for the columns named in ``text_columns``. Every
-    numeric cell must be finite: a bad cell or column count raises
-    ``ParseError`` with its physical line number.
+    ``data_stream`` is the text; ``headers`` lists the accepted header
+    lines. Blank lines are skipped, and the header matches without regard to
+    case or surrounding spaces. Returns a dict from each column name of the
+    matched header to a float array, or to a list of stripped strings for
+    the columns named in ``text_columns``. Every numeric cell must be
+    finite: a bad cell or column count raises ``ParseError`` with its
+    physical line number.
     """
-    text = data_stream if isinstance(data_stream, str) else data_stream.read()
-    lines = text.split("\n")
+    lines = data_stream.split("\n")
     rows = list(filter(str.strip, lines))
     if not rows:
         raise InputError("empty input: no CSV rows found")
@@ -226,11 +229,11 @@ def _bad_row(lines, header_no, names, numeric) -> ParseError:
 
 
 def load_curve(data_stream, meta: SampleSpec, beta: float) -> TgaCurve:
-    """Read a TGA CSV stream into a curve with normalized mass.
+    """Read TGA CSV text into a curve with normalized mass.
 
     Parameters
     ----------
-    data_stream : str or text file object
+    data_stream : str
         CSV text with header ``time_s,temperature_c,mass_pct`` or the
         two-column variant ``temperature_c,mass_pct`` (time is then
         reconstructed from the heating rate).
@@ -298,10 +301,13 @@ def sidecar_to_spec(text: str) -> tuple[SampleSpec, float]:
         raise InputError(f"sidecar missing fields: {', '.join(missing)}")
 
     def number(key):
-        try:
-            return float(doc[key])
-        except (TypeError, ValueError, OverflowError):
-            raise InputError(f"sidecar field {key} is not a number: {doc[key]!r}") from None
+        value = doc[key]
+        try:  # a JSON number only: not a string, a boolean or null
+            if type(value) in (int, float):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+        raise InputError(f"sidecar field {key} is not a number: {value!r}")
 
     if not isinstance(doc["sample_id"], str):
         raise InputError(f"sidecar field sample_id is not a string: {doc['sample_id']!r}")

@@ -41,8 +41,6 @@ def delta_h(ea: float, t_m: float) -> float:
 
 def delta_g(ea: float, t_m: float, a: float) -> float:
     """Activation Gibbs energy dG = Ea + R Tm ln(kB Tm / (h A))."""
-    if t_m <= 0.0:
-        raise DomainError(f"T_m must be positive, got {t_m}")
     if a <= 0.0:
         raise DomainError(f"pre-exponential factor must be positive, got {a}")
     log_term = math.log(BOLTZMANN * t_m / PLANCK) - math.log(a)
@@ -51,8 +49,6 @@ def delta_g(ea: float, t_m: float, a: float) -> float:
 
 def delta_s(dh: float, dg: float, t_m: float) -> float:
     """Activation entropy dS = (dH - dG) / Tm."""
-    if t_m <= 0.0:
-        raise DomainError(f"T_m must be positive, got {t_m}")
     return (dh - dg) / t_m
 
 

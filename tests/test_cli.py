@@ -114,6 +114,18 @@ class TestSynthCommand:
         assert rc == 0
         assert (tmp_path / "blend-0.5_beta10.csv").exists()
 
+    @pytest.mark.parametrize("frac, parent", [("1", "three-component-ds"),
+                                              ("0", "three-component-scg")])
+    def test_blend_of_one_parent_writes_that_parents_curves(self, tmp_path, frac, parent):
+        """Parallel reactions are additive, so a blend that is all one parent
+        is that parent, curve file for curve file."""
+        assert main(["synth", "--preset", "blend", "--frac", frac,
+                     "--out-dir", str(tmp_path / "blend")]) == 0
+        assert main(["synth", "--preset", parent, "--out-dir", str(tmp_path / "parent")]) == 0
+        for beta in (5, 10, 15, 20):
+            assert ((tmp_path / "blend" / f"blend-{frac}_beta{beta}.csv").read_bytes()
+                    == (tmp_path / "parent" / f"{parent}_beta{beta}.csv").read_bytes()), beta
+
     def test_empty_heating_rate_list_exits_2(self, tmp_path, capsys):
         assert main(["synth", "--beta", "", "--out-dir", str(tmp_path / "out")]) == 2
         assert "need at least one heating rate" in capsys.readouterr().err
@@ -291,6 +303,33 @@ class TestAnalyzeCommand:
             assert field in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("column, row, value, sidecar, message", [
+        ("mass_pct", 0, 0.0, {}, "initial mass must be positive"),
+        ("mass_pct", 5, 100.5, {}, "mass fraction must lie in (0, 1]"),
+        ("mass_pct", 5, 0.0, {}, "mass fraction must lie in (0, 1]"),
+        ("temperature_c", 0, -300.0, {}, "temperature must be above 0 K"),
+        (None, None, None, {"ds_fraction": 1.5, "scg_fraction": -0.5},
+         "ds_fraction outside [0, 1]"),
+    ], ids=["first-mass-zero", "later-mass-above-first", "later-mass-zero", "below-0-K",
+            "blend-fractions-outside-0-1"])
+    def test_curve_outside_the_curve_contract_exits_2(self, synth_dir, tmp_path, capsys,
+                                                      column, row, value, sidecar, message):
+        good = synth_dir / "single-step_beta5.csv"
+        lines = good.read_text().splitlines()
+        if column is not None:
+            cells = lines[1 + row].split(",")
+            cells[lines[0].split(",").index(column)] = str(value)
+            lines[1 + row] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        doc = json.loads(good.with_suffix(".json").read_text())
+        bad.with_suffix(".json").write_text(json.dumps({**doc, **sidecar}))
+        out = tmp_path / "out"
+        assert main(["analyze", str(bad), *curve_paths(synth_dir, (10, 15)),
+                     "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_degenerate_regression_exits_3(self, synth_dir, tmp_path, capsys):
         # identical curve data under three different claimed heating rates
         # gives zero temperature variance at every conversion level
@@ -413,8 +452,9 @@ class TestThermoCommand:
         kin = tmp_path / "k"
         assert main(["analyze", *curve_paths(synth_dir), "--out-dir", str(kin)]) == 0
         kinetics, path = str(kin / "kinetics.csv"), curve_paths(synth_dir, (10,))[0]
-        argv = ["thermo", "--kinetics", kinetics, "--stage", "cellulose"]
-        assert main([*argv, "--curve", path, "--out-dir", str(tmp_path / "peak")]) == 0
+        argv = ["thermo", "--kinetics", kinetics]
+        assert main([*argv, "--stage", "cellulose", "--curve", path,
+                     "--out-dir", str(tmp_path / "peak")]) == 0
         assert main([*argv, "--tm", "625.0", "--out-dir", str(tmp_path / "tm")]) == 0
         spec, beta = sidecar_to_spec(Path(path).with_suffix(".json").read_text())
         curve = resample_uniform(load_curve(Path(path).read_text(), spec, beta), 0.5)
@@ -424,6 +464,24 @@ class TestThermoCommand:
                              ("tm", {"tm": 625.0})):
             manifest = json.loads((tmp_path / name / "manifest.json").read_text())
             assert manifest["config_digest"] == config_digest(config), name
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--stage", "cellulose"),
+        ("--stage", "hemicellulose"),  # the value a --curve run takes anyway
+        ("--stage-windows", "hemicellulose:225:325"),
+        ("--smooth-window", "9"),
+        ("--dt", "0.5"),
+    ])
+    def test_curve_only_flag_beside_tm_exits_2(self, synth_dir, tmp_path, capsys, flag,
+                                               value):
+        kin = tmp_path / "k"
+        assert main(["analyze", *curve_paths(synth_dir), "--out-dir", str(kin)]) == 0
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["thermo", "--kinetics", str(kin / "kinetics.csv"), "--tm", "625.0",
+                     flag, value, "--out-dir", str(out)]) == 2
+        assert f"only --curve reads {flag}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_tm_beside_curve_exits_2(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1035,11 +1093,14 @@ BAD_NUMBERS = [
     (["synth", "--beta", "10", "--dt", TOO_FINE], 2),
     (["analyze", "CURVES", "--dt", "nan"], 2),
     (["analyze", "CURVES", "--order", "nan"], 2),
+    (["analyze", "CURVES", "--order", "0"], 2),
     (["analyze", "CURVES", "--m0-at", "-inf"], 2),
     (["features", "CURVES", "--dt", "nan"], 2),
     (["synth", "--dt", "nan"], 2),
     (["synth", "--beta", "nan"], 2),
     (["synth", "--beta", "5,inf"], 2),
+    (["synth", "--beta", "0"], 2),
+    (["synth", "--preset", "blend", "--frac", "1.5"], 2),
     (["thermo", "--kinetics", "KINETICS", "--tm", "nan"], 2),
     (["train", "CURVES", "--lr", "inf"], 2),
     (["massbalance", "--char", "27.74", "--vm", "nan"], 2),
@@ -1055,9 +1116,10 @@ BAD_NUMBERS = [
     (["tune", "CURVES", "--batch-choices", ""], 4),
     (["tune", "CURVES", "--hidden-choices", "2.7"], 2),
     (["tune", "CURVES", "--lr-bounds", "0.001,nan"], 2),
+    (["tune", "CURVES", "--trials", "0"], 4),
     *((["thermo", "--kinetics", "KINETICS", "--curve", "CURVE", "--stage-windows",
         f"hemicellulose:{window}"], 2)
-      for window in ("-inf:inf", "200:1e400", "nan:325")),
+      for window in ("-inf:inf", "200:1e400", "nan:325", "225", "325:225")),
 ]
 
 

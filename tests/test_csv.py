@@ -1,7 +1,5 @@
 """The one CSV dialect: `csv_text` writes it, `read_csv` reads it back."""
 
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,10 +201,6 @@ class TestReadCsv:
                          ("method",))
         assert table["method"] == ["kas"]
         assert_bitwise(table["alpha"], [0.5])
-
-    def test_reads_a_text_stream(self):
-        table = read_csv(io.StringIO("x,y\n1,2\n\n3,4\n"), ("x,y",))
-        assert_bitwise(table["y"], [2.0, 4.0])
 
     def test_header_only_gives_empty_columns(self):
         table = read_csv("x,name\n", ("x,name",), ("name",))

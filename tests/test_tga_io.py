@@ -120,6 +120,10 @@ class TestSerializationRoundTrip:
         ("heating_rate_c_per_min", -5.0),
         ("lignin_pct", None),
         ("scg_fraction", {"value": 0.5}),
+        # JSON booleans and strings are not numbers, whatever float() makes of them
+        ("heating_rate_c_per_min", True),
+        ("cellulose_pct", "22.5"),
+        ("ash_pct", False),
     ])
     def test_sidecar_bad_number_is_input_error(self, field, value):
         doc = json.loads(spec_to_sidecar(DATE_SEEDS, beta=10.0))
