@@ -16,6 +16,7 @@ problem, with a message naming it.
 from __future__ import annotations
 
 import argparse
+import ctypes  # numpy has already imported it
 import json
 import math
 import os
@@ -615,7 +616,29 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+def _keep_freed_memory_mapped() -> None:
+    """Fix glibc's malloc thresholds at the ceilings its dynamic rule reaches.
+
+    Training frees each step's forward cache before the next step. At
+    glibc's start values (128 KiB each) the freed cache is unmapped or
+    trimmed off the heap top, and the next step faults it back in. glibc's
+    dynamic rule raises the mmap threshold to the size of a larger freed
+    mapped chunk, up to 32 MiB on 64-bit, and the trim threshold to twice
+    it; this sets those ceilings when a command starts instead of after
+    some large free, or never. A C library without ``mallopt`` is left as
+    it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # TypeError: CDLL(None) on Windows
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory_mapped()
     args = _PARSER.parse_args(argv)
     try:
         args.func(args)

@@ -1,7 +1,9 @@
 import argparse
 import base64
+import ctypes
 import json
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -1472,6 +1474,51 @@ assert "pyrokin.seqmodel" in sys.modules
         assert run.returncode == 0, run.stderr
         assert (tmp_path / "thermo" / "thermo.csv").exists()
         assert (tmp_path / "features" / "features.csv").exists()
+
+
+class TestMallocThresholds:
+    """main() keeps a training step's freed cache mapped, where the C library lets it."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt only")
+    def test_a_repeated_train_stays_within_a_fault_budget(self, synth_dir, tmp_path):
+        # under glibc's start thresholds each step's freed cache is unmapped or
+        # trimmed, and the rerun faulted about 750 pages back in; kept mapped,
+        # it takes about 55 (Python 3.11, numpy 2.4)
+        script = """
+import resource, sys
+from pyrokin.cli import main
+
+argv = ["train", *sys.argv[1:4], "--layers", "2", "--dropout", "0.2", "--epochs", "2",
+        "--hidden", "8", "--dt", "2", "--out-dir", sys.argv[4]]
+assert main(argv) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert main(argv) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-c", script, *curve_paths(synth_dir, (5, 10, 15)),
+             str(tmp_path)], capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        assert int(run.stdout.split()[-1]) < 200
+
+    @pytest.mark.parametrize("cdll", ["no-mallopt", "no-library"])
+    def test_without_mallopt_main_runs_unchanged(self, monkeypatch, tmp_path, cdll):
+        outputs = TestParserReuse.outputs
+        opened = []
+
+        def fake_cdll(name, *args, **kwargs):
+            opened.append(name)
+            if cdll == "no-library":
+                raise OSError("no C library handle")
+            return object()
+
+        argv = ["synth", "--beta", "10", "--dt", "1", "--out-dir"]
+        assert main([*argv, str(tmp_path / "plain")]) == 0
+        monkeypatch.setattr(ctypes, "CDLL", fake_cdll)
+        assert main([*argv, str(tmp_path / "patched")]) == 0
+        assert opened == [None]
+        assert outputs(tmp_path / "patched") == outputs(tmp_path / "plain") != {}
 
 
 class TestManifest:
