@@ -35,6 +35,7 @@ from .preprocess import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_M0_AT_C,
     DEFAULT_SMOOTH_WINDOW,
+    FEATURE_COLUMNS,
     compute_dtg,
     find_peaks,
     kelvin_windows,
@@ -54,11 +55,8 @@ from .report import (
     thermo_to_csv,
 )
 from .svgplot import emit_svg
-from .synthkin import blend_models, model_to_json, simulate, suite_models
+from .synthkin import BLEND_FRAC, PRESETS, model_to_json, preset, simulate
 from .tga_io import (
-    DATE_SEEDS,
-    SPENT_COFFEE_GROUNDS,
-    blend_spec,
     csv_text,
     curve_to_csv,
     load_curve,
@@ -69,13 +67,7 @@ from .tga_io import (
 from .thermo import thermo_profile
 
 # The LSTM package (``seqmodel``) is imported only inside the model commands, so
-# the kinetic commands start without it. Its feature modes are spelled out here
-# for the parser; a test checks them against ``seqmodel.features.FEATURE_COLUMNS``.
-FEATURE_MODES = ("model1", "model2")
-
-# synth's presets, and the blend preset's first-parent (date seed) fraction
-SYNTH_PRESETS = ("single-step", "three-component-ds", "three-component-scg", "blend")
-BLEND_FRAC = 0.75
+# the kinetic commands start without it.
 
 # caps an --alpha-grid at 99 levels in (0, 1); kinetics.txt prints as many
 # decimals as the levels need to tell them apart
@@ -83,8 +75,8 @@ MIN_ALPHA_STEP = 0.01
 
 MASS_BALANCE_TOL = 0.005
 
-# thermo's flags that only a --curve run reads, by dest (each flag is its dest
-# with dashes), and the values such a run takes for the flags left out
+# thermo's flags that only a --curve run reads, by dest, and the values such a
+# run takes for the flags left out
 THERMO_CURVE_DEFAULTS = {"stage": "hemicellulose", "stage_windows": None,
                          "smooth_window": DEFAULT_SMOOTH_WINDOW, "dt": 0.5}
 
@@ -277,7 +269,7 @@ def cmd_thermo(args):
     given = {dest: value for dest in THERMO_CURVE_DEFAULTS
              if (value := getattr(args, dest)) is not None}
     if args.tm is not None and given:
-        flags = ", ".join("--" + dest.replace("_", "-") for dest in given)
+        flags = ", ".join(args.flags[dest] for dest in given)
         raise InputError(f"--tm is the reference temperature; only --curve reads {flags}")
     table = analysis_from_csv(_read_text(args.kinetics))
     inputs, config = [args.kinetics], {}
@@ -316,22 +308,10 @@ def cmd_thermo(args):
 def cmd_synth(args):
     if not args.beta:
         raise InputError("need at least one heating rate")
-    if args.preset not in SYNTH_PRESETS:
-        raise ConfigError(f"unknown preset {args.preset!r}; choose from {list(SYNTH_PRESETS)}")
-    models = {name: (model, spec) for name, model, spec in suite_models()}
+    name, model, spec = preset(args.preset, args.frac)
     config = {"preset": args.preset, "betas": list(args.beta), "dt": args.dt}
-    if args.preset == "blend":
-        frac = config["frac"] = BLEND_FRAC if args.frac is None else args.frac
-        ds_model, _ = models["three-component-ds"]
-        scg_model, _ = models["three-component-scg"]
-        model = blend_models(ds_model, scg_model, frac)
-        spec = blend_spec(DATE_SEEDS, SPENT_COFFEE_GROUNDS, frac)
-        name = f"blend-{frac:g}"
-    elif args.frac is not None:
-        raise ConfigError(f"--frac applies only to the blend preset, not {args.preset!r}")
-    else:
-        model, spec = models[args.preset]
-        name = args.preset
+    if args.preset == "blend":  # only the blend reads a fraction
+        config["frac"] = BLEND_FRAC if args.frac is None else args.frac
     stems = {}  # file stem: heating rate; checked before anything is simulated
     for beta in args.beta:
         stem = f"{name}_beta{beta:g}"
@@ -349,8 +329,6 @@ def cmd_synth(args):
 
 
 def cmd_features(args):
-    from .seqmodel.features import FEATURE_COLUMNS
-
     curves, samples = _windows(args.curves, args.mode, 1, args.dt)
     ids = [cid for cid, curve in curves.items() for _ in range(curve.n_points)]
     table = np.column_stack([samples.rows, samples.mass_pct]).tolist()
@@ -527,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", parents=[common],
                        help="generate synthetic ground-truth curves")
-    p.add_argument("--preset", default="single-step", help=", ".join(SYNTH_PRESETS))
+    p.add_argument("--preset", default="single-step", help=", ".join(PRESETS))
     p.add_argument("--beta", type=_parse_float_list, default="5,10,15,20",
                    help="heating rates (K/min)")
     p.add_argument("--dt", type=_finite_float, default=0.5)
@@ -538,14 +516,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", parents=[common],
                        help="emit model feature rows for curves")
     p.add_argument("curves", nargs="+")
-    p.add_argument("--mode", choices=FEATURE_MODES, default="model1")
+    p.add_argument("--mode", choices=tuple(FEATURE_COLUMNS), default="model1")
     p.add_argument("--dt", type=_finite_float, default=None,
                    help="optional resampling step (K) before featurization")
     p.set_defaults(func=cmd_features)
 
     train_common = argparse.ArgumentParser(add_help=False)
     train_common.add_argument("--seed", type=int, default=0, help="master random seed")
-    train_common.add_argument("--mode", choices=FEATURE_MODES, default="model2")
+    train_common.add_argument("--mode", choices=tuple(FEATURE_COLUMNS), default="model2")
     train_common.add_argument("--dt", type=_finite_float, default=None)
     train_common.add_argument("--look-back", type=int)
     train_common.add_argument("--holdout", type=_parse_str_list, default=(),
@@ -568,9 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers", dest="lstm_layers", type=int)
     p.add_argument("--activation", choices=("relu", "sigmoid", "tanh"))
     p.add_argument("--optimizer", choices=("adam", "sgd", "rmsprop"))
-    # each dest's flag, which cmd_train names when refusing one beside --config
-    p.set_defaults(func=cmd_train,
-                   flags={a.dest: a.option_strings[0] for a in p._actions if a.option_strings})
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("tune", parents=[common, train_common],
                        help="random hyperparameter search")
@@ -609,6 +585,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reported VM percent to check for consistency")
     p.set_defaults(func=cmd_massbalance)
 
+    # each command's flags by dest, for the commands that name a refused flag
+    for p in sub.choices.values():
+        p.set_defaults(flags={a.dest: a.option_strings[0] for a in p._actions if a.option_strings})
     return parser
 
 

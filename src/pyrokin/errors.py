@@ -47,10 +47,6 @@ class RankError(NumericalError):
     """Degenerate regression input (e.g. zero variance in the regressor)."""
 
 
-class BracketError(NumericalError):
-    """Root finding failed: no sign change inside the search bracket."""
-
-
 class TrainingError(NumericalError):
     """Model training diverged or could not proceed."""
 

@@ -32,6 +32,14 @@ STAGE_WINDOWS_C = {
     "lignin": (160.0, 900.0),
 }
 
+# The model feature layouts by mode; the fibre columns deplete across the windows
+# above. They live here so the CLI's parser reads them without loading ``seqmodel``.
+MODEL1 = "model1"
+MODEL2 = "model2"
+MODEL1_FEATURES = ("ds_pct", "scg_pct", "heating_rate", "temperature")
+MODEL2_FEATURES = MODEL1_FEATURES + ("cellulose_t", "hemicellulose_t", "lignin_t")
+FEATURE_COLUMNS = {MODEL1: MODEL1_FEATURES, MODEL2: MODEL2_FEATURES}
+
 
 def kelvin_windows(windows_c):
     """Stage windows in degrees Celsius to the kelvin windows ``find_peaks`` reads."""

@@ -15,15 +15,15 @@ import numpy as np
 
 from ..constants import KELVIN_OFFSET
 from ..errors import DomainError, InputError
-from ..preprocess import STAGE_WINDOWS_C
+from ..preprocess import (  # the feature layouts, re-exported
+    FEATURE_COLUMNS,
+    MODEL1,
+    MODEL1_FEATURES,
+    MODEL2,
+    MODEL2_FEATURES,
+    STAGE_WINDOWS_C,
+)
 from ..tga_io import TgaCurve
-
-MODEL1 = "model1"
-MODEL2 = "model2"
-
-MODEL1_FEATURES = ("ds_pct", "scg_pct", "heating_rate", "temperature")
-MODEL2_FEATURES = MODEL1_FEATURES + ("cellulose_t", "hemicellulose_t", "lignin_t")
-FEATURE_COLUMNS = {MODEL1: MODEL1_FEATURES, MODEL2: MODEL2_FEATURES}
 
 # The decomposition stage windows (degrees Celsius) of the dynamic fibre features.
 FIBRE_WINDOWS_C = {name: w for name, w in STAGE_WINDOWS_C.items() if name != "moisture"}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import GAS_CONSTANT
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .tga_io import (
     DATE_SEEDS,
     SPENT_COFFEE_GROUNDS,
@@ -203,56 +203,57 @@ _HEMI = dict(ea=150e3, a=1.75e12)
 _CELL = dict(ea=200e3, a=3.9e14)
 _LIGNIN = dict(ea=55e3, a=6.0e1)
 
+# every suite model spans one temperature range, so any two of them blend
+_RANGE = dict(t_start=300.0, t_end=900.0)
+
+SINGLE_STEP = PseudoComponentModel(
+    components=(PseudoComponent(fraction=1.0, **_SINGLE_STEP),), residue=0.0, **_RANGE)
+# Dyadic fractions keep the mass balance exact in floating point, which the
+# blend-additivity checks rely on.
+DS_LIKE = PseudoComponentModel(
+    components=(
+        PseudoComponent(fraction=0.46875, **_HEMI),
+        PseudoComponent(fraction=0.21875, **_CELL),
+        PseudoComponent(fraction=0.125, **_LIGNIN),
+    ),
+    residue=0.1875, **_RANGE)
+SCG_LIKE = PseudoComponentModel(
+    components=(
+        PseudoComponent(fraction=0.375, ea=_HEMI["ea"], a=_HEMI["a"] * 1.2),
+        PseudoComponent(fraction=0.3125, ea=_CELL["ea"], a=_CELL["a"] * 0.8),
+        PseudoComponent(fraction=0.125, **_LIGNIN),
+    ),
+    residue=0.1875, **_RANGE)
+
+# the pure presets' models and specs; the blend preset mixes the last two
+_PURE = {
+    "single-step": (SINGLE_STEP, DATE_SEEDS),
+    "three-component-ds": (DS_LIKE, DATE_SEEDS),
+    "three-component-scg": (SCG_LIKE, SPENT_COFFEE_GROUNDS),
+}
+PRESETS = (*_PURE, "blend")
+# the blend preset's default first-parent (date seed) fraction
+BLEND_FRAC = 0.75
+
+
+def preset(name: str, frac: float | None = None):
+    """A preset's (name, model, spec) triple: the one place presets are built.
+
+    ``frac`` is the blend's date-seed fraction (default ``BLEND_FRAC``) and
+    names the blend ``blend-<frac:g>``; a pure preset refuses it.
+    """
+    if name == "blend":
+        frac = BLEND_FRAC if frac is None else frac
+        return (f"blend-{frac:g}", blend_models(DS_LIKE, SCG_LIKE, frac),
+                blend_spec(DATE_SEEDS, SPENT_COFFEE_GROUNDS, frac))
+    if name not in _PURE:
+        raise ConfigError(f"unknown preset {name!r}; choose from {list(PRESETS)}")
+    if frac is not None:
+        raise ConfigError(f"--frac applies only to the blend preset, not {name!r}")
+    return (name, *_PURE[name])
+
 
 def suite_models():
-    """The built-in presets' models: (name, model, spec) triples.
-
-    Contains (a) a single-step first-order sample, (b) two three-component
-    samples shaped like the pure feedstocks, and (c) convex blends of the
-    two at fractions 0.75/0.5/0.25.
-    """
-    t_lo, t_hi = 300.0, 900.0
-    single = PseudoComponentModel(
-        components=(PseudoComponent(fraction=1.0, **_SINGLE_STEP),),
-        residue=0.0,
-        t_start=t_lo,
-        t_end=t_hi,
-    )
-    # Dyadic fractions keep the mass balance exact in floating point, which
-    # the blend-additivity checks rely on.
-    ds_like = PseudoComponentModel(
-        components=(
-            PseudoComponent(fraction=0.46875, **_HEMI),
-            PseudoComponent(fraction=0.21875, **_CELL),
-            PseudoComponent(fraction=0.125, **_LIGNIN),
-        ),
-        residue=0.1875,
-        t_start=t_lo,
-        t_end=t_hi,
-    )
-    scg_like = PseudoComponentModel(
-        components=(
-            PseudoComponent(fraction=0.375, ea=_HEMI["ea"], a=_HEMI["a"] * 1.2),
-            PseudoComponent(fraction=0.3125, ea=_CELL["ea"], a=_CELL["a"] * 0.8),
-            PseudoComponent(fraction=0.125, **_LIGNIN),
-        ),
-        residue=0.1875,
-        t_start=t_lo,
-        t_end=t_hi,
-    )
-
-    triples = [
-        ("single-step", single, DATE_SEEDS),
-        ("three-component-ds", ds_like, DATE_SEEDS),
-        ("three-component-scg", scg_like, SPENT_COFFEE_GROUNDS),
-    ]
-    for frac in (0.75, 0.5, 0.25):
-        triples.append(
-            (
-                f"blend-{frac:g}",
-                blend_models(ds_like, scg_like, frac),
-                blend_spec(DATE_SEEDS, SPENT_COFFEE_GROUNDS, frac),
-            )
-        )
-    return triples
-
+    """The pure presets and the blends at fractions 0.75/0.5/0.25, as
+    (name, model, spec) triples."""
+    return [preset(name) for name in _PURE] + [preset("blend", f) for f in (0.75, 0.5, 0.25)]

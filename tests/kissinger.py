@@ -5,7 +5,11 @@ simulator's and ``compute_dtg``'s peaks to it."""
 import math
 
 from pyrokin.constants import GAS_CONSTANT
-from pyrokin.errors import BracketError, DomainError
+from pyrokin.errors import DomainError, NumericalError
+
+
+class BracketError(NumericalError):
+    """Root finding failed: no sign change inside the search bracket."""
 
 
 def kissinger_peak(ea: float, a: float, beta: float) -> float:

@@ -1431,11 +1431,6 @@ class TestParserReuse:
 class TestLstmImportBoundary:
     """The kinetic commands never load the LSTM package; the model commands do."""
 
-    def test_feature_modes_are_the_feature_layouts(self):
-        from pyrokin.seqmodel.features import FEATURE_COLUMNS
-
-        assert cli.FEATURE_MODES == tuple(sorted(FEATURE_COLUMNS))
-
     def test_activation_and_optimizer_choices_are_the_catalogues(self):
         from pyrokin.seqmodel.lstm import ACTIVATIONS
         from pyrokin.seqmodel.training import OPTIMIZERS

@@ -7,19 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pyrokin.constants import GAS_CONSTANT
-from pyrokin.errors import BracketError, DomainError
+from pyrokin.errors import ConfigError, DomainError
 from pyrokin.synthkin import (
     _GL_NODES,
     _GL_WEIGHTS,
+    BLEND_FRAC,
+    PRESETS,
     PseudoComponent,
     PseudoComponentModel,
     blend_models,
     model_to_json,
+    preset,
     simulate,
     suite_models,
 )
 
-from kissinger import kissinger_peak
+from kissinger import BracketError, kissinger_peak
 
 # root of the first-order peak condition for Ea=150 kJ/mol, A=1e13/s at
 # 10 K/min, found by an independent bisection run
@@ -198,6 +201,26 @@ class TestKissingerPeak:
     def test_no_bracket_raises(self):
         with pytest.raises(BracketError):
             kissinger_peak(500e3, 1e-30, 10.0 / 60.0)
+
+
+class TestPreset:
+    @pytest.mark.parametrize("name", [n for n in PRESETS if n != "blend"])
+    def test_pure_preset_is_its_suite_model(self, name):
+        suite = {triple[0]: triple for triple in suite_models()}
+        assert preset(name) == suite[name]
+
+    def test_blend_defaults_to_blend_frac(self):
+        assert preset("blend") == preset("blend", BLEND_FRAC)
+        assert preset("blend")[0] == "blend-0.75"
+
+    def test_unknown_name_is_config_error(self):
+        with pytest.raises(ConfigError, match="unknown preset 'blend-0.5'"):
+            preset("blend-0.5")
+
+    @pytest.mark.parametrize("name", [n for n in PRESETS if n != "blend"])
+    def test_frac_on_a_pure_preset_is_config_error(self, name):
+        with pytest.raises(ConfigError, match="applies only to the blend preset"):
+            preset(name, 0.5)
 
 
 class TestFixtureSuite:
