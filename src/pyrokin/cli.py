@@ -126,6 +126,16 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type for --seed: numpy's generators take non-negative integers."""
+    try:
+        if (value := int(text)) >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _parse_alpha_grid(text: str):
     try:
         start, stop, step = (float(tok) for tok in text.split(":"))
@@ -405,6 +415,7 @@ def cmd_predict(args):
     [(cid, prepared)] = curves.items()
     predicted = model.predict(samples)
     actual = samples.targets
+    metrics = metrics_from_arrays(actual, predicted)  # a failure leaves no bundle
     temps = prepared.temperature_k[look_back:] - KELVIN_OFFSET
     svg = emit_svg(
         [("actual", temps.tolist(), actual.tolist()),
@@ -414,7 +425,7 @@ def cmd_predict(args):
           {"dt": args.dt},
           {"predictions.csv": predictions_to_csv(temps, actual, predicted),
            "predictions.svg": svg})
-    print(metrics_to_text(metrics_from_arrays(actual, predicted)), end="")
+    print(metrics_to_text(metrics), end="")
 
 
 def cmd_evaluate(args):
@@ -523,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_features)
 
     train_common = argparse.ArgumentParser(add_help=False)
-    train_common.add_argument("--seed", type=int, default=0, help="master random seed")
+    train_common.add_argument("--seed", type=_seed, default=0, help="master random seed")
     train_common.add_argument("--mode", choices=tuple(FEATURE_COLUMNS), default="model2")
     train_common.add_argument("--dt", type=_finite_float, default=None)
     train_common.add_argument("--look-back", type=int)

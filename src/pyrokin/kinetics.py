@@ -88,7 +88,7 @@ def r_squared(ss_res, ss_tot):
 
 def linear_fit(x, y):
     """Ordinary least squares of y on x, two arrays of one shape, along the
-    last axis: one fit per row.
+    last axis: one fit per row of the >= 3 points ``run_analysis`` requires.
 
     Returns ``(slope, intercept, r_squared)``, each shaped like the leading
     axes. A constant target with a perfect fit reports r_squared = 1 (the
@@ -97,8 +97,6 @@ def linear_fit(x, y):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape[-1] < 3:
-        raise InputError(f"need >= 3 points for a fit, got {x.shape[-1]}")
     x_mean = x.mean(axis=-1, keepdims=True)
     y_mean = y.mean(axis=-1, keepdims=True)
     sxx = ((x - x_mean) ** 2).sum(axis=-1)

@@ -17,7 +17,6 @@ from .errors import DomainError, InputError, ResolutionError
 from .tga_io import TgaCurve
 
 DEFAULT_SMOOTH_WINDOW = 9
-DEFAULT_M0_AT_C = 160.0
 DEFAULT_ALPHA_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
 DEFAULT_RESAMPLE_DT = 0.5  # K: the uniform grid step analysis resamples curves onto
 PEAK_THRESHOLD_FRAC = 0.05
@@ -49,6 +48,7 @@ def kelvin_windows(windows_c):
 
 
 DEFAULT_STAGE_WINDOWS = kelvin_windows(STAGE_WINDOWS_C)
+DEFAULT_M0_AT_C = STAGE_WINDOWS_C["moisture"][1]  # conversion zero: the moisture is gone
 
 
 @dataclass(frozen=True)
@@ -62,9 +62,10 @@ class AlphaCurve:
 
 
 def _require_uniform(curve: TgaCurve) -> float:
-    if not curve.is_uniform_grid():
+    steps = np.diff(curve.temperature_k)  # a curve has at least 2 points
+    if not (steps[0] > 0.0 and np.all(np.abs(steps - steps[0]) <= 1e-9 * steps[0])):
         raise InputError("curve must be resampled to a uniform temperature grid first")
-    return float(curve.temperature_k[1] - curve.temperature_k[0])
+    return float(steps[0])
 
 
 def _moving_average(values: np.ndarray, window: int) -> np.ndarray:

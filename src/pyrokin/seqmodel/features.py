@@ -39,11 +39,9 @@ def lignocellulosic_remaining(temperature_c, window: tuple[float, float]):
     """Fraction of a fibre component not yet decomposed at each temperature.
 
     1 below the window, 0 above it, and a linear ramp in between; continuous
-    and non-increasing in temperature.
+    and non-increasing in temperature, for a ``STAGE_WINDOWS_C`` window.
     """
     t_start, t_end = window
-    if t_start >= t_end:
-        raise DomainError(f"window start must precede end, got {window}")
     return np.clip((t_end - temperature_c) / (t_end - t_start), 0.0, 1.0)
 
 
@@ -123,10 +121,8 @@ def window_sequences(curves, mode: str = MODEL1,
 
     ``curves`` maps curve id -> TgaCurve, featurised in ``mode``. A curve
     with n rows yields max(0, n - look_back) windows; windows never mix
-    curves.
+    curves. ``look_back`` >= 1, as ``TrainConfig`` requires.
     """
-    if look_back < 1:
-        raise DomainError(f"look_back must be >= 1, got {look_back}")
     rows, mass, starts, ids = [], [], [], []
     offset = 0
     for curve_id, curve in curves.items():
@@ -178,7 +174,7 @@ def split_dataset(samples: WindowDataset, holdout_curves=(), seed: int = 0):
 class MinMaxScaler:
     """Per-feature min/max scaling with the target scaled separately.
 
-    Fit on the training split only; validation and test data may legitimately
+    Fit on the (non-empty) training split only; validation and test data may
     map outside [0, 1] and are not clamped. Degenerate (constant) features
     scale to 0. The feature ranges cover the rows the windows span.
     """
@@ -190,8 +186,6 @@ class MinMaxScaler:
 
     @classmethod
     def fit(cls, samples: WindowDataset) -> "MinMaxScaler":
-        if not samples:
-            raise InputError("cannot fit a scaler on an empty dataset")
         # a mask rather than np.unique, whose first call imports numpy.ma;
         # set one window step at a time, so no (n, look_back) row index exists
         covered = np.zeros(len(samples.rows), dtype=bool)

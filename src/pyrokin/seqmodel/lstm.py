@@ -127,7 +127,14 @@ class Params(Mapping):
     def __init__(self, feature_count: int, config: "TrainConfig", flat=None):
         self.feature_count, self.config = feature_count, config
         shapes = param_shapes(feature_count, config)
-        self.flat = np.zeros(sum(map(math.prod, shapes.values()))) if flat is None else flat
+        if flat is None:
+            size = sum(map(math.prod, shapes.values()))
+            try:
+                flat = np.zeros(size)
+            except MemoryError:
+                raise ConfigError(f"hidden_units={config.hidden_units}: the {8 * size:,} bytes "
+                                  "of its parameters cannot be allocated") from None
+        self.flat = flat
         end = 0
 
         def take(*shape):
@@ -274,20 +281,18 @@ def forward_batch(params, X, config, rng: np.random.Generator | None = None,
             np.less(mask, keep, out=mask)
             mask /= keep
             np.multiply(h_s, mask.transpose(1, 2, 0), out=output)
-        # "x" (the layer input) and "mask" are batch-major like X
-        entry = {"x": seq.transpose(2, 0, 1), "h": h_s, "mask": mask}
         if want_cache:
-            entry.update(acts=acts, c=c_s, tc=tc_s)
-        layers.append(entry)
+            # "x" (the layer input) and "mask" are batch-major like X
+            layers.append({"x": seq.transpose(2, 0, 1), "h": h_s, "mask": mask,
+                           "acts": acts, "c": c_s, "tc": tc_s})
         seq = output
 
     act, _ = ACTIVATIONS[config.activation]
-    h_last = layers[-1]["h"][-1]
-    z = act(h_last)
+    z = act(h)  # h: the top layer's last state
     pred = params.dense_w @ z + params.dense_b[0]
     if not want_cache:
         return pred, None
-    return pred, {"layers": layers, "h_last": h_last, "z": z, "config": config}
+    return pred, {"layers": layers, "h_last": h, "z": z, "config": config}
 
 
 def backward_batch(params, cache, dpred, grads=None):

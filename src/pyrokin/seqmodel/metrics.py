@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from ..errors import InputError
+from ..errors import InputError, NumericalError
 from ..kinetics import r_squared
 from .features import WindowDataset
 from .lstm import LstmModel
@@ -28,16 +28,16 @@ def metrics_from_arrays(actual, predicted) -> EvalMetrics:
     predicted = np.asarray(predicted, dtype=float)
     if actual.size == 0 or actual.shape != predicted.shape:
         raise InputError("actual and predicted must be equal-length, non-empty")
-    err = predicted - actual
-    mse = float((err**2).mean())
-    ss_res = float((err**2).sum())
-    ss_tot = float(((actual - actual.mean()) ** 2).sum())
-    return EvalMetrics(
-        mae=float(np.abs(err).mean()),
-        mse=mse,
-        rmse=math.sqrt(mse),
-        r_squared=float(r_squared(ss_res, ss_tot)),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        err = predicted - actual
+        mse = float((err**2).mean())
+        ss_res = float((err**2).sum())
+        ss_tot = float(((actual - actual.mean()) ** 2).sum())
+        metrics = EvalMetrics(mae=float(np.abs(err).mean()), mse=mse, rmse=math.sqrt(mse),
+                              r_squared=float(r_squared(ss_res, ss_tot)))
+    if not all(map(math.isfinite, astuple(metrics))):
+        raise NumericalError(f"the prediction errors overflow a float: {metrics}")
+    return metrics
 
 
 def evaluate(model: LstmModel, test_samples: WindowDataset) -> EvalMetrics:

@@ -73,6 +73,8 @@ class TrainConfig:
             raise ConfigError(f"optimizer {self.optimizer!r} not one of {tuple(OPTIMIZERS)}")
         if self.look_back < 1 or self.early_stop_patience < 0:
             raise ConfigError("look_back must be >= 1 and patience >= 0")
+        if self.seed < 0:  # numpy's generators take non-negative seeds
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return asdict(self)

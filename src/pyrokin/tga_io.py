@@ -147,12 +147,6 @@ class TgaCurve:
     def temperature_span(self) -> float:
         return float(self.temperature_k[-1] - self.temperature_k[0])
 
-    def is_uniform_grid(self) -> bool:
-        steps = np.diff(self.temperature_k)
-        if len(steps) == 0 or steps[0] <= 0.0:
-            return False
-        return bool(np.all(np.abs(steps - steps[0]) <= 1e-9 * abs(steps[0])))
-
 
 def csv_text(header: str, rows) -> str:
     """Write rows in the package's CSV dialect: the header line, then one line per row.
@@ -374,22 +368,16 @@ def resample_uniform(curve: TgaCurve, dT: float) -> TgaCurve:
 def blend_spec(pure_a: SampleSpec, pure_b: SampleSpec, frac_a: float) -> SampleSpec:
     """Compose a blend from two pure feedstocks by mass fraction of the first.
 
-    Fibre percentages (and proximate values, where both parents carry them)
-    are fraction-weighted means of the parent values.
+    Both parents carry every numeric field, proximate values included; each
+    field of the blend is the fraction-weighted mean of the parent values.
+    A ``frac_a`` outside [0, 1] makes a ``ds_fraction`` that ``SampleSpec``
+    rejects.
     """
-    if not (0.0 <= frac_a <= 1.0):
-        raise DomainError(f"frac_a outside [0, 1]: {frac_a}")
     for spec in (pure_a, pure_b):
         if spec.ds_fraction not in (0.0, 1.0):
             raise DomainError(f"{spec.sample_id!r} is not a pure feedstock")
     frac_b = 1.0 - frac_a
-
-    def mix(a, b):
-        if a is None or b is None:
-            return None
-        return frac_a * a + frac_b * b
-
-    values = {name: mix(getattr(pure_a, name), getattr(pure_b, name))
+    values = {name: frac_a * getattr(pure_a, name) + frac_b * getattr(pure_b, name)
               for name in _NUMERIC_FIELDS}
     ds, scg = values["ds_fraction"], values["scg_fraction"]
     return SampleSpec(sample_id=f"ds{ds * 100:g}_scg{scg * 100:g}", **values)

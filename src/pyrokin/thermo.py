@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import BOLTZMANN, GAS_CONSTANT, PLANCK
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, NumericalError
 from .kinetics import AnalysisTable
 
 
@@ -43,7 +43,10 @@ def delta_g(ea: float, t_m: float, a: float) -> float:
     """Activation Gibbs energy dG = Ea + R Tm ln(kB Tm / (h A))."""
     if a <= 0.0:
         raise DomainError(f"pre-exponential factor must be positive, got {a}")
-    log_term = math.log(BOLTZMANN * t_m / PLANCK) - math.log(a)
+    ratio = BOLTZMANN * t_m / PLANCK
+    if not ratio > 0.0:
+        raise NumericalError(f"kB Tm / h is {ratio:g} at Tm = {t_m:g} K, so its log is undefined")
+    log_term = math.log(ratio) - math.log(a)
     return ea + GAS_CONSTANT * t_m * log_term
 
 
@@ -57,7 +60,7 @@ def thermo_profile(table: AnalysisTable, t_m: float) -> list[ThermoEstimate]:
 
     The same reference peak temperature is used for every row; entropy is
     derived from the enthalpy/Gibbs pair, so dG = dH - Tm dS holds by
-    construction.
+    construction. A row that overflows a float raises NumericalError.
     """
     if not table.estimates:
         raise InputError("analysis table is empty")
@@ -65,13 +68,9 @@ def thermo_profile(table: AnalysisTable, t_m: float) -> list[ThermoEstimate]:
     for est in table.estimates:
         dh = delta_h(est.ea, t_m)
         dg = delta_g(est.ea, t_m, est.a)
-        out.append(
-            ThermoEstimate(
-                alpha=est.alpha,
-                method=est.method,
-                delta_h=dh,
-                delta_g=dg,
-                delta_s=delta_s(dh, dg, t_m),
-            )
-        )
+        ds = delta_s(dh, dg, t_m)
+        if not all(map(math.isfinite, (dh, dg, ds))):
+            raise NumericalError(f"Tm = {t_m:g} K overflows a float: {est.method} at alpha = "
+                                 f"{est.alpha:g} gives dH = {dh:g}, dG = {dg:g}, dS = {ds:g}")
+        out.append(ThermoEstimate(est.alpha, est.method, dh, dg, ds))
     return out

@@ -781,6 +781,18 @@ class TestTrainPredictEvaluate:
         assert rc == 0
         assert "R^2  = 1.0000" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value", [1e200, 1e308])
+    def test_evaluate_overflowing_errors_exit_3(self, tmp_path, capsys, value):
+        """Finite rows whose errors overflow a float are refused, not scored
+        as inf or nan."""
+        pred = tmp_path / "pred.csv"
+        pred.write_text(predictions_to_csv([100.0, 101.0], [value, value], [-value, -value]))
+        out = tmp_path / "out"
+        assert main(["evaluate", "--predictions", str(pred), "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: the prediction errors overflow a float")
+        assert not out.exists()
+
     def test_evaluate_without_inputs_exits_2(self, tmp_path):
         assert main(["evaluate", "--out-dir", str(tmp_path)]) == 2
 
@@ -880,6 +892,7 @@ BAD_CHECKPOINTS = {
     "nan-learning-rate": _edited(
         lambda doc: doc["config"].update(learning_rate=float("nan"))),
     "huge-layer-count": _edited(lambda doc: doc["config"].update(lstm_layers=10**12)),
+    "negative-seed": _edited(lambda doc: doc["config"].update(seed=-1)),
     "overflowing-weight": _edited(lambda doc: doc["weights"].update({"dense.b": [10**400]})),
     # base64 of the float64 1.0: a version 2 payload in a version 1 file
     "v1-base64-weight": _edited(lambda doc: doc["weights"].update({"dense.b": "AAAAAAAA8D8="})),
@@ -1092,6 +1105,18 @@ class TestTuneCommand:
         assert rc == 4
         assert "learning_rate" in capsys.readouterr().err
 
+    def test_negative_seed_in_config_exits_4(self, synth_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"seed": -3}))
+        out = tmp_path / "out"
+        rc = main(
+            ["train", *curve_paths(synth_dir, (5, 10, 20)), "--dt", "6.0",
+             "--config", str(bad), "--out-dir", str(out)]
+        )
+        assert rc == 4
+        assert "seed must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFlagScope:
     """--format belongs to analyze and thermo, --seed to train and tune."""
@@ -1136,6 +1161,14 @@ BAD_NUMBERS = [
     (["synth", "--beta", "0"], 2),
     (["synth", "--preset", "blend", "--frac", "1.5"], 2),
     (["thermo", "--kinetics", "KINETICS", "--tm", "nan"], 2),
+    (["thermo", "--kinetics", "KINETICS", "--tm", "1e308"], 3),  # dH, dG, dS overflow
+    (["thermo", "--kinetics", "KINETICS", "--tm", "1e-320"], 3),  # kB Tm underflows to 0
+    (["train", "CURVES", "--seed", "-1"], 2),
+    (["tune", "CURVES", "--seed", "-1"], 2),
+    # a 2.84 PiB parameter vector, which numpy refuses at once without touching
+    # memory; a size that fits in virtual memory could be granted lazily
+    (["train", "CURVES", "--hidden", "10000000"], 4),
+    (["tune", "CURVES", "--hidden-choices", "10000000"], 4),
     (["train", "CURVES", "--lr", "inf"], 2),
     (["massbalance", "--char", "27.74", "--vm", "nan"], 2),
     (["analyze", "CURVES", "--alpha-grid", "nan:0.7:0.1"], 2),

@@ -82,10 +82,6 @@ class TestLinearFit:
         with pytest.raises(RankError):
             fit_levels([0.5], [1.0, 2.0, 3.0], [[0.5, 0.5, 0.5]], [np.exp([1.0, 2.0, 3.0])])
 
-    def test_too_few_points_rejected(self):
-        with pytest.raises(InputError):
-            linear_fit([1.0, 2.0], [1.0, 2.0])
-
     def test_rows_fit_as_one_at_a_time(self):
         rng = np.random.default_rng(7)
         x, y = rng.random((5, 6)), rng.random((5, 6))
