@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .constants import KELVIN_OFFSET
 from .errors import ConfigError, DomainError, InputError, PyrokinError
-from .kinetics import KineticModelAssumption, by_method, run_analysis
+from .kinetics import KineticModelAssumption, run_analysis
 from .manifest import write_manifest
 from .preprocess import (
     DEFAULT_ALPHA_GRID,
@@ -53,6 +53,7 @@ from .report import (
     metrics_to_text,
     predictions_from_csv,
     predictions_to_csv,
+    thermo_plot_series,
     thermo_to_csv,
 )
 from .svgplot import emit_svg
@@ -301,14 +302,7 @@ def cmd_thermo(args):
     profile = thermo_profile(table, t_m)
     files = {"thermo.csv": thermo_to_csv(profile)}
     if args.format == "svg":
-        groups = by_method(profile)
-        for quantity, pick, unit in (
-            ("dH", lambda e: e.delta_h / 1000.0, "kJ/mol"),
-            ("dG", lambda e: e.delta_g / 1000.0, "kJ/mol"),
-            ("dS", lambda e: e.delta_s, "J/(mol K)"),
-        ):
-            series = [(method, [e.alpha for e in ests], [pick(e) for e in ests])
-                      for method, ests in groups.items()]
+        for quantity, unit, series in thermo_plot_series(profile):
             files[f"thermo_{quantity.lower()}.svg"] = emit_svg(
                 series, f"{quantity} vs conversion", "conversion", f"{quantity} ({unit})")
     _emit(args, "thermo", inputs, config, files)

@@ -26,6 +26,12 @@ EA_PLOT_CSV_HEADER = "alpha,method,ea_kj_mol"
 METRICS_CSV_HEADER = "mae,mse,rmse,r_squared"
 
 _METHOD_LABELS = {"friedman": "Friedman", "kas": "KAS", "fwo": "FWO"}
+# Each thermodynamic quantity: its name, its value in output units, its unit.
+_THERMO_QUANTITIES = (
+    ("dH", lambda est: est.delta_h / 1000.0, "kJ/mol"),
+    ("dG", lambda est: est.delta_g / 1000.0, "kJ/mol"),
+    ("dS", lambda est: est.delta_s, "J/(mol K)"),
+)
 
 
 def analysis_to_csv(table: AnalysisTable) -> str:
@@ -96,10 +102,21 @@ def analysis_to_text(table: AnalysisTable) -> str:
     return "\n".join(rows) + "\n"
 
 
+def _method_series(estimates, value):
+    """Per-method (label, alphas, values) chart series of one value of each estimate."""
+    return [(_METHOD_LABELS[method], [e.alpha for e in ests], [value(e) for e in ests])
+            for method, ests in by_method(estimates).items()]
+
+
 def ea_plot_series(table: AnalysisTable):
     """Per-method (alpha, Ea kJ/mol) series for the Ea-vs-conversion chart."""
-    return [(_METHOD_LABELS[method], [e.alpha for e in ests], [e.ea / 1000.0 for e in ests])
-            for method, ests in by_method(table.estimates).items()]
+    return _method_series(table.estimates, lambda e: e.ea / 1000.0)
+
+
+def thermo_plot_series(profile):
+    """One (quantity, unit, per-method series) chart of each of dH, dG and dS."""
+    return [(quantity, unit, _method_series(profile, value))
+            for quantity, value, unit in _THERMO_QUANTITIES]
 
 
 def ea_plot_csv(table: AnalysisTable) -> str:
@@ -111,11 +128,9 @@ def ea_plot_csv(table: AnalysisTable) -> str:
 def thermo_to_csv(profile) -> str:
     """Three rows (dH, dG, dS) per thermodynamic estimate, in kJ-based units."""
     return csv_text(THERMO_CSV_HEADER, [
-        (est.alpha, est.method, quantity, value)
+        (est.alpha, est.method, quantity, value(est))
         for est in profile
-        for quantity, value in (("dH", est.delta_h / 1000.0),
-                                ("dG", est.delta_g / 1000.0),
-                                ("dS", est.delta_s))
+        for quantity, value, _ in _THERMO_QUANTITIES
     ])
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from ..errors import ConfigError
-from .lstm import ACTIVATIONS
+from .lstm import ACTIVATIONS, Params
 from .training import OPTIMIZERS, TrainConfig, train
 
 # Each catalogue a trial draws one value from, in draw order, and the
@@ -74,10 +74,14 @@ def random_search(space: SearchSpace, trials: int, master_seed: int,
     Trial i derives all of its randomness from (master_seed, i), so repeated
     searches with the same master seed reproduce the leaderboard exactly.
     Every trial takes the training windows' look-back. Ties in validation
-    loss break by trial index.
+    loss break by trial index. A catalogue whose largest network (most
+    hidden units, most layers) cannot be allocated is refused before any
+    trial trains, whichever networks the trials would draw.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    Params(train_samples.rows.shape[1], TrainConfig(hidden_units=max(space.hidden_choices),
+                                                    lstm_layers=max(space.layer_choices)))
     results = []
     for i in range(trials):
         rng = np.random.default_rng([master_seed, i])

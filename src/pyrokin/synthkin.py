@@ -148,11 +148,9 @@ def simulate(model: PseudoComponentModel, beta: float, dT: float,
             hemicellulose_pct=0.0,
             lignin_pct=0.0,
         )
-    time_s = (grid - grid[0]) / beta_s
     return TgaCurve(
         spec=spec,
         heating_rate_beta=beta,
-        time_s=time_s,
         temperature_k=grid,
         mass_fraction=mass / mass[0],
     )

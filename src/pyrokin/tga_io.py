@@ -1,8 +1,8 @@
 """TGA curve data model, CSV/JSON ingestion, resampling, and blend composition.
 
-Internal units are kelvin, seconds, and mass fraction of the initial sample
-mass. File formats use instrument-friendly units (degrees Celsius, mass
-percent, K/min) and are converted on the way in and out.
+Internal units are kelvin and mass fraction of the initial sample mass.
+File formats use instrument-friendly units (degrees Celsius, mass percent,
+K/min) and are converted on the way in and out.
 """
 
 from __future__ import annotations
@@ -102,14 +102,13 @@ SPENT_COFFEE_GROUNDS = SampleSpec(
 class TgaCurve:
     """One thermogravimetric run at a fixed heating rate.
 
-    ``time_s``, ``temperature_k`` and ``mass_fraction`` are parallel arrays;
-    time is strictly increasing, temperature non-decreasing and above 0 K,
-    and mass is normalized so the first sample equals 1.
+    ``temperature_k`` and ``mass_fraction`` are parallel arrays; temperature
+    is non-decreasing and above 0 K, and mass is normalized so the first
+    sample equals 1.
     """
 
     spec: SampleSpec
     heating_rate_beta: float  # K/min
-    time_s: np.ndarray
     temperature_k: np.ndarray
     mass_fraction: np.ndarray
 
@@ -117,15 +116,11 @@ class TgaCurve:
         # each check is written so that a NaN fails it: every comparison with NaN is false
         if not self.heating_rate_beta > 0.0:
             raise DomainError(f"heating rate must be positive, got {self.heating_rate_beta}")
-        n = len(self.time_s)
-        if not (len(self.temperature_k) == n == len(self.mass_fraction)):
-            raise InputError("time, temperature, and mass series must have equal length")
+        n = len(self.temperature_k)
+        if len(self.mass_fraction) != n:
+            raise InputError("temperature and mass series must have equal length")
         if n < 2:
             raise InputError("curve needs at least 2 points")
-        increasing = np.diff(self.time_s) > 0.0
-        if not np.all(increasing):
-            row = int(np.argmin(increasing)) + 1
-            raise InputError(f"time not strictly increasing at row {row}")
         rising = np.diff(self.temperature_k) >= 0.0
         if not np.all(rising):
             row = int(np.argmin(rising)) + 1
@@ -141,7 +136,7 @@ class TgaCurve:
 
     @property
     def n_points(self) -> int:
-        return len(self.time_s)
+        return len(self.temperature_k)
 
     @property
     def temperature_span(self) -> float:
@@ -229,8 +224,9 @@ def load_curve(data_stream, meta: SampleSpec, beta: float) -> TgaCurve:
     ----------
     data_stream : str
         CSV text with header ``time_s,temperature_c,mass_pct`` or the
-        two-column variant ``temperature_c,mass_pct`` (time is then
-        reconstructed from the heating rate).
+        two-column variant ``temperature_c,mass_pct``. A time column must
+        rise strictly; it is checked and then dropped, since no analysis
+        reads time.
     meta : SampleSpec
         Sample identity attached to the curve.
     beta : float
@@ -243,29 +239,33 @@ def load_curve(data_stream, meta: SampleSpec, beta: float) -> TgaCurve:
     temp_c, mass = table["temperature_c"], table["mass_pct"]
     if len(mass) < MIN_ROWS:
         raise InputError(f"need at least {MIN_ROWS} data rows, got {len(mass)}")
-    if "time_s" in table:
-        time_s = table["time_s"]
-    else:
-        # beta in K/min; reconstruct elapsed seconds from the temperature ramp
-        time_s = (temp_c - temp_c[0]) * 60.0 / beta
-
     if mass[0] <= 0.0:
         raise InputError("initial mass must be positive")
+    if "time_s" in table:
+        increasing = np.diff(table["time_s"]) > 0.0
+        if not increasing.all():
+            row = int(np.argmin(increasing)) + 1
+            raise InputError(f"time not strictly increasing at row {row}")
     return TgaCurve(
         spec=meta,
         heating_rate_beta=beta,
-        time_s=time_s,
         temperature_k=temp_c + KELVIN_OFFSET,
         mass_fraction=mass / mass[0],
     )
 
 
 def curve_to_csv(curve: TgaCurve) -> str:
-    """Serialize a curve to the three-column CSV dialect (shortest round-trip floats)."""
-    temp_c = curve.temperature_k - KELVIN_OFFSET
+    """Serialize a curve to the three-column CSV dialect (shortest round-trip floats).
+
+    Time is the linear ramp's, in seconds from the first point at the curve's
+    heating rate; a temperature that holds still writes a repeated time, which
+    ``load_curve`` refuses (a ``simulate`` grid never holds still).
+    """
+    T = curve.temperature_k
+    time_s = (T - T[0]) / (curve.heating_rate_beta / 60.0)
     mass_pct = curve.mass_fraction * 100.0
     return csv_text(CSV_HEADER_3COL,
-                    zip(curve.time_s.tolist(), temp_c.tolist(), mass_pct.tolist()))
+                    zip(time_s.tolist(), (T - KELVIN_OFFSET).tolist(), mass_pct.tolist()))
 
 
 def spec_to_sidecar(spec: SampleSpec, beta: float) -> str:
@@ -335,8 +335,8 @@ def resample_uniform(curve: TgaCurve, dT: float) -> TgaCurve:
     """Resample a curve onto an arithmetic temperature grid of step ~dT.
 
     The step is adjusted to the nearest value that divides the temperature
-    span evenly, so both endpoints are preserved exactly. Mass and time are
-    linearly interpolated; a curve already on the requested grid passes
+    span evenly, so both endpoints are preserved exactly. Mass is linearly
+    interpolated; a curve already on the requested grid passes
     through unchanged.
     """
     if dT <= 0.0:
@@ -359,10 +359,9 @@ def resample_uniform(curve: TgaCurve, dT: float) -> TgaCurve:
     keep[-1] = True
     T_inc = T[keep]
     mass = np.interp(grid, T_inc, curve.mass_fraction[keep])
-    time = np.interp(grid, T_inc, curve.time_s[keep])
     mass[0] = curve.mass_fraction[0]
     mass[-1] = curve.mass_fraction[-1]
-    return replace(curve, time_s=time, temperature_k=grid, mass_fraction=mass)
+    return replace(curve, temperature_k=grid, mass_fraction=mass)
 
 
 def blend_spec(pure_a: SampleSpec, pure_b: SampleSpec, frac_a: float) -> SampleSpec:

@@ -214,6 +214,61 @@ class TestSynthCommand:
         assert not out.exists()
 
 
+def two_column_rounded(synth_dir, tmp_path, betas=(5, 10, 15, 20)):
+    """The fixture curves rewritten as two-column files with temperatures
+    rounded to whole degrees C, so that neighbouring rows repeat them."""
+    paths = []
+    for source in map(Path, curve_paths(synth_dir, betas)):
+        rows = [row.split(",") for row in source.read_text().splitlines()[1:]]
+        path = tmp_path / source.name
+        path.write_text("temperature_c,mass_pct\n" + "".join(
+            f"{round(float(temp_c))},{mass}\n" for _, temp_c, mass in rows))
+        path.with_suffix(".json").write_text(source.with_suffix(".json").read_text())
+        paths.append(str(path))
+    return paths
+
+
+class TestTwoColumnCurves:
+    def test_rounded_exports_recover_ea_within_documented_tolerances(self, synth_dir,
+                                                                     tmp_path):
+        paths = two_column_rounded(synth_dir, tmp_path)
+        temps = [row.split(",")[0] for row in Path(paths[0]).read_text().splitlines()[1:]]
+        assert len(set(temps)) < len(temps)  # temperatures repeat
+        out = tmp_path / "out"
+        assert main(["analyze", *paths, "--format", "csv", "--out-dir", str(out)]) == 0
+        tol = {"friedman": 0.01, "kas": 0.02, "fwo": 0.05}
+        rows = [row.split(",") for row in (out / "kinetics.csv").read_text().splitlines()[1:]]
+        assert {method for _, method, *_ in rows} == set(tol)
+        for alpha, method, ea_kj, *_ in rows:
+            assert abs(float(ea_kj) - 180.0) / 180.0 < tol[method], (method, alpha)
+
+    def test_falling_temperature_exits_2_naming_temperature(self, synth_dir, tmp_path,
+                                                           capsys):
+        path = Path(two_column_rounded(synth_dir, tmp_path, (10,))[0])
+        lines = path.read_text().splitlines()
+        lines[4] = f"{int(lines[3].split(',')[0]) - 1},{lines[4].split(',')[1]}"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main(["features", str(path), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: temperature decreases at row 3\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shift", [0.0, -1.0], ids=["repeats", "falls"])
+    def test_three_column_time_that_does_not_rise_exits_2(self, synth_dir, tmp_path,
+                                                          capsys, shift):
+        source = Path(curve_paths(synth_dir, (10,))[0])
+        lines = source.read_text().splitlines()
+        earlier = float(lines[3].split(",")[0])
+        lines[4] = ",".join([repr(earlier + shift), *lines[4].split(",")[1:]])
+        path = tmp_path / source.name
+        path.write_text("\n".join(lines) + "\n")
+        path.with_suffix(".json").write_text(source.with_suffix(".json").read_text())
+        out = tmp_path / "out"
+        assert main(["features", str(path), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: time not strictly increasing at row 3\n"
+        assert not out.exists()
+
+
 class TestAnalyzeCommand:
     def test_recovers_ground_truth_within_one_percent(self, synth_dir, tmp_path, capsys):
         rc = main(
@@ -354,7 +409,7 @@ class TestAnalyzeCommand:
         for k, beta in enumerate((5.0, 10.0, 20.0)):
             T = np.arange(573.15, 1173.15, 0.5)
             mass = 1.0 - 0.8 / (1.0 + np.exp(-(T - (873.15 + 0.5 * k)) / 15.0))
-            curve = TgaCurve(DATE_SEEDS, beta, (T - T[0]) * 60.0 / beta, T, mass / mass[0])
+            curve = TgaCurve(DATE_SEEDS, beta, T, mass / mass[0])
             stem = tmp_path / f"logistic{beta:g}"
             stem.with_suffix(".csv").write_text(curve_to_csv(curve))
             stem.with_suffix(".json").write_text(spec_to_sidecar(DATE_SEEDS, beta))
@@ -377,7 +432,7 @@ class TestAnalyzeCommand:
         for k, beta in enumerate((5.0, 10.0, 20.0)):
             T = np.arange(473.15, 1473.15, 0.5)
             mass = 1.0 - 0.8 / (1.0 + np.exp(-(T - (673.15 + 150.0 * k)) / 30.0))
-            curve = TgaCurve(DATE_SEEDS, beta, (T - T[0]) * 60.0 / beta, T, mass / mass[0])
+            curve = TgaCurve(DATE_SEEDS, beta, T, mass / mass[0])
             stem = tmp_path / f"slow{beta:g}"
             stem.with_suffix(".csv").write_text(curve_to_csv(curve))
             stem.with_suffix(".json").write_text(spec_to_sidecar(DATE_SEEDS, beta))
@@ -419,6 +474,19 @@ class TestThermoCommand:
         text = (tmp_path / "thermo.csv").read_text()
         assert len(text.strip().splitlines()) == 1 + 3 * 3 * 7
         assert (tmp_path / "thermo_dh.svg").exists()
+
+    def test_charts_label_methods_as_analyze_does(self, synth_dir, tmp_path):
+        kin = tmp_path / "k"
+        assert main(["analyze", *curve_paths(synth_dir), "--format", "svg",
+                     "--out-dir", str(kin)]) == 0
+        assert main(["thermo", "--kinetics", str(kin / "kinetics.csv"), "--tm", "625.0",
+                     "--format", "svg", "--out-dir", str(tmp_path / "t")]) == 0
+        labels = {"Friedman", "KAS", "FWO", "friedman", "kas", "fwo"}
+        expected = labels.intersection(titles(kin / "ea_vs_alpha.svg"))
+        assert expected == {"Friedman", "KAS", "FWO"}
+        for quantity in ("dh", "dg", "ds"):
+            svg = tmp_path / "t" / f"thermo_{quantity}.svg"
+            assert labels.intersection(titles(svg)) == expected, quantity
 
     def test_format_is_csv_or_svg_and_defaults_to_csv(self, synth_dir, tmp_path, capsys):
         kin = tmp_path / "k"
@@ -1050,6 +1118,24 @@ class TestTuneCommand:
                     flag, value]
             assert main(argv) == 4
             assert "config error" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_catalogue_network_too_large_exits_4_at_every_seed(self, synth_dir, tmp_path,
+                                                             capsys, monkeypatch):
+        """The largest network the catalogue can draw is allocated before any
+        trial trains: one trial draws 8 or 10,000,000 hidden units, and at
+        every seed the run exits 4 (numpy refuses the 2.84 PiB request at
+        once, without touching memory)."""
+        def no_training(*args):
+            raise AssertionError("a trial trained")
+        monkeypatch.setattr("pyrokin.seqmodel.search.train", no_training)
+        out = tmp_path / "out"
+        for seed in range(4):
+            argv = [*self.tune_args(synth_dir, out), "--trials", "1", "--seed", str(seed),
+                    "--hidden-choices", "8,10000000"]
+            assert main(argv) == 4
+            err = capsys.readouterr().err
+            assert "config error: hidden_units=10000000" in err and "bytes" in err
             assert not out.exists()
 
     def test_zero_look_back_exits_4_before_reading_curves(self, synth_dir, tmp_path, capsys):

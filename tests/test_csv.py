@@ -68,8 +68,9 @@ def assert_columns(table, want):
 
 def written_curve(single_step_curves, tmp_path):
     curve = single_step_curves[1]
+    T = curve.temperature_k
     return curve_to_csv(curve), CSV_HEADER_3COL, (), {
-        "time_s": curve.time_s.tolist(),
+        "time_s": ((T - T[0]) / (curve.heating_rate_beta / 60.0)).tolist(),
         "temperature_c": (curve.temperature_k - KELVIN_OFFSET).tolist(),
         "mass_pct": (curve.mass_fraction * 100.0).tolist(),
     }

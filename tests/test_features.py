@@ -33,7 +33,6 @@ def make_curve(spec, n=40, t_lo=290.0, t_hi=690.0, beta=10.0):
     return TgaCurve(
         spec=spec,
         heating_rate_beta=beta,
-        time_s=(T - T[0]) * 60.0 / beta,
         temperature_k=T,
         mass_fraction=np.linspace(1.0, 0.25, n),
     )
@@ -128,8 +127,8 @@ def edge_temperatures_k():
 def boundary_curve(spec):
     """A curve from 20 to 950 C whose rows include every window edge."""
     T = np.unique(np.concatenate([np.linspace(293.15, 1223.15, 187), edge_temperatures_k()]))
-    return TgaCurve(spec=spec, heating_rate_beta=10.0, time_s=(T - T[0]) * 6.0,
-                    temperature_k=T, mass_fraction=np.linspace(1.0, 0.2, len(T)))
+    return TgaCurve(spec=spec, heating_rate_beta=10.0, temperature_k=T,
+                    mass_fraction=np.linspace(1.0, 0.2, len(T)))
 
 
 def reference_curves():
@@ -251,8 +250,8 @@ class TestBuildFeatures:
 def toy_curve(n):
     """n rows of DS at 10 K/min: 25 + i C and 100 - i mass percent."""
     T = 25.0 + KELVIN_OFFSET + np.arange(n, dtype=float)
-    return TgaCurve(spec=DATE_SEEDS, heating_rate_beta=10.0, time_s=(T - T[0]) * 6.0,
-                    temperature_k=T, mass_fraction=(100.0 - np.arange(n)) / 100.0)
+    return TgaCurve(spec=DATE_SEEDS, heating_rate_beta=10.0, temperature_k=T,
+                    mass_fraction=(100.0 - np.arange(n)) / 100.0)
 
 
 class TestWindowSequences:

@@ -32,7 +32,6 @@ def make_curve(temperature_k, mass_fraction, beta=10.0):
     return TgaCurve(
         spec=DATE_SEEDS,
         heating_rate_beta=beta,
-        time_s=(temperature_k - temperature_k[0]) * 60.0 / beta,
         temperature_k=temperature_k,
         mass_fraction=np.asarray(mass_fraction, dtype=float),
     )

@@ -44,13 +44,15 @@ class TestLoadCurve:
         curve = load_curve(make_csv(ramp_rows(mass_end=27.74)), DATE_SEEDS, beta=10.0)
         assert curve.mass_fraction[-1] == pytest.approx(0.2774, abs=1e-12)
 
-    def test_two_column_variant_reconstructs_time(self):
-        rows = [(25.0 + i * 10.0, 100.0 - i) for i in range(15)]
+    def test_two_column_variant_loads_repeated_temperatures(self):
+        # whole-degree rounding of a 0.5 K ramp repeats every temperature
+        rows = [(25.0 + i // 2, 100.0 - i) for i in range(15)]
         curve = load_curve(
             make_csv(rows, header="temperature_c,mass_pct"), DATE_SEEDS, beta=20.0
         )
-        # 10 K per row at 20 K/min -> 30 s per row
-        assert curve.time_s[1] - curve.time_s[0] == pytest.approx(30.0)
+        assert curve.n_points == 15
+        assert curve.temperature_k[0] == curve.temperature_k[1] == 25.0 + 273.15
+        assert not hasattr(curve, "time_s")
 
     def test_decreasing_temperature_names_row(self):
         rows = ramp_rows()
@@ -60,8 +62,18 @@ class TestLoadCurve:
 
     def test_non_monotone_time_rejected(self):
         rows = ramp_rows()
+        for shift in (0.0, -1.0):  # time repeats, then falls
+            rows[5] = (rows[4][0] + shift, rows[5][1], rows[5][2])
+            with pytest.raises(InputError, match="^time not strictly increasing at row 5$"):
+                load_curve(make_csv(rows), DATE_SEEDS, beta=10.0)
+
+    def test_time_checked_after_row_count_and_initial_mass(self):
+        rows = ramp_rows()
         rows[5] = (rows[4][0], rows[5][1], rows[5][2])
-        with pytest.raises(InputError, match="time"):
+        with pytest.raises(InputError, match="at least"):
+            load_curve(make_csv(rows[:6]), DATE_SEEDS, beta=10.0)
+        rows[0] = (rows[0][0], rows[0][1], 0.0)
+        with pytest.raises(InputError, match="initial mass"):
             load_curve(make_csv(rows), DATE_SEEDS, beta=10.0)
 
     def test_malformed_row_reports_line_number(self):
@@ -87,7 +99,7 @@ class TestSerializationRoundTrip:
     def test_curve_round_trips_to_1e12_relative(self):
         curve = load_curve(make_csv(ramp_rows(n=40)), DATE_SEEDS, beta=10.0)
         again = load_curve(curve_to_csv(curve), curve.spec, curve.heating_rate_beta)
-        for field in ("time_s", "temperature_k", "mass_fraction"):
+        for field in ("temperature_k", "mass_fraction"):
             a, b = getattr(curve, field), getattr(again, field)
             assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
@@ -148,7 +160,6 @@ class TestResampleUniform:
         curve = TgaCurve(
             spec=DATE_SEEDS,
             heating_rate_beta=10.0,
-            time_s=(T - 300.0) * 6.0,
             temperature_k=T,
             mass_fraction=np.linspace(1.0, 0.5, 101),
         )
@@ -160,7 +171,6 @@ class TestResampleUniform:
         curve = TgaCurve(
             spec=DATE_SEEDS,
             heating_rate_beta=10.0,
-            time_s=np.array([0.0, 600.0]),
             temperature_k=np.array([300.0, 400.0]),
             mass_fraction=np.array([1.0, 0.8]),
         )
@@ -174,7 +184,7 @@ class TestResampleUniform:
         T = np.sort(300.0 + 300.0 * rng.random(57))
         T[0], T[-1] = 300.0, 600.0
         mass = np.minimum.accumulate(np.concatenate(([1.0], 1.0 - 0.4 * rng.random(56))))
-        curve = TgaCurve(DATE_SEEDS, 10.0, np.arange(57.0), T, mass)
+        curve = TgaCurve(DATE_SEEDS, 10.0, T, mass)
         out = resample_uniform(curve, 0.5)
         assert out.temperature_k[0] == 300.0
         assert out.temperature_k[-1] == 600.0
@@ -182,13 +192,7 @@ class TestResampleUniform:
         assert out.mass_fraction[-1] == mass[-1]
 
     def test_coarse_step_rejected(self):
-        curve = TgaCurve(
-            DATE_SEEDS,
-            10.0,
-            np.array([0.0, 600.0]),
-            np.array([300.0, 400.0]),
-            np.array([1.0, 0.8]),
-        )
+        curve = TgaCurve(DATE_SEEDS, 10.0, np.array([300.0, 400.0]), np.array([1.0, 0.8]))
         with pytest.raises(ResolutionError):
             resample_uniform(curve, 50.0)
 
@@ -247,9 +251,8 @@ class TestBlendSpec:
 class TestTgaCurve:
     """Each series check, on a valid three-point curve with one field broken."""
 
-    def make(self, beta=10.0, time_s=(0.0, 6.0, 12.0), mass=(1.0, 0.9, 0.8)):
-        return TgaCurve(DATE_SEEDS, beta, np.array(time_s),
-                        np.array([300.0, 301.0, 302.0][:len(time_s)]), np.array(mass))
+    def make(self, beta=10.0, temperature=(300.0, 301.0, 302.0), mass=(1.0, 0.9, 0.8)):
+        return TgaCurve(DATE_SEEDS, beta, np.array(temperature), np.array(mass))
 
     @pytest.mark.parametrize("beta", [0.0, -5.0, float("nan")])
     def test_heating_rate_must_be_positive(self, beta):
@@ -257,12 +260,15 @@ class TestTgaCurve:
             self.make(beta=beta)
 
     def test_series_lengths_must_match(self):
-        with pytest.raises(InputError, match="equal length"):
-            self.make(mass=(1.0, 0.9))
+        for temperature, mass in (((300.0, 301.0, 302.0), (1.0, 0.9)),
+                                  ((300.0, 301.0), (1.0, 0.9, 0.8))):
+            with pytest.raises(InputError,
+                               match="^temperature and mass series must have equal length$"):
+                self.make(temperature=temperature, mass=mass)
 
     def test_single_point_rejected(self):
         with pytest.raises(InputError, match="at least 2 points"):
-            self.make(time_s=(0.0,), mass=(1.0,))
+            self.make(temperature=(300.0,), mass=(1.0,))
 
     def test_first_mass_must_be_one(self):
         with pytest.raises(InputError, match="first mass fraction must equal 1"):

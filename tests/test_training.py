@@ -21,7 +21,6 @@ def linear_mass_samples(n_rows=120, look_back=10, beta=10.0, curve_id="lin", mod
     curve = TgaCurve(
         spec=DATE_SEEDS,
         heating_rate_beta=beta,
-        time_s=(T - T[0]) * 60.0 / beta,
         temperature_k=T,
         mass_fraction=1.0 - 0.7 * np.arange(n_rows) / (n_rows - 1),
     )
