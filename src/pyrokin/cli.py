@@ -100,10 +100,11 @@ def check_mass_balance(vm_pct: float, eta_pct: float) -> bool:
 
 
 def _read_text(path, error=InputError) -> str:
-    """Every input file is read here. Bytes that are not UTF-8 raise
-    ``error`` naming the file; an OSError already names it."""
+    """Every input file is read here, as UTF-8 with an optional byte-order
+    mark (Excel's "CSV UTF-8" export writes one). Bytes that are not UTF-8
+    raise ``error`` naming the file; an OSError already names it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise error(f"cannot read {path}: {exc}") from None
 
@@ -147,7 +148,8 @@ def _parse_alpha_grid(text: str):
             f"need 0 < start <= stop < 1 and a finite step of at least {MIN_ALPHA_STEP}, "
             f"got {text!r}"
         )
-    n = int(round((stop - start) / step))
+    # whole steps up to stop; 1e-9 absorbs rounding, as (0.7 - 0.1) / 0.1 < 6
+    n = int((stop - start) / step + 1e-9)
     grid = tuple(round(start + i * step, 10) for i in range(n + 1))
     if not 0.0 < grid[0] <= grid[-1] < 1.0:
         raise argparse.ArgumentTypeError(f"levels {grid[0]}..{grid[-1]} of {text!r} leave (0, 1)")
@@ -289,7 +291,8 @@ def cmd_thermo(args):
         opts = {**THERMO_CURVE_DEFAULTS, **given}
         inputs.append(args.curve)
         curve = resample_uniform(_load_curve_file(args.curve), opts["dt"])
-        peaks = find_peaks(compute_dtg(curve, opts["smooth_window"]), opts["stage_windows"])
+        peaks = find_peaks(curve.temperature_k, compute_dtg(curve, opts["smooth_window"]),
+                           opts["stage_windows"])
         if opts["stage"] not in peaks:
             raise InputError(
                 f"no {opts['stage']!r} peak found in {args.curve}; pass --tm explicitly"

@@ -85,7 +85,7 @@ def compute_dtg(curve: TgaCurve, smooth_window: int = DEFAULT_SMOOTH_WINDOW):
 
     The mass series is box-smoothed (width ``smooth_window`` points, odd),
     then differentiated with centered differences; the two endpoints use
-    one-sided differences. Returns ``(temperature_k, dm_dT)``.
+    one-sided differences. Returns dm/dT on the curve's ``temperature_k``.
     """
     step = _require_uniform(curve)
     n = curve.n_points
@@ -100,7 +100,7 @@ def compute_dtg(curve: TgaCurve, smooth_window: int = DEFAULT_SMOOTH_WINDOW):
     deriv[1:-1] = (smoothed[2:] - smoothed[:-2]) / (2.0 * step)
     deriv[0] = (smoothed[1] - smoothed[0]) / step
     deriv[-1] = (smoothed[-1] - smoothed[-2]) / step
-    return curve.temperature_k.copy(), deriv
+    return deriv
 
 
 def default_mass_bounds(curve: TgaCurve, m0_at_c: float = DEFAULT_M0_AT_C):
@@ -120,7 +120,7 @@ def compute_alpha(curve: TgaCurve, m0: float, mf: float,
     """
     if m0 <= mf:
         raise DomainError(f"m0 must exceed mf, got m0={m0}, mf={mf}")
-    _, dm_dT = compute_dtg(curve, smooth_window)
+    dm_dT = compute_dtg(curve, smooth_window)
     raw = (m0 - curve.mass_fraction) / (m0 - mf)
     alpha = np.maximum.accumulate(np.clip(raw, 0.0, 1.0))
     return AlphaCurve(
@@ -158,16 +158,15 @@ def invert_alpha_curves(alpha_curves, alphas):
     return np.column_stack(temps), np.column_stack(dadT)
 
 
-def find_peaks(dtg, windows=None) -> dict[str, float]:
+def find_peaks(temperature_k, dm_dT, windows=None) -> dict[str, float]:
     """Per stage window, the temperature (K) of maximum mass-loss rate.
 
-    ``dtg`` is the ``(temperature_k, dm_dT)`` pair from compute_dtg. Returns
+    ``dm_dT`` is compute_dtg's derivative on the grid ``temperature_k``. Returns
     ``{stage: T_peak}`` in order of (T_peak, stage). A window only yields a
     peak when its maximum |dm/dT| reaches ``PEAK_THRESHOLD_FRAC`` of the
     global maximum, so stages masked at high heating rates simply drop out of
     the result. Absence of a peak is a valid outcome, not an error.
     """
-    temperature_k, dm_dT = dtg
     if windows is None:
         windows = DEFAULT_STAGE_WINDOWS
     magnitude = np.abs(dm_dT)

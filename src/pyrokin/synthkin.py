@@ -69,7 +69,7 @@ class PseudoComponentModel:
 
 
 def simulate(model: PseudoComponentModel, beta: float, dT: float,
-             spec: SampleSpec | None = None) -> TgaCurve:
+             spec: SampleSpec) -> TgaCurve:
     """Evaluate the exact component conversions on a uniform grid.
 
     Each component is an independent nth-order reaction under a linear
@@ -93,9 +93,8 @@ def simulate(model: PseudoComponentModel, beta: float, dT: float,
         Grid step in K, at most 1 K. The step is adjusted to the nearest
         value dividing the span evenly; the grid may hold at most
         ``tga_io.MAX_GRID_POINTS`` points.
-    spec : SampleSpec, optional
-        Metadata attached to the returned curve; a generic synthetic spec
-        is used when omitted.
+    spec : SampleSpec
+        Metadata attached to the returned curve.
 
     The returned mass series is renormalized to its first point, so it
     starts at exactly 1 regardless of float rounding in the fractions.
@@ -139,15 +138,6 @@ def simulate(model: PseudoComponentModel, beta: float, dT: float,
     # complete burnout representable under the (0, 1] mass contract
     mass = np.maximum(model.residue + (fracs[:, None] * remaining).sum(axis=0), 1e-12)
 
-    if spec is None:
-        spec = SampleSpec(
-            sample_id="synthetic",
-            ds_fraction=1.0,
-            scg_fraction=0.0,
-            cellulose_pct=0.0,
-            hemicellulose_pct=0.0,
-            lignin_pct=0.0,
-        )
     return TgaCurve(
         spec=spec,
         heating_rate_beta=beta,

@@ -9,6 +9,7 @@ from pyrokin.synthkin import (
     simulate,
     suite_models,
 )
+from pyrokin.tga_io import DATE_SEEDS
 
 BETAS = (5.0, 10.0, 15.0, 20.0)
 
@@ -28,7 +29,7 @@ def single_step_model():
 
 @pytest.fixture(scope="session")
 def single_step_curves(single_step_model):
-    return [simulate(single_step_model, beta, 0.5) for beta in BETAS]
+    return [simulate(single_step_model, beta, 0.5, DATE_SEEDS) for beta in BETAS]
 
 
 @pytest.fixture(scope="session")

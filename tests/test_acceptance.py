@@ -32,7 +32,7 @@ from pyrokin.synthkin import (
     simulate,
     suite_models,
 )
-from pyrokin.tga_io import curve_to_csv, resample_uniform, spec_to_sidecar
+from pyrokin.tga_io import DATE_SEEDS, curve_to_csv, resample_uniform, spec_to_sidecar
 from pyrokin.thermo import delta_g, delta_h, delta_s
 
 from kissinger import kissinger_peak
@@ -56,7 +56,7 @@ def test_c01_kinetic_recovery_oracle():
         t_start=300.0,
         t_end=900.0,
     )
-    curves = [simulate(model, beta, 0.5) for beta in (5.0, 10.0, 15.0, 20.0)]
+    curves = [simulate(model, beta, 0.5, DATE_SEEDS) for beta in (5.0, 10.0, 15.0, 20.0)]
     table = run_analysis(curves)
     elapsed = time.time() - t0
 
@@ -187,9 +187,9 @@ def test_c05_dtg_kissinger_cross_check():
             t_start=300.0,
             t_end=900.0,
         )
-        curve = simulate(model, beta, 0.5)
-        T, dm = compute_dtg(curve, smooth_window=9)
-        peak = float(T[int(np.argmin(dm))])
+        curve = simulate(model, beta, 0.5, DATE_SEEDS)
+        dm = compute_dtg(curve, smooth_window=9)
+        peak = float(curve.temperature_k[int(np.argmin(dm))])
         root = kissinger_peak(ea, a, beta / 60.0)
         deltas.append(abs(peak - root))
     report(

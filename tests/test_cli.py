@@ -269,6 +269,56 @@ class TestTwoColumnCurves:
         assert not out.exists()
 
 
+def with_bom(source, target):
+    """``source`` copied to ``target`` behind a UTF-8 byte-order mark, as
+    Excel's "CSV UTF-8" export writes it."""
+    target.write_bytes(b"\xef\xbb\xbf" + Path(source).read_bytes())
+    return str(target)
+
+
+class TestByteOrderMark:
+    """Every input file loads with a UTF-8 byte-order mark as without one."""
+
+    def test_curves_and_sidecars_analyze_to_the_same_bytes(self, synth_dir, tmp_path):
+        (tmp_path / "bom").mkdir()
+        bommed = []
+        for source in map(Path, curve_paths(synth_dir)):
+            bommed.append(with_bom(source, tmp_path / "bom" / source.name))
+            sidecar = source.with_suffix(".json")
+            with_bom(sidecar, tmp_path / "bom" / sidecar.name)
+        for name, curves in (("plain", curve_paths(synth_dir)), ("bommed", bommed)):
+            assert main(["analyze", *curves, "--format", "csv",
+                         "--out-dir", str(tmp_path / name)]) == 0
+        assert ((tmp_path / "bommed" / "kinetics.csv").read_bytes()
+                == (tmp_path / "plain" / "kinetics.csv").read_bytes())
+
+    def test_kinetics_table_loads(self, kinetics_csv, tmp_path):
+        bommed = with_bom(kinetics_csv, tmp_path / "kinetics.csv")
+        for name, path in (("plain", str(kinetics_csv)), ("bommed", bommed)):
+            assert main(["thermo", "--kinetics", path, "--tm", "625.0",
+                         "--out-dir", str(tmp_path / name)]) == 0
+        assert ((tmp_path / "bommed" / "thermo.csv").read_bytes()
+                == (tmp_path / "plain" / "thermo.csv").read_bytes())
+
+    def test_checkpoint_loads(self, synth_dir, trained, tmp_path):
+        bommed = with_bom(trained / "model.json", tmp_path / "model.json")
+        for name, path in (("plain", str(trained / "model.json")), ("bommed", bommed)):
+            assert main(["predict", curve_paths(synth_dir, (15,))[0], "--model", path,
+                         "--dt", "4.0", "--out-dir", str(tmp_path / name)]) == 0
+        assert ((tmp_path / "bommed" / "predictions.csv").read_bytes()
+                == (tmp_path / "plain" / "predictions.csv").read_bytes())
+
+    def test_config_file_loads(self, synth_dir, tmp_path):
+        plain = tmp_path / "cfg.json"
+        plain.write_text(json.dumps({"epochs": 1, "hidden_units": 4, "look_back": 5}))
+        bommed = with_bom(plain, tmp_path / "bommed.json")
+        for name, path in (("plain", str(plain)), ("bommed", bommed)):
+            assert main(["train", *curve_paths(synth_dir, (10, 15, 20)), "--dt", "6.0",
+                         "--config", path, "--out-dir", str(tmp_path / name)]) == 0
+        assert ((tmp_path / "bommed" / "model.json").read_bytes()
+                == (tmp_path / "plain" / "model.json").read_bytes())
+
+
 class TestAnalyzeCommand:
     def test_recovers_ground_truth_within_one_percent(self, synth_dir, tmp_path, capsys):
         rc = main(
@@ -528,7 +578,7 @@ class TestThermoCommand:
         assert main([*argv, "--tm", "625.0", "--out-dir", str(tmp_path / "tm")]) == 0
         spec, beta = sidecar_to_spec(Path(path).with_suffix(".json").read_text())
         curve = resample_uniform(load_curve(Path(path).read_text(), spec, beta), 0.5)
-        peaks = find_peaks(compute_dtg(curve, DEFAULT_SMOOTH_WINDOW))
+        peaks = find_peaks(curve.temperature_k, compute_dtg(curve, DEFAULT_SMOOTH_WINDOW))
         t_m = peaks["cellulose"]
         for name, config in (("peak", {"tm": t_m, "stage": "cellulose"}),
                              ("tm", {"tm": 625.0})):
@@ -1263,7 +1313,8 @@ BAD_NUMBERS = [
     (["analyze", "CURVES", "--alpha-grid", "0.1:0.7:0.005"], 2),
     (["analyze", "CURVES", "--alpha-grid", "0.1:0.7:nan"], 2),
     (["analyze", "CURVES", "--alpha-grid", "0:0.7:0.1"], 2),
-    (["analyze", "CURVES", "--alpha-grid", "0.1:0.96:0.1"], 2),  # last level 1.0
+    # a level within 1e-9 of 1 rounds to 1.0
+    (["analyze", "CURVES", "--alpha-grid", "0.99999999999:0.99999999999:0.1"], 2),
     (["tune", "CURVES", "--lr-bounds", "0.01"], 4),
     (["tune", "CURVES", "--lr-bounds", "0.01,0.001"], 4),
     (["tune", "CURVES", "--batch-choices", ""], 4),
@@ -1540,6 +1591,22 @@ def test_alpha_grid_is_bounded_or_rejected(text):
         return
     assert 0.0 < grid[0] and grid[-1] < 1.0 and len(grid) <= 101
     assert all(a < b for a, b in zip(grid, grid[1:]))
+
+
+# --alpha-grid start:stop:step is the levels from start by step, up to stop;
+# the last grid is CI's 99-level one
+ALPHA_GRIDS = [
+    ("0.1:0.6:0.3", (0.1, 0.4)),
+    ("0.1:0.65:0.1", (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)),
+    ("0.1:0.9:0.3", (0.1, 0.4, 0.7)),
+    ("0.1:0.96:0.1", (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)),
+    ("0.01:0.99:0.01", tuple(k / 100 for k in range(1, 100))),
+]
+
+
+@pytest.mark.parametrize("text, levels", ALPHA_GRIDS, ids=[text for text, _ in ALPHA_GRIDS])
+def test_alpha_grid_runs_from_start_by_step_up_to_stop(text, levels):
+    assert _parse_alpha_grid(text) == levels
 
 
 class TestParserReuse:

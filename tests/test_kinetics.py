@@ -19,6 +19,7 @@ from pyrokin.kinetics import (
 )
 from pyrokin.preprocess import AlphaCurve
 from pyrokin.synthkin import simulate, suite_models
+from pyrokin.tga_io import DATE_SEEDS
 from pyrokin.thermo import ThermoEstimate
 
 from reference_kinetics import reference_run_analysis
@@ -229,7 +230,7 @@ class TestNoisyRecovery:
         rng = np.random.default_rng(31)
         curves = []
         for beta in (5.0, 10.0, 15.0, 20.0):
-            clean = simulate(single_step_model, beta, 0.5)
+            clean = simulate(single_step_model, beta, 0.5, DATE_SEEDS)
             noisy = clean.mass_fraction + 2e-4 * rng.standard_normal(clean.n_points)
             noisy[0] = 1.0
             curves.append(replace(clean, mass_fraction=np.clip(noisy, 1e-9, 1.0)))
@@ -351,7 +352,7 @@ class TestMatchesTheSlicePath:
                                            "three-component-scg", "blend-0.5"])
     def curves(self, request):
         model = {name: m for name, m, _ in suite_models()}[request.param]
-        return [simulate(model, beta, 0.5) for beta in (5.0, 10.0, 15.0, 20.0)]
+        return [simulate(model, beta, 0.5, DATE_SEEDS) for beta in (5.0, 10.0, 15.0, 20.0)]
 
     @pytest.mark.parametrize("grid", GRIDS, ids=["7-levels", "0.01-step", "0.05-step"])
     @pytest.mark.parametrize("smooth_window", [1, 9])

@@ -41,20 +41,20 @@ class TestComputeDtg:
     def test_linear_mass_gives_constant_slope(self):
         T = np.linspace(300.0, 500.0, 201)
         curve = make_curve(T, 1.0 - 0.001 * (T - 300.0))
-        _, deriv = compute_dtg(curve, smooth_window=1)
+        deriv = compute_dtg(curve, smooth_window=1)
         assert np.allclose(deriv[1:-1], -0.001, atol=1e-12)
 
     def test_constant_mass_gives_zero(self):
         T = np.linspace(300.0, 500.0, 101)
         curve = make_curve(T, np.ones(101))
-        _, deriv = compute_dtg(curve, smooth_window=5)
+        deriv = compute_dtg(curve, smooth_window=5)
         assert np.all(deriv == 0.0)
 
     def test_quadratic_mass_exact_at_interior(self):
         T = np.linspace(300.0, 400.0, 101)
         mass = 1.0 - 2e-6 * (T - 300.0) ** 2
         curve = make_curve(T, mass)
-        _, deriv = compute_dtg(curve, smooth_window=1)
+        deriv = compute_dtg(curve, smooth_window=1)
         expected = -4e-6 * (T - 300.0)
         assert np.max(np.abs(deriv[1:-1] - expected[1:-1])) < 1e-10
 
@@ -65,9 +65,9 @@ class TestComputeDtg:
             t_start=300.0,
             t_end=900.0,
         )
-        curve = simulate(model, 10.0, 0.5)
-        T, deriv = compute_dtg(curve, smooth_window=9)
-        peak = T[int(np.argmin(deriv))]
+        curve = simulate(model, 10.0, 0.5, DATE_SEEDS)
+        deriv = compute_dtg(curve, smooth_window=9)
+        peak = curve.temperature_k[int(np.argmin(deriv))]
         assert abs(peak - kissinger_peak(150e3, 1e13, 10.0 / 60.0)) < 2.0
 
     def test_non_uniform_grid_rejected(self):
@@ -107,7 +107,7 @@ class TestComputeAlpha:
         assert np.max(np.abs(ac.alpha - (1.0 - mass) / 0.7)) < 1e-12
 
     def test_matches_integrated_conversion_for_synthetic(self, single_step_model):
-        curve = simulate(single_step_model, 10.0, 0.5)
+        curve = simulate(single_step_model, 10.0, 0.5, DATE_SEEDS)
         m0, mf = default_mass_bounds(curve)
         ac = compute_alpha(curve, m0, mf, smooth_window=1)
         oracle = 1.0 - curve.mass_fraction  # residue-free single component
@@ -134,7 +134,7 @@ class TestComputeAlpha:
     def test_heating_rate_shift_in_t_of_alpha(self, single_step_model):
         alpha_curves = []
         for beta in (5.0, 10.0, 15.0, 20.0):
-            curve = simulate(single_step_model, beta, 0.5)
+            curve = simulate(single_step_model, beta, 0.5, DATE_SEEDS)
             m0, mf = default_mass_bounds(curve)
             alpha_curves.append(compute_alpha(curve, m0, mf, smooth_window=1))
         temps, _ = invert_alpha_curves(alpha_curves, np.arange(0.1, 0.75, 0.1))
@@ -185,7 +185,7 @@ class TestTemperatureAtAlpha:
         assert t_alpha(series, 0.45) == pytest.approx(605.0)
 
     def test_synthetic_half_conversion_matches_oracle(self, single_step_model):
-        curve = simulate(single_step_model, 10.0, 0.5)
+        curve = simulate(single_step_model, 10.0, 0.5, DATE_SEEDS)
         m0, mf = default_mass_bounds(curve)
         ac = compute_alpha(curve, m0, mf, smooth_window=1)
         t_half = t_alpha(ac, 0.5)
@@ -232,7 +232,30 @@ class TestTemperatureAtAlpha:
             assert rate.tobytes() == np.float64(rate_at_temperature(ac, expected)).tobytes()
 
 
+# (hemicellulose, cellulose) DTG peak temperatures (K) of every suite preset
+# at 5/10/15/20 K/min, simulated at dT 0.5 K and smoothed over 9 points; the
+# Tm a thermo --curve run reads. Grid points, so they compare exactly.
+SUITE_STAGE_PEAKS = {
+    "single-step": ((598.0, 613.5), (598.0, 625.5), (598.0, 632.5), (598.0, 637.5)),
+    "three-component-ds": ((539.5, 619.0), (550.0, 630.0), (556.5, 636.5), (561.5, 641.0)),
+    "three-component-scg": ((536.5, 622.5), (547.5, 633.5), (553.5, 640.0), (558.5, 644.5)),
+    "blend-0.75": ((539.0, 620.0), (549.5, 631.0), (556.0, 637.5), (560.5, 642.0)),
+    "blend-0.5": ((538.0, 621.0), (549.0, 632.0), (555.5, 638.5), (560.0, 643.0)),
+    "blend-0.25": ((537.5, 622.0), (548.0, 633.0), (554.5, 639.5), (559.0, 644.0)),
+}
+
+
 class TestFindPeaks:
+    @pytest.mark.parametrize("name, model, spec", suite_models(),
+                             ids=[name for name, _, _ in suite_models()])
+    def test_suite_stage_peaks_are_pinned(self, name, model, spec):
+        got = []
+        for beta in (5.0, 10.0, 15.0, 20.0):
+            curve = simulate(model, beta, 0.5, spec)
+            peaks = find_peaks(curve.temperature_k, compute_dtg(curve, smooth_window=9))
+            got.append((peaks["hemicellulose"], peaks["cellulose"]))
+        assert tuple(got) == SUITE_STAGE_PEAKS[name]
+
     def test_single_component_lands_in_hemicellulose_window(self):
         # peak placed at ~550 K (277 C) inside the 225-325 C window
         model = PseudoComponentModel(
@@ -241,14 +264,14 @@ class TestFindPeaks:
             t_start=300.0,
             t_end=900.0,
         )
-        curve = simulate(model, 10.0, 0.5)
-        peaks = find_peaks(compute_dtg(curve, smooth_window=9))
+        curve = simulate(model, 10.0, 0.5, DATE_SEEDS)
+        peaks = find_peaks(curve.temperature_k, compute_dtg(curve, smooth_window=9))
         lo, hi = DEFAULT_STAGE_WINDOWS["hemicellulose"]
         assert lo <= peaks["hemicellulose"] <= hi
 
     def test_flat_signal_yields_nothing(self):
         T = np.linspace(300.0, 900.0, 601)
-        peaks = find_peaks((T, np.zeros_like(T)))
+        peaks = find_peaks(T, np.zeros_like(T))
         assert peaks == {}
 
     def test_two_well_separated_components_give_ordered_peaks(self):
@@ -261,8 +284,8 @@ class TestFindPeaks:
             t_start=300.0,
             t_end=900.0,
         )
-        curve = simulate(model, 10.0, 0.5)
-        peaks = find_peaks(compute_dtg(curve, smooth_window=9))
+        curve = simulate(model, 10.0, 0.5, DATE_SEEDS)
+        peaks = find_peaks(curve.temperature_k, compute_dtg(curve, smooth_window=9))
         assert "hemicellulose" in peaks and "cellulose" in peaks
         temps = list(peaks.values())
         assert temps == sorted(temps)
@@ -273,11 +296,11 @@ class TestFindPeaks:
         signal = -np.exp(-((T - 550.0) ** 2) / 50.0) - 0.01 * np.exp(
             -((T - 640.0) ** 2) / 50.0
         )
-        peaks = find_peaks((T, signal))
+        peaks = find_peaks(T, signal)
         assert "cellulose" not in peaks
 
     def test_window_outside_the_curve_is_skipped(self):
         T = np.linspace(400.0, 800.0, 801)
         signal = -np.exp(-((T - 550.0) ** 2) / 50.0)
-        peaks = find_peaks((T, signal), {"beyond": (900.0, 1000.0), "peak": (500.0, 600.0)})
+        peaks = find_peaks(T, signal, {"beyond": (900.0, 1000.0), "peak": (500.0, 600.0)})
         assert peaks == {"peak": 550.0}

@@ -21,6 +21,7 @@ from pyrokin.synthkin import (
     simulate,
     suite_models,
 )
+from pyrokin.tga_io import DATE_SEEDS
 
 from kissinger import BracketError, kissinger_peak
 
@@ -84,24 +85,24 @@ def rk4_mass(model, beta, dT):
 class TestSimulate:
     def test_no_reaction_when_a_is_zero(self):
         model = one_component(a=0.0)
-        curve = simulate(model, 10.0, 1.0)
+        curve = simulate(model, 10.0, 1.0, DATE_SEEDS)
         assert np.all(curve.mass_fraction == 1.0)
 
     def test_complete_burnout_reaches_zero(self):
-        curve = simulate(one_component(), 10.0, 0.5)
+        curve = simulate(one_component(), 10.0, 0.5, DATE_SEEDS)
         assert curve.mass_fraction[-1] < 1e-6
 
     def test_mass_non_increasing_and_starts_at_one(self):
-        curve = simulate(one_component(), 10.0, 0.5)
+        curve = simulate(one_component(), 10.0, 0.5, DATE_SEEDS)
         assert curve.mass_fraction[0] == 1.0
         assert np.all(np.diff(curve.mass_fraction) <= 0.0)
 
     def test_dtg_peak_matches_kissinger_root(self):
         from pyrokin.preprocess import compute_dtg
 
-        curve = simulate(one_component(), 10.0, 0.5)
-        T, dm = compute_dtg(curve, smooth_window=1)
-        peak = T[int(np.argmin(dm))]
+        curve = simulate(one_component(), 10.0, 0.5, DATE_SEEDS)
+        dm = compute_dtg(curve, smooth_window=1)
+        peak = curve.temperature_k[int(np.argmin(dm))]
         assert abs(peak - KISSINGER_150_1E13_10) < 2.0
 
     def test_mass_conservation_pointwise(self):
@@ -115,7 +116,7 @@ class TestSimulate:
             t_start=300.0,
             t_end=900.0,
         )
-        curve = simulate(model, 10.0, 0.5)
+        curve = simulate(model, 10.0, 0.5, DATE_SEEDS)
         assert curve.mass_fraction[0] == 1.0
         assert np.all(curve.mass_fraction >= 0.25 - 1e-12)
         assert curve.mass_fraction[-1] == pytest.approx(0.25, abs=1e-9)
@@ -125,7 +126,7 @@ class TestSimulate:
         # so the fine reference pins the closed form to well under 1e-9
         for order in (1.0, 1.3):
             model = one_component(order=order)
-            exact = simulate(model, 10.0, 0.5).mass_fraction
+            exact = simulate(model, 10.0, 0.5, DATE_SEEDS).mass_fraction
             gap_coarse = np.max(np.abs(rk4_mass(model, 10.0, 0.25)[::2] - exact))
             gap_fine = np.max(np.abs(rk4_mass(model, 10.0, 0.125)[::4] - exact))
             assert gap_fine <= 1e-9, order
@@ -137,7 +138,7 @@ class TestSimulate:
         np.testing.assert_allclose(_GL_WEIGHTS, weights, rtol=0, atol=1e-15)
 
     def test_temperature_at_fixed_alpha_increases_with_beta(self):
-        curves = {b: simulate(one_component(), b, 0.5) for b in (5.0, 10.0, 20.0)}
+        curves = {b: simulate(one_component(), b, 0.5, DATE_SEEDS) for b in (5.0, 10.0, 20.0)}
         for alpha in (0.1, 0.3, 0.5, 0.7):
             temps = [
                 np.interp(alpha, 1.0 - c.mass_fraction, c.temperature_k)
@@ -146,7 +147,7 @@ class TestSimulate:
             assert temps[0] < temps[1] < temps[2]
 
     def test_stiff_component_gives_valid_curve(self):
-        mass = simulate(one_component(a=1e30), 5.0, 1.0).mass_fraction
+        mass = simulate(one_component(a=1e30), 5.0, 1.0, DATE_SEEDS).mass_fraction
         assert mass[0] == 1.0
         assert np.all(np.diff(mass) <= 0.0)
         assert mass[-1] <= 1e-6
@@ -162,14 +163,14 @@ class TestSimulate:
     )
     def test_mass_bounded_and_non_increasing(self, ea, a, order, beta, dT, residue):
         model = one_component(ea=ea, a=a, order=order, residue=residue)
-        mass = simulate(model, beta, dT).mass_fraction
+        mass = simulate(model, beta, dT, DATE_SEEDS).mass_fraction
         assert mass[0] == 1.0
         assert np.all(np.diff(mass) <= 0.0)
         assert np.all(mass >= residue - 1e-12) and np.all(mass <= 1.0)
 
     def test_step_above_one_kelvin_rejected(self):
         with pytest.raises(DomainError):
-            simulate(one_component(), 10.0, 2.0)
+            simulate(one_component(), 10.0, 2.0, DATE_SEEDS)
 
     def test_fraction_sum_validated(self):
         with pytest.raises(DomainError):
@@ -258,7 +259,7 @@ class TestFixtureSuite:
         suite = {name: (model, spec) for name, model, spec in suite_models()}
         model, spec = suite["three-component-ds"]
         curve = simulate(model, 5.0, 0.5, spec=spec)
-        peaks = find_peaks(compute_dtg(curve, smooth_window=9))
+        peaks = find_peaks(curve.temperature_k, compute_dtg(curve, smooth_window=9))
         assert {"hemicellulose", "cellulose"} <= peaks.keys()
 
     def test_blend_curve_is_convex_combination_of_parents(self):
@@ -267,10 +268,10 @@ class TestFixtureSuite:
         frac = 0.75
         blend = blend_models(ds, scg, frac)
         beta, dT = 10.0, 0.5
-        blended = simulate(blend, beta, dT).mass_fraction
+        blended = simulate(blend, beta, dT, DATE_SEEDS).mass_fraction
         combo = (
-            frac * simulate(ds, beta, dT).mass_fraction
-            + (1.0 - frac) * simulate(scg, beta, dT).mass_fraction
+            frac * simulate(ds, beta, dT, DATE_SEEDS).mass_fraction
+            + (1.0 - frac) * simulate(scg, beta, dT, DATE_SEEDS).mass_fraction
         )
         assert np.max(np.abs(blended - combo)) < 1e-9
 

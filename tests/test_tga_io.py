@@ -205,8 +205,8 @@ class TestResampleUniform:
     def test_resampled_mass_close_to_direct_fine_integration(self, single_step_model):
         from pyrokin.synthkin import simulate
 
-        coarse = simulate(single_step_model, 10.0, 1.0)
-        fine = simulate(single_step_model, 10.0, 0.5)
+        coarse = simulate(single_step_model, 10.0, 1.0, DATE_SEEDS)
+        fine = simulate(single_step_model, 10.0, 0.5, DATE_SEEDS)
         resampled = resample_uniform(coarse, 0.5)
         assert np.array_equal(resampled.temperature_k, fine.temperature_k)
         assert np.max(np.abs(resampled.mass_fraction - fine.mass_fraction)) < 1e-3
