@@ -1,4 +1,5 @@
-"""Pinned bytes of small ``train`` runs and of one ``predict``.
+"""Pinned bytes of small ``train`` runs, of one ``predict``, of the ``synth``
+presets and of two ``analyze`` orders.
 
 ``test_training`` compares ``train`` with a reference loop that shares the
 package's kernels, initialisation and optimizers, so a change to those
@@ -13,6 +14,10 @@ the memory order of the weights. The digests hold for the numpy build and
 BLAS kernels that recorded them (float results of a GEMM depend on both),
 so elsewhere the test is skipped; rerun determinism is checked everywhere
 by the console-script reruns in CI.
+
+The ``synth`` and ``analyze`` digests pin the order-n reaction model: the
+oracle's closed form, and the f(alpha) and g(alpha) that ``analyze --order``
+reads A through. They were recorded before that model moved into one module.
 """
 
 import hashlib
@@ -21,8 +26,8 @@ import numpy as np
 import pytest
 
 from pyrokin.cli import main
-from pyrokin.synthkin import simulate, suite_models
-from pyrokin.tga_io import curve_to_csv, spec_to_sidecar
+from pyrokin.synthkin import PseudoComponent, PseudoComponentModel, simulate, suite_models
+from pyrokin.tga_io import DATE_SEEDS, curve_to_csv, spec_to_sidecar
 
 RECORDED_ON = ("2.4.6", "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY "
                "Haswell MAX_THREADS=64")
@@ -69,6 +74,43 @@ TRAIN_DIGESTS = {
 # predictions.csv of the 3-layer RMSprop model on the 20 K/min curve
 PREDICT_DIGEST = "d9c82c7209454289f30d8d47fc33478cca4c29ce98f2913726e128756db0aef6"
 
+# every suite preset's synth CSVs at 0.5 K and 5/10/15/20 K/min
+SYNTH_DIGESTS = {
+    "single-step_beta5.csv": "9bfb5e58cfe726de9c0231f506ee25c741cd4607a6fb69383258ce90d655bf43",
+    "single-step_beta10.csv": "98572d7868cda06f43bddedb0c50c79b43d2eaa537f4f22d07eaf24d4464a562",
+    "single-step_beta15.csv": "99c038c83d0e592d7047c514ff4c1d1bf5230728ef8f0fbb6a7cc6763a048be5",
+    "single-step_beta20.csv": "36cc9a32da91bb5dfa8bd118d437b2829edcdd8309bf57d5e4b77bd0accb8941",
+    "three-component-ds_beta5.csv": "b7399fa9ecd2f3061f5c977d48120640b1d75be6d78f839052d84f08c9482add",
+    "three-component-ds_beta10.csv": "ea00de204c20d38b43e292b6605782edbc7f935146a452df68c33449979ae9a2",
+    "three-component-ds_beta15.csv": "8c1e39eb51e9dda5413a96ca35daa9cad883fc9a4c524f2e8cd286cc8c3ad7dc",
+    "three-component-ds_beta20.csv": "e2d3484938a7a1a2224763e0171c4b27a2e7ffb8c9fa2ca1a9ffdd6beaedd828",
+    "three-component-scg_beta5.csv": "b0c5a8cdcf60f5149dee4b269b1eeb665b47fe24c668733ea1f5b97fcdaa7e9f",
+    "three-component-scg_beta10.csv": "371e158a500feaca1a1c9a6f4a6058abd2bf4a469fb91ff02304f15b74bfc189",
+    "three-component-scg_beta15.csv": "aa57e84a503dd98e92508fdbc96c8df21717a0cfb0b900fc1ec00a353c9e1be9",
+    "three-component-scg_beta20.csv": "659c4d4673848da58a1de377adf430ae3c52e15309da3cc705b943936cf7c40a",
+    "blend-0.75_beta5.csv": "5d2eb073bae7db59bf1996357ce2def0ef1ae0367b21daab55dd48a3015a5e85",
+    "blend-0.75_beta10.csv": "99b5f982ded996fede765a5daaab34eb8f6245f61e3d510a73fc29352c099e5a",
+    "blend-0.75_beta15.csv": "1da96867d980f464b50c34970f5bfad2f95bf27dfc865a46fc407522a23fe9dd",
+    "blend-0.75_beta20.csv": "848c5eac20ae279625f95b2a7d1229d273c52c5cef00f87cd28ca660f37e359c",
+    "blend-0.5_beta5.csv": "cae4801779504933e78f257e8aaa0b510d9289319d447f555ec7b7e51025e052",
+    "blend-0.5_beta10.csv": "c9fb31ef601b8a7fcf9172d01f1113a8af149aebad4673c4f50819044063c856",
+    "blend-0.5_beta15.csv": "691ca6636b312408ee73d7c7c76bde4074a2a37450a6a4b7c3e7ce1a8abfd0e4",
+    "blend-0.5_beta20.csv": "bd872cfd0d5904732e73f0869c359f11aeb4fac32c6b7e42b2129124591871de",
+    "blend-0.25_beta5.csv": "dad935508ad94bc70b05fd7ee539387f17a64e3c8b1083d0d27c8195fe526314",
+    "blend-0.25_beta10.csv": "57be1182ab01e79b756e9c2f166a3eacae0825472f09ee9c71d9c912f08e1512",
+    "blend-0.25_beta15.csv": "991cd136a34c7c4e38110f8fa554e780ad63636fd330ebdd1184943a359097ea",
+    "blend-0.25_beta20.csv": "152816f8a1b3068143dd50e0a982ca6b03eac3e41da122f7128db47305244e8c",
+}
+# one order-1.3 component (180 kJ/mol, 1e13 1/s) at 10 K/min and 0.5 K
+ORDER_DIGEST = "6ba923a86c764d515710bb74558334a570b71b9d45962305ab3a45a4caffc481"
+# analyze --order on the single-step curves: sha256 of kinetics.csv, ea_vs_alpha.csv
+ANALYZE_DIGESTS = {
+    "1": ("6d931f2e9a382f513dfe0139db418f796d3bc69a4b73c37d1181752705e8fd8b",
+          "ea5a9b862bb2d09b73b5cff1764a4b8e2a4de3363b72f9bf086c0735548f28fb"),
+    "1.5": ("961b9a2831aca2c02181824230c15b0003ea1c5eca53ae3959f800391c529bd7",
+            "ea5a9b862bb2d09b73b5cff1764a4b8e2a4de3363b72f9bf086c0735548f28fb"),
+}
+
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -105,3 +147,31 @@ def test_predict_bytes(curves, tmp_path):
                  "--model", str(tmp_path / "model" / "model.json"), "--dt", "2",
                  "--out-dir", str(tmp_path / "predict")]) == 0
     assert sha256(tmp_path / "predict" / "predictions.csv") == PREDICT_DIGEST
+
+
+@pytest.mark.parametrize("name, model, spec", suite_models(),
+                         ids=[name for name, _, _ in suite_models()])
+def test_synth_bytes(tmp_path, name, model, spec):
+    frac = name.removeprefix("blend-")
+    preset = ["blend", "--frac", frac] if frac != name else [name]
+    assert main(["synth", "--preset", *preset, "--beta", "5,10,15,20", "--dt", "0.5",
+                 "--out-dir", str(tmp_path)]) == 0
+    for beta in (5, 10, 15, 20):
+        stem = f"{name}_beta{beta}.csv"
+        assert sha256(tmp_path / stem) == SYNTH_DIGESTS[stem], stem
+
+
+def test_order_n_simulate_bytes():
+    model = PseudoComponentModel((PseudoComponent(1.0, 180e3, 1e13, order=1.3),),
+                                 residue=0.0, t_start=300.0, t_end=900.0)
+    text = curve_to_csv(simulate(model, 10.0, 0.5, DATE_SEEDS))
+    assert hashlib.sha256(text.encode()).hexdigest() == ORDER_DIGEST
+
+
+@pytest.mark.parametrize("order", list(ANALYZE_DIGESTS))
+def test_analyze_bytes(curves, tmp_path, order):
+    paths = [str(curves / f"single-step_beta{b}.csv") for b in (5, 10, 15, 20)]
+    assert main(["analyze", *paths, "--order", order, "--format", "csv",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert (sha256(tmp_path / "kinetics.csv"), sha256(tmp_path / "ea_vs_alpha.csv")) \
+        == ANALYZE_DIGESTS[order]
