@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .constants import KELVIN_OFFSET
 from .errors import ConfigError, DomainError, InputError, PyrokinError
-from .kinetics import KineticModelAssumption, run_analysis
+from .kinetics import run_analysis
 from .manifest import write_manifest
 from .preprocess import (
     DEFAULT_ALPHA_GRID,
@@ -41,6 +41,7 @@ from .preprocess import (
     find_peaks,
     kelvin_windows,
 )
+from .reaction import ReactionModel
 from .report import (
     analysis_from_csv,
     analysis_to_csv,
@@ -246,7 +247,7 @@ def cmd_analyze(args):
     table = run_analysis(
         curves,
         alpha_grid=args.alpha_grid,
-        model=KineticModelAssumption(order=args.order),
+        model=ReactionModel(order=args.order),
         smooth_window=args.smooth_window,
         m0_at_c=args.m0_at,
         resample_dt=args.dt,

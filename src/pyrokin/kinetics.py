@@ -6,7 +6,9 @@ row-wise fit. Heating rates enter in K/s so the extracted pre-exponential
 factors carry 1/s. The pre-exponential factor is recovered from the
 regression intercept under a configurable reaction model (first order by
 default), evaluated in log space to survive the enormous dynamic range
-typical of biomass kinetics.
+typical of biomass kinetics. That model's f(alpha) and g(alpha) live in
+``pyrokin.reaction``, which also holds the closed form the synthetic oracle
+evaluates.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .preprocess import (
     default_mass_bounds,
     invert_alpha_curves,
 )
+from .reaction import FIRST_ORDER, ReactionModel
 from .tga_io import resample_uniform
 
 METHOD_FRIEDMAN = "friedman"
@@ -38,30 +41,6 @@ METHODS = (METHOD_FRIEDMAN, METHOD_KAS, METHOD_FWO)
 # Flynn-Wall-Ozawa formulation: log p(x) ~ -5.331 - 1.052 x.
 DOYLE_SLOPE = 1.052
 DOYLE_INTERCEPT = 5.331
-
-
-@dataclass(frozen=True)
-class KineticModelAssumption:
-    """Reaction model f/g pair used to pull A out of regression intercepts."""
-
-    order: float = 1.0
-
-    def __post_init__(self):
-        if self.order <= 0.0:
-            raise DomainError(f"reaction order must be positive, got {self.order}")
-
-    def f(self, alpha: float) -> float:
-        """Differential form f(alpha) = (1 - alpha)^n."""
-        return (1.0 - alpha) ** self.order
-
-    def g(self, alpha: float) -> float:
-        """Integral form g(alpha), the antiderivative of 1/f."""
-        if self.order == 1.0:
-            return -math.log1p(-alpha)
-        return (1.0 - (1.0 - alpha) ** (1.0 - self.order)) / (1.0 - self.order)
-
-
-FIRST_ORDER = KineticModelAssumption()
 
 
 @dataclass(frozen=True)
@@ -127,7 +106,7 @@ def _model_value(form, method: str, alpha: float, order: float) -> float:
 
 
 def fit_levels(alphas, betas, temps, rates,
-               model: KineticModelAssumption = FIRST_ORDER) -> list[KineticEstimate]:
+               model: ReactionModel = FIRST_ORDER) -> list[KineticEstimate]:
     """Every method's estimate at every conversion level, level by level.
 
     ``temps`` (K) and ``rates`` (dalpha/dt, 1/s) hold one row per level in
@@ -232,7 +211,7 @@ def reachable_levels(alpha_curves, alpha_grid=DEFAULT_ALPHA_GRID):
 
 
 def run_analysis(curves, alpha_grid=DEFAULT_ALPHA_GRID,
-                 model: KineticModelAssumption = FIRST_ORDER,
+                 model: ReactionModel = FIRST_ORDER,
                  smooth_window: int = DEFAULT_SMOOTH_WINDOW,
                  m0_at_c: float = DEFAULT_M0_AT_C,
                  resample_dt: float = DEFAULT_RESAMPLE_DT) -> AnalysisTable:

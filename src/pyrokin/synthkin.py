@@ -3,7 +3,9 @@
 Serves as the ground-truth oracle for the preprocessing, kinetics, and
 sequence-model pipelines. Components react independently (no cross-component
 interaction), which makes blend curves exactly additive and keeps the
-analytic DTG-peak condition valid per component.
+analytic DTG-peak condition valid per component. Each component's remaining
+fraction is the closed form of ``pyrokin.reaction``, the same order-n model
+whose f(alpha) and g(alpha) ``analyze --order`` reads A through.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 
 from .constants import GAS_CONSTANT
 from .errors import ConfigError, DomainError
+from .reaction import ReactionModel
 from .tga_io import (
     DATE_SEEDS,
     SPENT_COFFEE_GROUNDS,
@@ -42,10 +45,15 @@ class PseudoComponent:
     order: float = 1.0
 
     def __post_init__(self):
+        # each check is written so that a NaN fails it: every comparison with NaN is false
         if not (0.0 < self.fraction <= 1.0):
             raise DomainError(f"component fraction outside (0, 1]: {self.fraction}")
-        if self.ea <= 0.0 or self.a < 0.0 or self.order <= 0.0:
-            raise DomainError("component requires ea > 0, a >= 0, order > 0")
+        if not self.ea > 0.0:
+            raise DomainError(f"component requires ea > 0, got {self.ea}")
+        if not self.a >= 0.0:
+            raise DomainError(f"component requires a >= 0, got {self.a}")
+        if not self.order > 0.0:
+            raise DomainError(f"component requires order > 0, got {self.order}")
 
 
 @dataclass(frozen=True)
@@ -64,8 +72,9 @@ class PseudoComponentModel:
             raise DomainError(f"residue + component fractions must equal 1, got {total}")
         if not (0.0 <= self.residue < 1.0):
             raise DomainError(f"residue outside [0, 1): {self.residue}")
-        if self.t_start >= self.t_end:
-            raise DomainError("t_start must be below t_end")
+        if not self.t_start < self.t_end:  # a NaN fails it too
+            raise DomainError(f"t_start must be below t_end, got t_start={self.t_start}, "
+                              f"t_end={self.t_end}")
 
 
 def simulate(model: PseudoComponentModel, beta: float, dT: float,
@@ -73,14 +82,13 @@ def simulate(model: PseudoComponentModel, beta: float, dT: float,
     """Evaluate the exact component conversions on a uniform grid.
 
     Each component is an independent nth-order reaction under a linear
-    ramp, so its remaining fraction is a closed-form function of
-    ``x = (A/beta) * I(T)`` with ``I(T) = integral of exp(-Ea/(R T'))`` from
-    the grid start: ``exp(-x)`` for n = 1, otherwise
-    ``[1 - (1-n) x]^(1/(1-n))``, which is zero once the bracket reaches zero
-    (burnout for n < 1). ``I`` is a 4-point Gauss-Legendre rule on each grid
-    interval accumulated by a cumulative sum, accurate to rounding for any
-    grid step allowed here. The tests check the curve against an RK4
-    reference integration of the rate equations.
+    ramp, so its remaining fraction is ``ReactionModel(n).unreacted(x)``, a
+    closed form in ``x = (A/beta) * I(T)`` with
+    ``I(T) = integral of exp(-Ea/(R T'))`` from the grid start. ``I`` is a
+    4-point Gauss-Legendre rule on each grid interval accumulated by a
+    cumulative sum, accurate to rounding for any grid step allowed here.
+    The tests check the curve against an RK4 reference integration of the
+    rate equations.
 
     Parameters
     ----------
@@ -127,11 +135,7 @@ def simulate(model: PseudoComponentModel, beta: float, dT: float,
 
     remaining = np.empty_like(x)
     for i, c in enumerate(model.components):
-        if c.order == 1.0:
-            remaining[i] = np.exp(-x[i])
-        else:
-            bracket = np.maximum(1.0 - (1.0 - c.order) * x[i], 0.0)
-            remaining[i] = bracket ** (1.0 / (1.0 - c.order))
+        remaining[i] = ReactionModel(c.order).unreacted(x[i])
 
     # row-wise sum keeps each point's additions in one order, so the mass is
     # non-increasing wherever every remaining fraction is; the floor keeps

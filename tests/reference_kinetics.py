@@ -14,7 +14,6 @@ from pyrokin.errors import DomainError, InputError, RankError
 from pyrokin.kinetics import (
     DOYLE_INTERCEPT,
     DOYLE_SLOPE,
-    FIRST_ORDER,
     METHOD_FRIEDMAN,
     METHOD_FWO,
     METHOD_KAS,
@@ -29,6 +28,7 @@ from pyrokin.preprocess import (
     compute_alpha,
     default_mass_bounds,
 )
+from pyrokin.reaction import FIRST_ORDER
 from pyrokin.tga_io import resample_uniform
 
 

@@ -1300,6 +1300,7 @@ BAD_NUMBERS = [
     (["thermo", "--kinetics", "KINETICS", "--tm", "1e308"], 3),  # dH, dG, dS overflow
     (["thermo", "--kinetics", "KINETICS", "--tm", "1e-320"], 3),  # kB Tm underflows to 0
     (["train", "CURVES", "--seed", "-1"], 2),
+    (["train", "CURVES", "--seed", "1.5"], 2),
     (["tune", "CURVES", "--seed", "-1"], 2),
     # a 2.84 PiB parameter vector, which numpy refuses at once without touching
     # memory; a size that fits in virtual memory could be granted lazily

@@ -373,6 +373,14 @@ class TestScaler:
         assert np.all(scaled[:, 0] == 0.0)
         assert np.all(scaler.feature_min[0] == scaler.feature_max[0] == 42.0)
 
+    def test_constant_target_scales_to_zero_and_back_to_its_constant(self):
+        samples = dataset_of(np.linspace(0.0, 1.0, 16).reshape(8, 2), 5, mass=np.full(8, 61.5))
+        scaler = MinMaxScaler.fit(samples)
+        scaled = scaler.scale_target(samples.targets)
+        assert scaled.shape == samples.targets.shape and np.all(scaled == 0.0)
+        assert scaler.target_min == 61.5
+        assert np.all(scaler.unscale_target(scaled) == 61.5)
+
     def test_fit_covers_only_the_windowed_rows(self):
         samples = self.windows()[[4, 9, 10]]
         scaler = MinMaxScaler.fit(samples)

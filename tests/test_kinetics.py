@@ -10,7 +10,6 @@ from pyrokin.kinetics import (
     METHODS,
     AnalysisTable,
     KineticEstimate,
-    KineticModelAssumption,
     by_method,
     fit_levels,
     linear_fit,
@@ -18,13 +17,14 @@ from pyrokin.kinetics import (
     run_analysis,
 )
 from pyrokin.preprocess import AlphaCurve
+from pyrokin.reaction import ReactionModel
 from pyrokin.synthkin import simulate, suite_models
 from pyrokin.tga_io import DATE_SEEDS
 from pyrokin.thermo import ThermoEstimate
 
 from reference_kinetics import reference_run_analysis
 
-F1 = KineticModelAssumption()
+F1 = ReactionModel()
 
 
 def kas_line_betas(temps, ea=200e3, c=8.0):
@@ -197,7 +197,7 @@ class TestFitLevels:
         rates = np.exp(ln_af - 200e3 / (R * self.TEMPS))
         with pytest.raises(NumericalError, match=message):
             fit_levels([alpha], kas_line_betas(self.TEMPS), [self.TEMPS], [rates],
-                       KineticModelAssumption(order=order))
+                       ReactionModel(order=order))
 
 
 class TestSyntheticRecovery:
@@ -358,7 +358,7 @@ class TestMatchesTheSlicePath:
     @pytest.mark.parametrize("smooth_window", [1, 9])
     @pytest.mark.parametrize("order", [0.5, 1.0, 2.5])
     def test_tables_bitwise(self, curves, grid, smooth_window, order):
-        model = KineticModelAssumption(order)
+        model = ReactionModel(order)
         table = run_analysis(curves, grid, model, smooth_window)
         ref = reference_run_analysis(curves, grid, model, smooth_window)
         assert bit_fields(table) == bit_fields(ref)

@@ -21,6 +21,7 @@ from pyrokin.synthkin import (
     simulate,
     suite_models,
 )
+from pyrokin.reaction import ReactionModel
 from pyrokin.tga_io import DATE_SEEDS
 
 from kissinger import BracketError, kissinger_peak
@@ -204,6 +205,22 @@ class TestSimulate:
         with pytest.raises(DomainError, match="t_start must be below t_end"):
             PseudoComponentModel(components=(PseudoComponent(fraction=1.0, ea=1e5, a=1e10),),
                                  residue=0.0, t_start=900.0, t_end=t_end)
+
+    @pytest.mark.parametrize("cls, field, message", [
+        (PseudoComponent, "ea", r"ea > 0, got nan"),
+        (PseudoComponent, "a", r"a >= 0, got nan"),
+        (PseudoComponent, "order", r"order > 0, got nan"),
+        (PseudoComponentModel, "t_start", r"t_start=nan"),
+        (PseudoComponentModel, "t_end", r"t_end=nan"),
+        (ReactionModel, "order", r"reaction order must be positive, got nan"),
+    ], ids=["component-ea", "component-a", "component-order", "model-t_start", "model-t_end",
+            "reaction-order"])
+    def test_nan_field_refused_at_construction(self, cls, field, message):
+        valid = {PseudoComponent: {"fraction": 1.0, "ea": 1e5, "a": 1e10},
+                 PseudoComponentModel: vars(one_component()),
+                 ReactionModel: {}}[cls]
+        with pytest.raises(DomainError, match=message):
+            cls(**{**valid, field: math.nan})
 
     def test_blend_parents_must_share_the_temperature_range(self):
         with pytest.raises(DomainError, match="must share the temperature range"):
