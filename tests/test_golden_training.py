@@ -1,5 +1,5 @@
 """Pinned bytes of small ``train`` runs, of one ``predict``, of the ``synth``
-presets and of two ``analyze`` orders.
+presets and of ``analyze`` runs.
 
 ``test_training`` compares ``train`` with a reference loop that shares the
 package's kernels, initialisation and optimizers, so a change to those
@@ -18,6 +18,9 @@ by the console-script reruns in CI.
 The ``synth`` and ``analyze`` digests pin the order-n reaction model: the
 oracle's closed form, and the f(alpha) and g(alpha) that ``analyze --order``
 reads A through. They were recorded before that model moved into one module.
+The ``analyze --format text`` digests of every suite preset, at the default
+grid and at 99 levels, pin the isoconversional tables and their text report;
+they were recorded while the analysis could still exclude a conversion level.
 """
 
 import hashlib
@@ -111,6 +114,59 @@ ANALYZE_DIGESTS = {
             "ea5a9b862bb2d09b73b5cff1764a4b8e2a4de3363b72f9bf086c0735548f28fb"),
 }
 
+# analyze --format text on every suite preset's curves at the default grid and
+# the 99-level grid: sha256 of kinetics.txt, kinetics.csv, ea_vs_alpha.csv
+SUITE_ANALYZE_DIGESTS = {
+    ("single-step", "default"): (
+        "8001e2a0b9aaa628433cd78e3e1796bde1d7afad7e088ba3958b7bb8eae65246",
+        "6d931f2e9a382f513dfe0139db418f796d3bc69a4b73c37d1181752705e8fd8b",
+        "ea5a9b862bb2d09b73b5cff1764a4b8e2a4de3363b72f9bf086c0735548f28fb"),
+    ("single-step", "0.01:0.99:0.01"): (
+        "95ccbff56e880fda21e4ee3fc9c8b3c6ec32b79c0cfd468fdf70b2226af87b43",
+        "0803cd86e97785119aa4853d68d3cf0075385cae900c529e00e02d0dc49a4555",
+        "b22dae4b13497b102601bc7450456d57af6c8a60039e913f4fb6d99a4555eb09"),
+    ("three-component-ds", "default"): (
+        "4c7b7c854061b6d26fca8cb41d6a77de17ccdf082a713071e5bd9721ff7b78a2",
+        "14e4b1ee71650ab7fd393c8886156c2accc6388ef859d7b9574db7148505154a",
+        "1b2c275226a9cb46879f0c84d4a7d736bfc75836d712717959ce43aad13db827"),
+    ("three-component-ds", "0.01:0.99:0.01"): (
+        "eb5a1f381d2c8b8bf74c837b7b72a6588c9154a55698493612679d2772a24152",
+        "fc27b9298f8bae55b1c140e013034643825cea8d52956e96a7ac4ae75b30de14",
+        "f074e11b524438010f860015ee52357fbd26df41145a4ecdde91a02d49121c18"),
+    ("three-component-scg", "default"): (
+        "0fc50642c371f3d044e8b10c74813f2e171deb47e4a6529f6ede365093b4ec10",
+        "bc1ed52caf2e77d7800cf57ba622e082841332e1c6a87b5bd04669b3e8602bb3",
+        "ed748d7222924d0cf912745994f2f742966c59f34ab7493632b85975c5343350"),
+    ("three-component-scg", "0.01:0.99:0.01"): (
+        "a9428ea5cf09871cdd7e60ff0ab6515f1e95c3b267225dbe5def4036fd0b5aa0",
+        "1b4d04362d775e604f480a1cf0ed3bdaaf4ac70f80893d2b7c6b2dfccdfab8d2",
+        "684552b9f43a651fc45a2b0c60c34b17c07315e7ca0c378d406fcd87ff44963f"),
+    ("blend-0.75", "default"): (
+        "babb6df35fb4debc09ad372a9bc3f3e4db2232cdb3329eeb3c0fd8581a192611",
+        "75acf6bc2d1a15cd2e831cede539a7a9ca83960b1d1b85cab8929a473fe09310",
+        "7eb2b02ba84178ab4543c7555f7efe12cab719fc1a21a9a619b0d24400f35190"),
+    ("blend-0.75", "0.01:0.99:0.01"): (
+        "7ee8a0227b1176502eb2b2e7d8a974bf5af171fbb984a6b5a6e68ce8737ddca1",
+        "36fe59c1e79ecb436a075a00473202271e61db4811dd4a21721852393a668189",
+        "482a74523ff84de7b1a199d8718842b2f60c995cb526e003f153db8878630a7b"),
+    ("blend-0.5", "default"): (
+        "14f5dd41d1581433536d3c13b958f145d45641e928aedb83c49daa1328c2c7fd",
+        "38106f0005a45ba492bc878fc8a054e21806ac92e19561e9a452a22716149b06",
+        "787bf24dbe060742428f802212adab63452bd3cf44819e9125cf23127ee5bfd7"),
+    ("blend-0.5", "0.01:0.99:0.01"): (
+        "13e2c12e4bb0e6097759250e854031c8b77d6766d784598392e71a13e667b4a6",
+        "0f56fd63d469dfd00d8dab0eb55356662a2e1c6fe7da4dc533fd3b1518bbbbee",
+        "378a41528b51d96fb7a4050e62114bb6182f21db4ebb471c9da58eb8c42f5093"),
+    ("blend-0.25", "default"): (
+        "3beced11b3e9bf823e6be0c70ebf1da09ddd521e8eee210c9fd39dbc67391340",
+        "8abb739452492fae9dd320e46a7989fb80808f6f55fcf1d6000da9daa29b2782",
+        "b9be2dfe71a2c344771a4deebf56d4627693e7da8ec0b0c20d46191d5088878f"),
+    ("blend-0.25", "0.01:0.99:0.01"): (
+        "0411d335f4e60e444d2ec8dfb034b00e452df982c063524f3f97ef4f7f87842a",
+        "5ab7d3b8fac877d125cf14bca28a214a62119ef026b7f7300377551223de7172",
+        "4a8d01aa93f7d4f825cc39076f8dba28141e7d5e2a4d0e4ff02fe970b28badc3"),
+}
+
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -119,11 +175,11 @@ def sha256(path):
 @pytest.fixture(scope="module")
 def curves(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
-    name, model, spec = suite_models()[0]
-    for beta in (5.0, 10.0, 15.0, 20.0):
-        curve = simulate(model, beta, 0.5, spec=spec)
-        (root / f"{name}_beta{beta:g}.csv").write_text(curve_to_csv(curve))
-        (root / f"{name}_beta{beta:g}.json").write_text(spec_to_sidecar(spec, beta))
+    for name, model, spec in suite_models():
+        for beta in (5.0, 10.0, 15.0, 20.0):
+            curve = simulate(model, beta, 0.5, spec=spec)
+            (root / f"{name}_beta{beta:g}.csv").write_text(curve_to_csv(curve))
+            (root / f"{name}_beta{beta:g}.json").write_text(spec_to_sidecar(spec, beta))
     return root
 
 
@@ -175,3 +231,15 @@ def test_analyze_bytes(curves, tmp_path, order):
                  "--out-dir", str(tmp_path)]) == 0
     assert (sha256(tmp_path / "kinetics.csv"), sha256(tmp_path / "ea_vs_alpha.csv")) \
         == ANALYZE_DIGESTS[order]
+
+
+@pytest.mark.parametrize("name, grid", list(SUITE_ANALYZE_DIGESTS),
+                         ids=["-".join(run) for run in SUITE_ANALYZE_DIGESTS])
+def test_suite_analyze_bytes(curves, tmp_path, name, grid):
+    paths = [str(curves / f"{name}_beta{b}.csv") for b in (5, 10, 15, 20)]
+    flags = [] if grid == "default" else ["--alpha-grid", grid]
+    assert main(["analyze", *paths, *flags, "--format", "text",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert tuple(sha256(tmp_path / f) for f in ("kinetics.txt", "kinetics.csv",
+                                                  "ea_vs_alpha.csv")) \
+        == SUITE_ANALYZE_DIGESTS[name, grid]
