@@ -243,6 +243,10 @@ def _emit(args, command, inputs, config: dict, files: dict):
 
 
 def cmd_analyze(args):
+    if args.format == "svg" and len(args.alpha_grid) < 2:
+        levels = ", ".join(f"{a:g}" for a in args.alpha_grid)
+        raise InputError("--format svg needs at least 2 conversion levels, "
+                         f"got {len(args.alpha_grid)} ({levels})")
     curves = [_load_curve_file(p) for p in args.curves]
     table = run_analysis(
         curves,
@@ -252,10 +256,6 @@ def cmd_analyze(args):
         m0_at_c=args.m0_at,
         resample_dt=args.dt,
     )
-    if args.format == "svg" and len(table.included_alphas) < 2:
-        levels = ", ".join(f"{a:g}" for a in table.included_alphas) or "none"
-        raise InputError("--format svg needs at least 2 included conversion levels, "
-                         f"got {len(table.included_alphas)} ({levels})")
     config = {
         "alpha_grid": list(args.alpha_grid),
         "smooth_window": args.smooth_window,
@@ -272,8 +272,6 @@ def cmd_analyze(args):
             ea_plot_series(table), f"Ea vs conversion: {table.sample_id}",
             "conversion", "Ea (kJ/mol)")
     _emit(args, "analyze", args.curves, config, files)
-    for warning in table.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     for method, ea in table.ea_averages().items():
         print(f"{method}: average Ea = {ea / 1000.0:.2f} kJ/mol")
 

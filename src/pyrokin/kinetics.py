@@ -161,16 +161,16 @@ def fit_levels(alphas, betas, temps, rates,
 
 @dataclass(frozen=True)
 class AnalysisTable:
-    """All per-conversion estimates for one sample across heating rates."""
+    """All per-conversion estimates for one sample across heating rates, at
+    every level of its conversion grid."""
 
     sample_id: str
     estimates: tuple[KineticEstimate, ...]
     included_alphas: tuple[float, ...]
-    excluded_alphas: tuple[float, ...] = ()
-    warnings: tuple[str, ...] = ()
+    excluded_alphas: tuple[float, ...] = ()  # always empty; the benchmark's layer trace reads it
 
     def ea_averages(self) -> dict[str, float]:
-        """Arithmetic mean of Ea (J/mol) over the included conversion grid."""
+        """Arithmetic mean of Ea (J/mol) over each method's conversion levels."""
         return {method: float(np.mean([e.ea for e in rows]))
                 for method, rows in by_method(self.estimates).items()}
 
@@ -183,33 +183,6 @@ def by_method(rows) -> dict[str, list]:
             if (group := [row for row in rows if row.method == method])}
 
 
-def reachable_levels(alpha_curves, alpha_grid=DEFAULT_ALPHA_GRID):
-    """Conversion levels that every curve reaches, and the curves there.
-
-    Returns ``(included, temps, dadT, excluded, warnings)``: ``temps`` and
-    ``dadT`` are ``invert_alpha_curves``' arrays cut to the included levels.
-    A level that any curve cannot reach is excluded with a warning naming the
-    first such curve, rather than extrapolated.
-    """
-    alpha_grid = tuple(alpha_grid)
-    temps, dadT = invert_alpha_curves(alpha_curves, alpha_grid)
-    missed = np.isnan(temps)
-    included, excluded, warnings = [], [], []
-    for alpha, row in zip(alpha_grid, missed):
-        if not row.any():
-            included.append(alpha)
-            continue
-        ac = alpha_curves[int(row.argmax())]
-        excluded.append(alpha)
-        warnings.append(
-            f"alpha={alpha:g} unreachable at beta={ac.heating_rate_beta:g} K/min "
-            f"(alpha={alpha} outside achieved range [{ac.alpha[0]:.6g}, {ac.alpha[-1]:.6g}]); "
-            "excluded from averages"
-        )
-    reached = ~missed.any(axis=1)
-    return included, temps[reached], dadT[reached], excluded, warnings
-
-
 def run_analysis(curves, alpha_grid=DEFAULT_ALPHA_GRID,
                  model: ReactionModel = FIRST_ORDER,
                  smooth_window: int = DEFAULT_SMOOTH_WINDOW,
@@ -219,7 +192,9 @@ def run_analysis(curves, alpha_grid=DEFAULT_ALPHA_GRID,
 
     Each curve is resampled to a uniform grid, converted to a conversion
     curve with moisture-free mass bounds, and inverted at the conversion
-    grid; every method is fitted at every level that all curves reach.
+    grid; every method is fitted at every level of the grid. The bounds make
+    every curve reach every level in (0, 1); an empty grid raises
+    ``DomainError``.
     """
     if len(curves) < 3:
         raise InputError(f"need >= 3 heating rates, got {len(curves)}")
@@ -236,12 +211,11 @@ def run_analysis(curves, alpha_grid=DEFAULT_ALPHA_GRID,
         m0, mf = default_mass_bounds(uniform, m0_at_c)
         alpha_curves.append(compute_alpha(uniform, m0, mf, smooth_window))
 
-    included, temps, dadT, excluded, warnings = reachable_levels(alpha_curves, alpha_grid)
+    alpha_grid = tuple(alpha_grid)
+    temps, dadT = invert_alpha_curves(alpha_curves, alpha_grid)
     betas_s = np.array([ac.heating_rate_beta / 60.0 for ac in alpha_curves])
     return AnalysisTable(
         sample_id=curves[0].spec.sample_id,
-        estimates=tuple(fit_levels(included, betas_s, temps, betas_s * dadT, model)),
-        included_alphas=tuple(included),
-        excluded_alphas=tuple(excluded),
-        warnings=tuple(warnings),
+        estimates=tuple(fit_levels(alpha_grid, betas_s, temps, betas_s * dadT, model)),
+        included_alphas=alpha_grid,
     )

@@ -105,9 +105,11 @@ def compute_dtg(curve: TgaCurve, smooth_window: int = DEFAULT_SMOOTH_WINDOW):
 
 def default_mass_bounds(curve: TgaCurve, m0_at_c: float = DEFAULT_M0_AT_C):
     """(m0, mf) = (mass once moisture is gone, final mass). m0 is linearly
-    interpolated, and clamped outside the curve's temperature range."""
+    interpolated, clamped outside the curve's temperature range, and at most
+    the first mass, so the conversion curve runs from 0 to 1 and reaches
+    every level in (0, 1)."""
     m0 = np.interp(m0_at_c + KELVIN_OFFSET, curve.temperature_k, curve.mass_fraction)
-    return float(m0), float(curve.mass_fraction[-1])
+    return min(float(m0), float(curve.mass_fraction[0])), float(curve.mass_fraction[-1])
 
 
 def compute_alpha(curve: TgaCurve, m0: float, mf: float,
@@ -136,10 +138,13 @@ def invert_alpha_curves(alpha_curves, alphas):
 
     Returns two ``(len(alphas), len(alpha_curves))`` arrays. Each curve is
     inverted once for the whole grid, at the earliest crossing where it has
-    flat segments, which keeps the result single-valued and deterministic. A
-    level outside a curve's achieved range ``[alpha[0], alpha[-1]]`` is NaN in
-    that curve's column of both arrays: unreachable, not extrapolated.
+    flat segments, which keeps the result single-valued and deterministic.
+    An empty grid, or a level outside a curve's achieved range
+    ``[alpha[0], alpha[-1]]``, raises ``DomainError``: a level is never
+    extrapolated. ``default_mass_bounds`` curves reach every level in (0, 1).
     """
+    if not len(alphas):
+        raise DomainError("the conversion grid holds no level")
     for alpha in alphas:
         if not (0.0 < alpha < 1.0):
             raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
@@ -147,12 +152,17 @@ def invert_alpha_curves(alpha_curves, alphas):
     temps, dadT = [], []
     for ac in alpha_curves:
         series, T = ac.alpha, ac.temperature_k
-        hi = np.minimum(np.searchsorted(series, levels, side="left"), len(series) - 1)
+        outside = (levels < series[0]) | (levels > series[-1])
+        if outside.any():
+            raise DomainError(
+                f"alpha={levels[outside.argmax()]} unreachable at "
+                f"beta={ac.heating_rate_beta:g} K/min: outside achieved range "
+                f"[{series[0]:.6g}, {series[-1]:.6g}]")
+        hi = np.searchsorted(series, levels, side="left")
         lo = np.maximum(hi - 1, 0)
-        with np.errstate(divide="ignore", invalid="ignore"):  # zero steps: exact hits, unreachable
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero step: an exact hit
             frac = (levels - series[lo]) / (series[hi] - series[lo])
             t = np.where(series[hi] == levels, T[hi], T[lo] + frac * (T[hi] - T[lo]))
-        t[(levels < series[0]) | (levels > series[-1])] = np.nan
         temps.append(t)
         dadT.append(np.interp(t, T, ac.dalpha_dT))
     return np.column_stack(temps), np.column_stack(dadT)

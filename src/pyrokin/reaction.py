@@ -22,6 +22,8 @@ class ReactionModel:
     def __post_init__(self):
         if not self.order > 0.0:  # written so that a NaN fails it
             raise DomainError(f"reaction order must be positive, got {self.order}")
+        if self.order == math.inf:
+            raise DomainError(f"reaction order must be finite, got {self.order}")
 
     def f(self, alpha: float) -> float:
         """Differential form f(alpha) = (1 - alpha)^n."""

@@ -42,8 +42,10 @@ def analysis_to_csv(table: AnalysisTable) -> str:
 
 
 def analysis_from_csv(text: str) -> AnalysisTable:
-    """Rebuild an analysis table, without a sample id or warnings, from its
-    machine CSV form."""
+    """Rebuild an analysis table, without a sample id, from its machine CSV
+    form. Its conversion levels are the CSV's, in order of first appearance.
+    The CSV may hold only some of the methods; ``analysis_to_text`` prints a
+    ``-`` average for each one it lacks."""
     t = read_csv(text, (ANALYSIS_CSV_HEADER,), text_columns=("method",))
     for method in t["method"]:
         if method not in METHODS:
@@ -82,7 +84,7 @@ def analysis_to_text(table: AnalysisTable) -> str:
         header_top += f" | {label + ' model':^34}"
         header_sub += f" | {'Ea(kJ/mol)':>10} {'R^2':>8} {'A(1/s)':>12}"
     rows = [header_top, header_sub, "-" * len(header_sub)]
-    # every method has one row per included level, in level order
+    # every method has one row per level, in level order
     for alpha, ests in zip(table.included_alphas, zip(*by_method(table.estimates).values())):
         row = f"{alpha:>{width}.{decimals}f}"
         for est in ests:
@@ -97,8 +99,6 @@ def analysis_to_text(table: AnalysisTable) -> str:
             row += f" | {'-':>10} {'-':>8} {'-':>12}"
     rows.append("-" * len(header_sub))
     rows.append(row)
-    for warning in table.warnings:
-        rows.append(f"note: {warning}")
     return "\n".join(rows) + "\n"
 
 

@@ -11,6 +11,7 @@ whose f(alpha) and g(alpha) ``analyze --order`` reads A through.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,12 +49,12 @@ class PseudoComponent:
         # each check is written so that a NaN fails it: every comparison with NaN is false
         if not (0.0 < self.fraction <= 1.0):
             raise DomainError(f"component fraction outside (0, 1]: {self.fraction}")
-        if not self.ea > 0.0:
-            raise DomainError(f"component requires ea > 0, got {self.ea}")
-        if not self.a >= 0.0:
-            raise DomainError(f"component requires a >= 0, got {self.a}")
-        if not self.order > 0.0:
-            raise DomainError(f"component requires order > 0, got {self.order}")
+        if not 0.0 < self.ea < math.inf:
+            raise DomainError(f"component requires finite ea > 0, got {self.ea}")
+        if not 0.0 <= self.a < math.inf:
+            raise DomainError(f"component requires finite a >= 0, got {self.a}")
+        if not 0.0 < self.order < math.inf:
+            raise DomainError(f"component requires finite order > 0, got {self.order}")
 
 
 @dataclass(frozen=True)
@@ -72,9 +73,9 @@ class PseudoComponentModel:
             raise DomainError(f"residue + component fractions must equal 1, got {total}")
         if not (0.0 <= self.residue < 1.0):
             raise DomainError(f"residue outside [0, 1): {self.residue}")
-        if not self.t_start < self.t_end:  # a NaN fails it too
-            raise DomainError(f"t_start must be below t_end, got t_start={self.t_start}, "
-                              f"t_end={self.t_end}")
+        if not -math.inf < self.t_start < self.t_end < math.inf:  # a NaN fails it too
+            raise DomainError(f"t_start must be below t_end, both finite, got "
+                              f"t_start={self.t_start}, t_end={self.t_end}")
 
 
 def simulate(model: PseudoComponentModel, beta: float, dT: float,

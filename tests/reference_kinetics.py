@@ -32,8 +32,9 @@ from pyrokin.reaction import FIRST_ORDER
 from pyrokin.tga_io import resample_uniform
 
 
-class Unreachable(Exception):
-    """A conversion level outside a curve's achieved range."""
+class Unreachable(DomainError):
+    """A conversion level outside a curve's achieved range: the package's
+    ``invert_alpha_curves`` raises ``DomainError`` there too."""
 
 
 def temperature_at_alpha(alpha_curve, alpha):
@@ -144,31 +145,20 @@ METHOD_FUNCS = {METHOD_FRIEDMAN: friedman, METHOD_KAS: kas, METHOD_FWO: fwo}
 
 
 def build_slices(alpha_curves, alpha_grid=DEFAULT_ALPHA_GRID):
-    """``(slices, excluded, warnings)``: a level that any curve cannot reach
-    is excluded with a warning rather than extrapolated."""
+    """One slice per conversion level; a level that a curve cannot reach
+    raises ``Unreachable`` rather than being extrapolated, and so does an
+    empty grid."""
+    if not len(alpha_grid):
+        raise DomainError("the conversion grid holds no level")
     slices = []
-    excluded = []
-    warnings = []
     for alpha in alpha_grid:
         betas, temps, rates = [], [], []
-        reachable = True
         for ac in alpha_curves:
-            try:
-                T_alpha = temperature_at_alpha(ac, alpha)
-            except Unreachable as exc:
-                warnings.append(
-                    f"alpha={alpha:g} unreachable at beta={ac.heating_rate_beta:g} "
-                    f"K/min ({exc}); excluded from averages"
-                )
-                reachable = False
-                break
+            T_alpha = temperature_at_alpha(ac, alpha)
             beta_s = ac.heating_rate_beta / 60.0
             betas.append(beta_s)
             temps.append(T_alpha)
             rates.append(beta_s * rate_at_temperature(ac, T_alpha))
-        if not reachable:
-            excluded.append(alpha)
-            continue
         slices.append(
             IsoconversionalSlice(
                 alpha=alpha,
@@ -177,7 +167,7 @@ def build_slices(alpha_curves, alpha_grid=DEFAULT_ALPHA_GRID):
                 rates=np.array(rates),
             )
         )
-    return slices, excluded, warnings
+    return slices
 
 
 def reference_run_analysis(curves, alpha_grid=DEFAULT_ALPHA_GRID, model=FIRST_ORDER,
@@ -199,7 +189,7 @@ def reference_run_analysis(curves, alpha_grid=DEFAULT_ALPHA_GRID, model=FIRST_OR
         m0, mf = default_mass_bounds(uniform, m0_at_c)
         alpha_curves.append(compute_alpha(uniform, m0, mf, smooth_window))
 
-    slices, excluded, warnings = build_slices(alpha_curves, alpha_grid)
+    slices = build_slices(alpha_curves, alpha_grid)
     estimates = []
     for sl in slices:
         for method in METHODS:
@@ -208,6 +198,4 @@ def reference_run_analysis(curves, alpha_grid=DEFAULT_ALPHA_GRID, model=FIRST_OR
         sample_id=curves[0].spec.sample_id,
         estimates=tuple(estimates),
         included_alphas=tuple(s.alpha for s in slices),
-        excluded_alphas=tuple(excluded),
-        warnings=tuple(warnings),
     )

@@ -508,7 +508,16 @@ class TestAnalyzeCommand:
                    "--format", "svg", "--out-dir", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == (
-            "error: --format svg needs at least 2 included conversion levels, got 1 (0.3)\n")
+            "error: --format svg needs at least 2 conversion levels, got 1 (0.3)\n")
+        assert not out.exists()
+
+    def test_svg_level_count_is_checked_before_any_curve_is_read(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["analyze", *(str(tmp_path / f"missing{k}.csv") for k in range(3)),
+                   "--alpha-grid", "0.3:0.3:0.1", "--format", "svg", "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: --format svg needs at least 2 conversion levels, got 1 (0.3)\n")
         assert not out.exists()
 
 

@@ -13,10 +13,9 @@ from pyrokin.kinetics import (
     by_method,
     fit_levels,
     linear_fit,
-    reachable_levels,
     run_analysis,
 )
-from pyrokin.preprocess import AlphaCurve
+from pyrokin.preprocess import AlphaCurve, invert_alpha_curves
 from pyrokin.reaction import ReactionModel
 from pyrokin.synthkin import simulate, suite_models
 from pyrokin.tga_io import DATE_SEEDS
@@ -311,8 +310,9 @@ class TestRunAnalysis:
         assert len(single_step_analysis.included_alphas) == 7
         assert len(single_step_analysis.estimates) == 7 * 3
 
-    def test_unreachable_alpha_excluded_with_warning(self):
-        # conversion curves starting at 0.25, so alpha=0.1 is unreachable
+    def test_unreachable_alpha_raises_naming_level_beta_and_range(self):
+        # hand-built conversion curves starting at 0.25, so alpha=0.1 is
+        # unreachable; a curve that run_analysis builds reaches every level
         acs = []
         for beta in (5.0, 10.0, 20.0):
             T = np.linspace(500.0, 600.0, 11)
@@ -324,11 +324,28 @@ class TestRunAnalysis:
                     dalpha_dT=np.full(11, 1e-3),
                 )
             )
-        included, temps, dadT, excluded, warnings = reachable_levels(acs, (0.1, 0.5, 0.7))
-        assert excluded == [0.1]
-        assert included == [0.5, 0.7]
+        with pytest.raises(DomainError, match=r"^alpha=0\.1 unreachable at beta=5 K/min: "
+                                              r"outside achieved range \[0\.25, 0\.9\]$"):
+            invert_alpha_curves(acs, (0.1, 0.5, 0.7))
+        temps, dadT = invert_alpha_curves(acs, (0.5, 0.7))
         assert temps.shape == dadT.shape == (2, 3)
-        assert any("0.1" in w for w in warnings)
+
+    def test_empty_grid_refused(self, single_step_curves):
+        with pytest.raises(DomainError, match="conversion grid holds no level"):
+            run_analysis(single_step_curves, alpha_grid=())
+
+    @pytest.mark.parametrize("resample_dt", [0.5, 1.0])
+    @pytest.mark.parametrize("dt", [0.3, 0.5, 1.0])
+    def test_suite_reaches_every_level_of_a_fine_grid(self, dt, resample_dt):
+        """Simulated at ``dt`` and resampled at ``resample_dt``, every suite
+        preset is analyzed at all 99 levels of 0.01:0.99:0.01: no level is
+        out of reach, so none needs excluding."""
+        grid = tuple(round(0.01 * k, 10) for k in range(1, 100))
+        for name, model, spec in suite_models():
+            curves = [simulate(model, beta, dt, spec) for beta in (5.0, 10.0, 15.0, 20.0)]
+            table = run_analysis(curves, grid, resample_dt=resample_dt)
+            assert table.included_alphas == grid, name
+            assert [e.alpha for e in table.estimates] == [a for a in grid for _ in METHODS]
 
 
 def bit_fields(table):
@@ -362,5 +379,5 @@ class TestMatchesTheSlicePath:
         table = run_analysis(curves, grid, model, smooth_window)
         ref = reference_run_analysis(curves, grid, model, smooth_window)
         assert bit_fields(table) == bit_fields(ref)
-        for field in ("sample_id", "included_alphas", "excluded_alphas", "warnings"):
+        for field in ("sample_id", "included_alphas", "excluded_alphas"):
             assert getattr(table, field) == getattr(ref, field), field

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pyrokin.errors import DomainError, InputError, ResolutionError
-from pyrokin.kinetics import reachable_levels
 from pyrokin.preprocess import (
     DEFAULT_RESAMPLE_DT,
     DEFAULT_STAGE_WINDOWS,
@@ -146,11 +145,23 @@ class TestComputeAlpha:
     def test_suite_conversion_spans_zero_to_one(self, beta, dt, resample_dt):
         """Simulated at ``dt`` and prepared as run_analysis prepares them, the
         suite's curves convert from exactly 0 to exactly 1, so every level in
-        (0, 1) is reachable and no suite run excludes one."""
+        (0, 1) is reachable."""
         for name, model, spec in suite_models():
             curve = resample_uniform(simulate(model, beta, dt, spec=spec), resample_dt)
             ac = compute_alpha(curve, *default_mass_bounds(curve))
             assert (ac.alpha[0], ac.alpha[-1]) == (0.0, 1.0), name
+
+    def test_m0_above_the_first_mass_is_clamped_to_it(self):
+        # the mass at 160 C (433.15 K) sits 1e-12 above the first, as TgaCurve allows
+        T = np.linspace(400.0, 600.0, 201)
+        mass = np.where(T <= 450.0, 1.0 + 1e-12, 1.0 - 0.004 * (T - 450.0))
+        mass[0] = 1.0
+        curve = make_curve(T, mass)
+        assert np.interp(433.15, T, mass) > 1.0
+        m0, mf = default_mass_bounds(curve)
+        assert (m0, mf) == (1.0, mass[-1])
+        ac = compute_alpha(curve, m0, mf, smooth_window=1)
+        assert (ac.alpha[0], ac.alpha[-1]) == (0.0, 1.0)
 
 
 def t_alpha(ac, alpha):
@@ -196,11 +207,9 @@ class TestTemperatureAtAlpha:
 
     def test_out_of_range_names_interval(self):
         series = hand_curve([600.0, 610.0], [0.4, 0.5])
-        temps, dadT = invert_alpha_curves([series], [0.9])
-        assert np.isnan(temps[0, 0]) and np.isnan(dadT[0, 0])
-        _, _, _, excluded, warnings = reachable_levels([series], [0.9])
-        assert excluded == [0.9]
-        assert "[0.4, 0.5]" in warnings[0]
+        with pytest.raises(DomainError, match=r"alpha=0\.9 unreachable at beta=10 K/min: "
+                                              r"outside achieved range \[0\.4, 0\.5\]"):
+            invert_alpha_curves([series], [0.9])
         with pytest.raises(DomainError):
             invert_alpha_curves([series], [1.5])
 
@@ -221,13 +230,17 @@ class TestTemperatureAtAlpha:
         levels = [*alpha, *(0.5 * (alpha[1:] + alpha[:-1])), *extra,
                   np.nextafter(alpha[0], 0.0), np.nextafter(alpha[-1], 1.0)]
         levels = [float(a) for a in levels if 0.0 < a < 1.0]
-        temps, dadT = invert_alpha_curves([ac], levels)
-        for level, t, rate in zip(levels, temps[:, 0], dadT[:, 0]):
+        reached = []  # (level, the scalar inversion's temperature)
+        for level in levels:
             try:
-                expected = temperature_at_alpha(ac, level)
+                reached.append((level, temperature_at_alpha(ac, level)))
             except Unreachable:
-                assert np.isnan(t) and np.isnan(rate), level
-                continue
+                with pytest.raises(DomainError, match="unreachable"):
+                    invert_alpha_curves([ac], [level])
+        if not reached:
+            return
+        temps, dadT = invert_alpha_curves([ac], [level for level, _ in reached])
+        for (level, expected), t, rate in zip(reached, temps[:, 0], dadT[:, 0]):
             assert t.tobytes() == np.float64(expected).tobytes(), level
             assert rate.tobytes() == np.float64(rate_at_temperature(ac, expected)).tobytes()
 

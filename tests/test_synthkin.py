@@ -206,21 +206,28 @@ class TestSimulate:
             PseudoComponentModel(components=(PseudoComponent(fraction=1.0, ea=1e5, a=1e10),),
                                  residue=0.0, t_start=900.0, t_end=t_end)
 
-    @pytest.mark.parametrize("cls, field, message", [
-        (PseudoComponent, "ea", r"ea > 0, got nan"),
-        (PseudoComponent, "a", r"a >= 0, got nan"),
-        (PseudoComponent, "order", r"order > 0, got nan"),
-        (PseudoComponentModel, "t_start", r"t_start=nan"),
-        (PseudoComponentModel, "t_end", r"t_end=nan"),
-        (ReactionModel, "order", r"reaction order must be positive, got nan"),
+    @pytest.mark.parametrize("cls, field, value, message", [
+        (PseudoComponent, "ea", math.nan, r"ea > 0, got nan"),
+        (PseudoComponent, "a", math.nan, r"a >= 0, got nan"),
+        (PseudoComponent, "order", math.nan, r"order > 0, got nan"),
+        (PseudoComponentModel, "t_start", math.nan, r"t_start=nan"),
+        (PseudoComponentModel, "t_end", math.nan, r"t_end=nan"),
+        (ReactionModel, "order", math.nan, r"reaction order must be positive, got nan"),
+        (PseudoComponent, "ea", math.inf, r"finite ea > 0, got inf"),
+        (PseudoComponent, "a", math.inf, r"finite a >= 0, got inf"),
+        (PseudoComponent, "order", math.inf, r"finite order > 0, got inf"),
+        (PseudoComponentModel, "t_start", -math.inf, r"both finite, got t_start=-inf"),
+        (PseudoComponentModel, "t_end", math.inf, r"both finite, got t_start=300.0, t_end=inf"),
+        (ReactionModel, "order", math.inf, r"reaction order must be finite, got inf"),
     ], ids=["component-ea", "component-a", "component-order", "model-t_start", "model-t_end",
-            "reaction-order"])
-    def test_nan_field_refused_at_construction(self, cls, field, message):
+            "reaction-order", "component-ea-inf", "component-a-inf", "component-order-inf",
+            "model-t_start-inf", "model-t_end-inf", "reaction-order-inf"])
+    def test_nan_field_refused_at_construction(self, cls, field, value, message):
         valid = {PseudoComponent: {"fraction": 1.0, "ea": 1e5, "a": 1e10},
                  PseudoComponentModel: vars(one_component()),
                  ReactionModel: {}}[cls]
         with pytest.raises(DomainError, match=message):
-            cls(**{**valid, field: math.nan})
+            cls(**{**valid, field: value})
 
     def test_blend_parents_must_share_the_temperature_range(self):
         with pytest.raises(DomainError, match="must share the temperature range"):
