@@ -44,8 +44,8 @@ def analysis_to_csv(table: AnalysisTable) -> str:
 def analysis_from_csv(text: str) -> AnalysisTable:
     """Rebuild an analysis table, without a sample id, from its machine CSV
     form. Its conversion levels are the CSV's, in order of first appearance.
-    The CSV may hold only some of the methods; ``analysis_to_text`` prints a
-    ``-`` average for each one it lacks."""
+    The CSV may hold only some of the methods at some of the levels;
+    ``analysis_to_text`` prints ``-`` cells wherever a method lacks a level."""
     t = read_csv(text, (ANALYSIS_CSV_HEADER,), text_columns=("method",))
     for method in t["method"]:
         if method not in METHODS:
@@ -73,8 +73,9 @@ def _alpha_decimals(alphas) -> int:
 
 def analysis_to_text(table: AnalysisTable) -> str:
     """Aligned comparison table: one block of Ea/R^2/A per method, plus the
-    per-method Ea averages on the final row. Conversion levels print with
-    two decimals, or as many more as tell the levels apart."""
+    per-method Ea averages on the final row; a method without an estimate
+    at a level prints ``-`` cells there. Conversion levels print with two
+    decimals, or as many more as tell the levels apart."""
     decimals = _alpha_decimals(table.included_alphas)
     width = max(6, decimals + 2)
     header_top = f"{'':>{width}}"
@@ -84,11 +85,16 @@ def analysis_to_text(table: AnalysisTable) -> str:
         header_top += f" | {label + ' model':^34}"
         header_sub += f" | {'Ea(kJ/mol)':>10} {'R^2':>8} {'A(1/s)':>12}"
     rows = [header_top, header_sub, "-" * len(header_sub)]
-    # every method has one row per level, in level order
-    for alpha, ests in zip(table.included_alphas, zip(*by_method(table.estimates).values())):
+    missing = f" | {'-':>10} {'-':>8} {'-':>12}"
+    estimates = {(est.alpha, est.method): est for est in table.estimates}
+    for alpha in table.included_alphas:
         row = f"{alpha:>{width}.{decimals}f}"
-        for est in ests:
-            row += f" | {est.ea / 1000.0:>10.2f} {est.r_squared:>8.4f} {est.a:>12.3e}"
+        for method in METHODS:
+            est = estimates.get((alpha, method))
+            if est is None:
+                row += missing
+            else:
+                row += f" | {est.ea / 1000.0:>10.2f} {est.r_squared:>8.4f} {est.a:>12.3e}"
         rows.append(row)
     averages = table.ea_averages()
     row = f"{'Avg':>{width}}"
@@ -96,7 +102,7 @@ def analysis_to_text(table: AnalysisTable) -> str:
         if method in averages:
             row += f" | {averages[method] / 1000.0:>10.2f} {'-':>8} {'-':>12}"
         else:
-            row += f" | {'-':>10} {'-':>8} {'-':>12}"
+            row += missing
     rows.append("-" * len(header_sub))
     rows.append(row)
     return "\n".join(rows) + "\n"

@@ -1,5 +1,10 @@
 """Shared synthetic fixtures; session scope keeps the suite fast."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from pyrokin.kinetics import run_analysis
@@ -15,6 +20,16 @@ BETAS = (5.0, 10.0, 15.0, 20.0)
 
 SINGLE_STEP_EA = 180e3
 SINGLE_STEP_A = 1e13
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """``fresh_python(*args)``: this interpreter run with ``args`` in a fresh
+    process that imports pyrokin from this tree's src/, never from a copy
+    installed elsewhere; its stdout and stderr are captured as text."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    return lambda *args: subprocess.run([sys.executable, *args], capture_output=True,
+                                        text=True, env=env)
 
 
 @pytest.fixture(scope="session")

@@ -2,10 +2,7 @@ import argparse
 import base64
 import ctypes
 import json
-import os
 import platform
-import subprocess
-import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -1627,15 +1624,14 @@ class TestParserReuse:
         return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())
                 if p.name != "manifest.json"}
 
-    def test_earlier_flags_do_not_leak_into_a_later_call(self, synth_dir, tmp_path):
+    def test_earlier_flags_do_not_leak_into_a_later_call(self, synth_dir, tmp_path,
+                                                        fresh_python):
         curves = curve_paths(synth_dir)
         assert main(["analyze", *curves, "--format", "svg", "--order", "1.5",
                      "--out-dir", str(tmp_path / "svg")]) == 0
         assert main(["analyze", *curves, "--out-dir", str(tmp_path / "plain")]) == 0
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-        fresh = subprocess.run(
-            [sys.executable, "-m", "pyrokin.cli", "analyze", *curves,
-             "--out-dir", str(tmp_path / "fresh")], capture_output=True, text=True, env=env)
+        fresh = fresh_python("-m", "pyrokin.cli", "analyze", *curves,
+                             "--out-dir", str(tmp_path / "fresh"))
         assert fresh.returncode == 0, fresh.stderr
         plain = self.outputs(tmp_path / "plain")
         assert sorted(plain) == ["ea_vs_alpha.csv", "kinetics.csv", "kinetics.txt"]
@@ -1659,7 +1655,7 @@ class TestParserReuse:
 class TestLstmImportBoundary:
     """The kinetic commands never load the LSTM package; the model commands do."""
 
-    def test_kinetic_commands_do_not_import_seqmodel(self, synth_dir, tmp_path):
+    def test_kinetic_commands_do_not_import_seqmodel(self, synth_dir, tmp_path, fresh_python):
         script = """
 import sys
 from pyrokin.cli import main
@@ -1680,10 +1676,7 @@ assert loaded() == [], loaded()
 assert main(["features", curves[0], "--out-dir", out + "/features"]) == 0
 assert "pyrokin.seqmodel" in sys.modules
 """
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-        run = subprocess.run(
-            [sys.executable, "-c", script, *curve_paths(synth_dir, (5, 10, 20)),
-             str(tmp_path)], capture_output=True, text=True, env=env)
+        run = fresh_python("-c", script, *curve_paths(synth_dir, (5, 10, 20)), str(tmp_path))
         assert run.returncode == 0, run.stderr
         assert (tmp_path / "thermo" / "thermo.csv").exists()
         assert (tmp_path / "features" / "features.csv").exists()
@@ -1693,7 +1686,8 @@ class TestMallocThresholds:
     """main() keeps a training step's freed cache mapped, where the C library lets it."""
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt only")
-    def test_a_repeated_train_stays_within_a_fault_budget(self, synth_dir, tmp_path):
+    def test_a_repeated_train_stays_within_a_fault_budget(self, synth_dir, tmp_path,
+                                                          fresh_python):
         # under glibc's start thresholds each step's freed cache is unmapped or
         # trimmed, and the rerun faulted about 750 pages back in; kept mapped,
         # it takes about 55 (Python 3.11, numpy 2.4)
@@ -1708,10 +1702,7 @@ before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 assert main(argv) == 0
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-        run = subprocess.run(
-            [sys.executable, "-c", script, *curve_paths(synth_dir, (5, 10, 15)),
-             str(tmp_path)], capture_output=True, text=True, env=env)
+        run = fresh_python("-c", script, *curve_paths(synth_dir, (5, 10, 15)), str(tmp_path))
         assert run.returncode == 0, run.stderr
         assert int(run.stdout.split()[-1]) < 200
 

@@ -70,6 +70,30 @@ class TestReport:
         # mean of 151.0 and 152.0 kJ/mol
         assert "151.50" in text.splitlines()[-1]
 
+    def test_text_table_of_a_partial_csv_puts_each_estimate_under_its_level(self):
+        # friedman at 0.1 and 0.2, kas at 0.2 alone, no fwo: a method without
+        # an estimate at a level prints "-" cells there
+        table = analysis_from_csv(
+            "alpha,method,ea_kj_mol,a_per_s,r_squared\n"
+            "0.1,friedman,150.0,1e+13,0.999\n"
+            "0.2,friedman,160.0,2e+13,0.998\n"
+            "0.2,kas,170.0,3e+13,0.997\n")
+        missing = "          -        -            -"
+        rule = "-" * 111
+        assert analysis_to_text(table).splitlines() == [
+            "       |           Friedman model           |             KAS model"
+            "              |             FWO model             ",
+            " alpha | Ea(kJ/mol)      R^2       A(1/s) | Ea(kJ/mol)      R^2       A(1/s)"
+            " | Ea(kJ/mol)      R^2       A(1/s)",
+            rule,
+            f"  0.10 |     150.00   0.9990    1.000e+13 |{missing} |{missing}",
+            f"  0.20 |     160.00   0.9980    2.000e+13 |     170.00   0.9970    3.000e+13"
+            f" |{missing}",
+            rule,
+            f"   Avg |     155.00        -            - |     170.00        -            -"
+            f" |{missing}",
+        ]
+
     def test_plot_series_per_method(self):
         series = ea_plot_series(small_table())
         assert [name for name, _, _ in series] == ["Friedman", "KAS", "FWO"]
