@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes  # numpy has already imported it
-import json
 import math
 import os
 import sys
@@ -396,8 +395,7 @@ def cmd_tune(args):
           {"mode": args.mode, "trials": args.trials, "dt": args.dt,
            "holdout": list(args.holdout), "look_back": look_back, "space": str(space)},
           {"leaderboard.csv": leaderboard_to_csv(leaderboard),
-           "best_config.json": json.dumps(best_config.to_dict(), indent=2,
-                                          sort_keys=True) + "\n"})
+           "best_config.json": best_config.to_json()})
     print(f"best trial: val loss = {leaderboard[0].val_loss:.6g}")
 
 

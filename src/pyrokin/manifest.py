@@ -12,6 +12,8 @@ import json
 from datetime import datetime, timezone
 from pathlib import Path
 
+from .tga_io import json_text
+
 
 def config_digest(config: dict) -> str:
     """Deterministic digest of an effective configuration."""
@@ -29,4 +31,4 @@ def write_manifest(out_dir, command: str, inputs, config: dict, seed, version: s
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     path = Path(out_dir) / "manifest.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(json_text(doc), encoding="utf-8")

@@ -44,12 +44,16 @@ def analysis_to_csv(table: AnalysisTable) -> str:
 def analysis_from_csv(text: str) -> AnalysisTable:
     """Rebuild an analysis table, without a sample id, from its machine CSV
     form. Its conversion levels are the CSV's, in order of first appearance.
-    The CSV may hold only some of the methods at some of the levels;
-    ``analysis_to_text`` prints ``-`` cells wherever a method lacks a level."""
+    The CSV may hold only some of the methods at some of the levels, each at
+    most once; ``analysis_to_text`` prints ``-`` cells wherever a method lacks a level."""
     t = read_csv(text, (ANALYSIS_CSV_HEADER,), text_columns=("method",))
-    for method in t["method"]:
+    seen = set()
+    for alpha, method in zip(t["alpha"].tolist(), t["method"]):
         if method not in METHODS:
             raise InputError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
+        if (alpha, method) in seen:
+            raise InputError(f"more than one {method} row at alpha {alpha}")
+        seen.add((alpha, method))
     for ea_kj in t["ea_kj_mol"].tolist():
         if not math.isfinite(ea_kj * 1000.0):
             raise InputError(f"ea_kj_mol value {ea_kj!r} overflows when scaled to J/mol")

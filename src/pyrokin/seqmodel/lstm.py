@@ -47,7 +47,6 @@ batch-major ``(N, T, .)`` like ``X``.
 from __future__ import annotations
 
 import base64
-import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -57,6 +56,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from ..errors import ConfigError, InputError
+from ..tga_io import json_object, json_text, read_json
 from .features import FEATURE_COLUMNS, MinMaxScaler, WindowDataset
 
 if TYPE_CHECKING:
@@ -478,7 +478,7 @@ def save_model(model: LstmModel) -> str:
         "weights": {k: base64.b64encode(np.asarray(v, dtype="<f8").tobytes()).decode("ascii")
                     for k, v in sorted(model.params.items())},
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json_text(doc)
 
 
 def _checkpoint_array(value, shape, what, packed=False):
@@ -508,43 +508,25 @@ def _checkpoint_array(value, shape, what, packed=False):
     return arr
 
 
-def _checkpoint_section(doc, key, fields):
-    section = doc[key]
-    if not isinstance(section, dict):
-        raise InputError(f"checkpoint {key} must be a JSON object")
-    missing = [f for f in fields if f not in section]
-    if missing:
-        raise InputError(f"checkpoint {key} missing fields: {', '.join(missing)}")
-    return section
-
-
 def load_model(text: str) -> LstmModel:
     """Read a ``save_model`` checkpoint of ``format_version`` 2, or of
     version 1, whose weights are nested decimal lists of the same keys and
     shapes. The version, not the type of a value, picks the decoding.
 
-    Raises InputError for anything else: text that is not a JSON object, a
-    version that is not the JSON integer 1 or 2, a missing section, a config
-    ``TrainConfig`` rejects, a feature count that does not fit the feature
-    mode, or a weight or scaler array whose shape disagrees with the config
-    and feature count.
+    Raises InputError for anything else: text that is not a JSON object (see
+    ``read_json``), a version that is not the JSON integer 1 or 2, a missing section,
+    a config ``TrainConfig`` rejects, a feature count that does not fit the feature
+    mode, or a weight or scaler array whose shape disagrees with config and features.
     """
     from .training import TrainConfig
 
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also an over-long integer or deep nesting
-        raise InputError(f"checkpoint is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise InputError("checkpoint must be a JSON object")
+    doc = read_json(text, "checkpoint")
     version = doc.get("format_version")
     # an int, not just equal to one: JSON true == 1 and 2.0 == 2 in Python
     if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
         raise InputError(f"unsupported checkpoint version {version!r}")
-    missing = [k for k in ("config", "scaler", "weights", "feature_mode", "feature_count")
-               if k not in doc]
-    if missing:
-        raise InputError(f"checkpoint missing fields: {', '.join(missing)}")
+    json_object(doc, "checkpoint",
+                ("config", "scaler", "weights", "feature_mode", "feature_count"))
     try:
         config = TrainConfig.from_dict(doc["config"])
     except (TypeError, ConfigError) as exc:
@@ -560,8 +542,8 @@ def load_model(text: str) -> LstmModel:
             f"features of {feature_mode}"
         )
 
-    ranges = _checkpoint_section(doc, "scaler",
-                                 ("feature_min", "feature_max", "target_min", "target_max"))
+    ranges = json_object(doc["scaler"], "checkpoint scaler",
+                         ("feature_min", "feature_max", "target_min", "target_max"))
     scaler = MinMaxScaler(
         feature_min=_checkpoint_array(ranges["feature_min"], (feature_count,), "feature_min"),
         feature_max=_checkpoint_array(ranges["feature_max"], (feature_count,), "feature_max"),
@@ -575,7 +557,7 @@ def load_model(text: str) -> LstmModel:
         raise InputError(f"checkpoint config has {config.lstm_layers} layers, more than its "
                          f"{len(weights)} weight tensors")
     shapes = param_shapes(feature_count, config)
-    weights = _checkpoint_section(doc, "weights", shapes)
+    weights = json_object(weights, "checkpoint weights", shapes)
     unexpected = sorted(set(weights) - set(shapes))
     if unexpected:
         raise InputError(f"checkpoint weights not in the config: {', '.join(unexpected)}")

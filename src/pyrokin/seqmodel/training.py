@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import sys
@@ -11,6 +10,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import ConfigError, InputError, TrainingError
+from ..tga_io import json_text, read_json
 from .features import DEFAULT_LOOK_BACK, MinMaxScaler, WindowDataset
 from .lstm import ACTIVATIONS, LstmModel, backward_batch, forward_batch, infer, init_params
 
@@ -79,21 +79,21 @@ class TrainConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    def to_json(self) -> str:  # tune's best_config.json
+        return json_text(self.to_dict())
+
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
         return cls(**doc)
 
     @classmethod
     def from_json(cls, text: str, source: str) -> "TrainConfig":
-        """A config from a JSON object such as tune's ``best_config.json``.
-
-        Raises ConfigError, naming ``source``, for text that is not JSON, is
-        nested or numbered past the parser's limits, or is not an object of
-        known fields; invalid values raise it from ``__post_init__``.
-        """
+        """A config from ``to_json`` text or any JSON object of its fields; other text
+        raises ConfigError naming ``source``, and invalid values raise it too."""
+        doc = read_json(text, source, error=ConfigError)
         try:
-            return cls.from_dict(json.loads(text))
-        except (ValueError, RecursionError, TypeError) as exc:
+            return cls.from_dict(doc)
+        except TypeError as exc:  # an unknown field, or a value no check can compare
             raise ConfigError(f"bad {source}: {exc}") from None
 
 

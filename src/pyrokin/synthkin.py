@@ -10,7 +10,6 @@ whose f(alpha) and g(alpha) ``analyze --order`` reads A through.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -26,6 +25,7 @@ from .tga_io import (
     TgaCurve,
     blend_spec,
     grid_intervals,
+    json_text,
 )
 
 # 4-point Gauss-Legendre rule on [-1, 1], correctly rounded; written out so
@@ -185,7 +185,7 @@ def model_to_json(model: PseudoComponentModel) -> str:
         "t_start_k": model.t_start,
         "t_end_k": model.t_end,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json_text(doc)
 
 
 # Base kinetic triplets chosen so the 10 K/min DTG peaks fall inside the

@@ -192,29 +192,55 @@ def read_csv(data_stream, headers, text_columns=()) -> dict:
     except ValueError:
         valid = False
     if not (valid and np.isfinite(values).all()):
-        raise _bad_row(lines, lines.index(rows[0]) + 1, names, numeric)
+        raise next(_bad_rows(lines, lines.index(rows[0]) + 1, names, numeric))
     table = {names[k]: column for k, column in zip(numeric, values)}
     for name in text_columns:
         table[name] = [cell.strip() for cell in cells[names.index(name)::stride]]
     return table
 
 
-def _bad_row(lines, header_no, names, numeric) -> ParseError:
-    """The error for the first data row ``read_csv`` rejects (error path only)."""
+def _bad_rows(lines, header_no, names, numeric):
+    """A ParseError for each data row ``read_csv`` rejects. There is a first: the
+    fast path fails only on a wrong cell count, or on a numeric cell ``float()``
+    rejects or reads as non-finite (numpy converts a str cell with ``float()``)."""
     for line_no, row in enumerate(lines[header_no:], start=header_no + 1):
-        if not row.strip():
-            continue
         parts = row.split(",")
-        if len(parts) != len(names):
-            return ParseError(f"expected {len(names)} columns, got {len(parts)}", line=line_no)
-        for k in numeric:
-            try:
-                value = float(parts[k])
-            except ValueError:
-                return ParseError(f"cannot parse {names[k]} value {parts[k]!r}", line=line_no)
-            if not math.isfinite(value):
-                return ParseError(f"non-finite {names[k]} value {parts[k]!r}", line=line_no)
-    return ParseError("malformed CSV data")
+        if row.strip() and len(parts) != len(names):
+            yield ParseError(f"expected {len(names)} columns, got {len(parts)}", line=line_no)
+        elif row.strip():
+            for k in numeric:
+                try:
+                    problem = None if math.isfinite(float(parts[k])) else "non-finite"
+                except ValueError:
+                    problem = "cannot parse"
+                if problem:
+                    yield ParseError(f"{problem} {names[k]} value {parts[k]!r}", line=line_no)
+
+
+def json_text(doc) -> str:
+    """Every JSON file the package writes: two-space indent, sorted keys, final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def read_json(text: str, document: str, required=(), error=InputError) -> dict:
+    """``json_object`` of the JSON ``text``; text that is not JSON, over-long integers
+    and nesting past the decoder's limit included, raises ``error`` naming ``document``."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{document} is not valid JSON: {exc}") from None
+    return json_object(doc, document, required, error)
+
+
+def json_object(doc, document: str, required=(), error=InputError) -> dict:
+    """``doc``, or a section of it, if it is a JSON object holding every ``required``
+    field; otherwise raise ``error`` naming ``document``."""
+    if not isinstance(doc, dict):
+        raise error(f"{document} must be a JSON object")
+    missing = [k for k in required if k not in doc]
+    if missing:
+        raise error(f"{document} missing fields: {', '.join(missing)}")
+    return doc
 
 
 def load_curve(data_stream, meta: SampleSpec, beta: float) -> TgaCurve:
@@ -272,7 +298,7 @@ def spec_to_sidecar(spec: SampleSpec, beta: float) -> str:
     """Serialize sample metadata plus heating rate to the JSON sidecar format."""
     doc = {k: v for k, v in asdict(spec).items() if v is not None}
     doc["heating_rate_c_per_min"] = beta
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json_text(doc)
 
 
 # Code points a sample id may not hold. The id reaches CSV cells, text tables
@@ -284,15 +310,7 @@ _ID_FORBIDDEN = frozenset(map(chr, range(0x20))) | {"\x7f", "\ufffe", "\uffff"}
 
 def sidecar_to_spec(text: str) -> tuple[SampleSpec, float]:
     """Parse a JSON sidecar; returns the sample spec and the heating rate (K/min)."""
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also an over-long integer or deep nesting
-        raise ParseError(f"invalid sidecar JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise InputError("sidecar must be a JSON object")
-    missing = [k for k in _SIDECAR_REQUIRED if k not in doc]
-    if missing:
-        raise InputError(f"sidecar missing fields: {', '.join(missing)}")
+    doc = read_json(text, "sidecar", _SIDECAR_REQUIRED)
 
     def number(key):
         value = doc[key]

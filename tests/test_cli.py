@@ -609,6 +609,17 @@ class TestThermoCommand:
         assert f"only --curve reads {flag}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_level_and_method_exits_2(self, tmp_path, capsys):
+        kinetics = tmp_path / "kinetics.csv"
+        kinetics.write_text("alpha,method,ea_kj_mol,a_per_s,r_squared\n"
+                            "0.1,friedman,150.0,1e+13,0.999\n"
+                            "0.1,friedman,160.0,1e+13,0.999\n")
+        out = tmp_path / "out"
+        assert main(["thermo", "--kinetics", str(kinetics), "--tm", "600",
+                     "--out-dir", str(out)]) == 2
+        assert "more than one friedman row at alpha 0.1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tm_beside_curve_exits_2(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:

@@ -278,15 +278,6 @@ def test_runs_write_the_same_bytes(request, bundle, first, second, files):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
-def test_a_kinetic_command_loads_no_lstm_module(fresh_python):
-    proc = fresh_python("-c", (
-        "import sys; from pyrokin.cli import main; "
-        "assert main(['massbalance', '--char', '20']) == 0; "
-        "loaded = [m for m in sys.modules if m.startswith('pyrokin.seqmodel')]; "
-        "assert not loaded, loaded"))
-    assert proc.returncode == 0, proc.stderr
-
-
 def test_print_the_import_time(fresh_python, capsys):
     # not a gate: the cumulative microseconds of importing pyrokin.cli
     proc = fresh_python("-X", "importtime", "-c", "import pyrokin.cli")

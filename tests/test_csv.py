@@ -38,7 +38,7 @@ from pyrokin.tga_io import (
     csv_text,
     curve_to_csv,
     load_curve,
-    _bad_row,
+    _bad_rows,
     read_csv,
     spec_to_sidecar,
 )
@@ -391,7 +391,7 @@ def reference_read_csv(data_stream, headers, text_columns=()):
     except (ValueError, IndexError):
         valid = False
     if not valid:
-        raise _bad_row(lines, lines.index(rows[0]) + 1, names, numeric)
+        raise next(_bad_rows(lines, lines.index(rows[0]) + 1, names, numeric))
     table = {names[k]: column for k, column in zip(numeric, values)}
     for name in text_columns:
         table[name] = [cell.strip() for cell in columns[names.index(name)]]

@@ -94,6 +94,14 @@ class TestReport:
             f" |{missing}",
         ]
 
+    def test_a_repeated_level_and_method_is_refused(self):
+        # the text table would print one row while its Avg averaged both
+        with pytest.raises(InputError, match="more than one friedman row at alpha 0.1"):
+            analysis_from_csv("alpha,method,ea_kj_mol,a_per_s,r_squared\n"
+                              "0.1,friedman,150.0,1e+13,0.999\n"
+                              "0.2,friedman,155.0,1e+13,0.999\n"
+                              "0.1,friedman,160.0,1e+13,0.999\n")
+
     def test_plot_series_per_method(self):
         series = ea_plot_series(small_table())
         assert [name for name, _, _ in series] == ["Friedman", "KAS", "FWO"]
