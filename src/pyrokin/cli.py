@@ -99,22 +99,25 @@ def check_mass_balance(vm_pct: float, eta_pct: float) -> bool:
     return abs(vm_pct - vm_from_char(eta_pct)) <= MASS_BALANCE_TOL
 
 
-def _read_text(path, error=InputError) -> str:
-    """Every input file is read here, as UTF-8 with an optional byte-order
-    mark (Excel's "CSV UTF-8" export writes one). Bytes that are not UTF-8
-    raise ``error`` naming the file; an OSError already names it."""
+def _read(path, parse, *args, error=InputError):
+    """``parse(text, *args)`` of the file at ``path``, read as UTF-8 with an optional
+    byte-order mark (Excel's "CSV UTF-8" export writes one). Every refusal names the
+    file: other bytes raise ``error``, an OSError names it already, and a PyrokinError
+    from ``parse`` is re-raised with ``<path>: `` in front of its message."""
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        return parse(Path(path).read_text(encoding="utf-8-sig"), *args)
     except UnicodeDecodeError as exc:
         raise error(f"cannot read {path}: {exc}") from None
+    except PyrokinError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _load_curve_file(path):
     sidecar = Path(path).with_suffix(".json")
     if not sidecar.exists():
         raise InputError(f"missing metadata sidecar {sidecar} for {path}")
-    spec, beta = sidecar_to_spec(_read_text(sidecar))
-    return load_curve(_read_text(path), spec, beta)
+    return _read(path, load_curve, *_read(sidecar, sidecar_to_spec))
 
 
 def _finite_float(text: str) -> float:
@@ -283,7 +286,7 @@ def cmd_thermo(args):
     if args.tm is not None and given:
         flags = ", ".join(args.flags[dest] for dest in given)
         raise InputError(f"--tm is the reference temperature; only --curve reads {flags}")
-    table = analysis_from_csv(_read_text(args.kinetics))
+    table = _read(args.kinetics, analysis_from_csv)
     inputs, config = [args.kinetics], {}
     if args.tm is None:
         opts = {**THERMO_CURVE_DEFAULTS, **given}
@@ -360,8 +363,7 @@ def cmd_train(args):
         if clash:
             raise ConfigError(f"--config sets every training field; also given: "
                               f"{', '.join(clash)}")
-        config = TrainConfig.from_json(_read_text(args.config, ConfigError),
-                                       f"config file {args.config}")
+        config = _read(args.config, TrainConfig.from_json, error=ConfigError)
     else:
         config = TrainConfig(**given)
     _, samples = _windows(args.curves, args.mode, config.look_back, args.dt)
@@ -403,7 +405,7 @@ def cmd_predict(args):
     from .seqmodel.lstm import load_model
     from .seqmodel.metrics import metrics_from_arrays
 
-    model = load_model(_read_text(args.model))
+    model = _read(args.model, load_model)
     look_back = model.params.config.look_back
     curves, samples = _windows([args.curve], model.feature_mode, look_back, args.dt)
     [(cid, prepared)] = curves.items()
@@ -431,11 +433,11 @@ def cmd_evaluate(args):
                    + (["--dt"] if args.dt is not None else []) + args.curves)
         if ignored:
             raise InputError(f"--predictions is scored alone; also given: {', '.join(ignored)}")
-        _, actual, predicted = predictions_from_csv(_read_text(args.predictions))
+        _, actual, predicted = _read(args.predictions, predictions_from_csv)
         metrics = metrics_from_arrays(actual, predicted)
         inputs = [args.predictions]
     elif args.model and args.curves:
-        model = load_model(_read_text(args.model))
+        model = _read(args.model, load_model)
         _, samples = _windows(args.curves, model.feature_mode, model.params.config.look_back,
                               args.dt)
         metrics = evaluate(model, samples)

@@ -528,8 +528,8 @@ def load_model(text: str) -> LstmModel:
     json_object(doc, "checkpoint",
                 ("config", "scaler", "weights", "feature_mode", "feature_count"))
     try:
-        config = TrainConfig.from_dict(doc["config"])
-    except (TypeError, ConfigError) as exc:
+        config = TrainConfig.from_dict(json_object(doc["config"], "checkpoint config"))
+    except ConfigError as exc:
         raise InputError(f"checkpoint config is malformed: {exc}") from None
     feature_mode = doc["feature_mode"]
     if not isinstance(feature_mode, str) or feature_mode not in FEATURE_COLUMNS:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -21,8 +21,8 @@ ADAM_EPS = 1e-8
 RMSPROP_RHO = 0.9
 RMSPROP_EPS = 1e-8
 
-_INTEGER_FIELDS = ("batch_size", "epochs", "hidden_units", "lstm_layers", "look_back",
-                   "early_stop_patience", "seed")
+# the type each TrainConfig field's annotation names; a bool is none of them
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 
 
 @dataclass(frozen=True)
@@ -49,15 +49,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in _INTEGER_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[field.type]):
+                raise ConfigError(f"{field.name} must be of type {field.type}, got {value!r}")
         lr = self.learning_rate
         # compared, not passed to math.isfinite: an int past the float range
         # (JSON 1e400 written as digits) would raise OverflowError there
-        if (isinstance(lr, bool) or not isinstance(lr, numbers.Real)
-                or not 0.0 < lr <= sys.float_info.max):
+        if not 0.0 < lr <= sys.float_info.max:
             raise ConfigError(f"learning_rate must be a finite positive number, got {lr!r}")
         if self.batch_size < 1 or self.epochs < 1 or self.hidden_units < 1:
             raise ConfigError("batch_size, epochs, and hidden_units must be >= 1")
@@ -84,17 +83,16 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
+        """A config from a mapping of some of its fields; any other key raises ConfigError."""
+        names = {f.name for f in fields(cls)}
+        if unknown := [str(key) for key in doc if key not in names]:
+            raise ConfigError(f"unknown training fields: {', '.join(unknown)}")
         return cls(**doc)
 
     @classmethod
-    def from_json(cls, text: str, source: str) -> "TrainConfig":
-        """A config from ``to_json`` text or any JSON object of its fields; other text
-        raises ConfigError naming ``source``, and invalid values raise it too."""
-        doc = read_json(text, source, error=ConfigError)
-        try:
-            return cls.from_dict(doc)
-        except TypeError as exc:  # an unknown field, or a value no check can compare
-            raise ConfigError(f"bad {source}: {exc}") from None
+    def from_json(cls, text: str) -> "TrainConfig":
+        """``from_dict`` of a JSON object, as ``to_json`` writes; other text raises ConfigError."""
+        return cls.from_dict(read_json(text, "config", error=ConfigError))
 
 
 # The optimizers update the whole flat parameter vector in place with the

@@ -247,7 +247,7 @@ class TestTwoColumnCurves:
         path.write_text("\n".join(lines) + "\n")
         out = tmp_path / "out"
         assert main(["features", str(path), "--out-dir", str(out)]) == 2
-        assert capsys.readouterr().err == "error: temperature decreases at row 3\n"
+        assert capsys.readouterr().err == f"error: {path}: temperature decreases at row 3\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("shift", [0.0, -1.0], ids=["repeats", "falls"])
@@ -262,7 +262,7 @@ class TestTwoColumnCurves:
         path.with_suffix(".json").write_text(source.with_suffix(".json").read_text())
         out = tmp_path / "out"
         assert main(["features", str(path), "--out-dir", str(out)]) == 2
-        assert capsys.readouterr().err == "error: time not strictly increasing at row 3\n"
+        assert capsys.readouterr().err == f"error: {path}: time not strictly increasing at row 3\n"
         assert not out.exists()
 
 
@@ -1461,6 +1461,97 @@ class TestRejectsBadPaths:
         assert_refused(capsys, 2, [*argv, "--out-dir", str(out)], out, tmp_path / "none")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
         assert afile.read_text() == "a regular file\n"
+
+
+def set_cell(line, column, value):
+    """An edit of CSV text: cell ``column`` of physical line ``line`` becomes ``value``."""
+    def edit(text):
+        lines = text.splitlines()
+        cells = lines[line - 1].split(",")
+        cells[column] = value
+        lines[line - 1] = ",".join(cells)
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+def set_field(name, value):
+    """An edit of a JSON object: field ``name`` becomes ``value``."""
+    return lambda text: json.dumps({**json.loads(text), name: value})
+
+
+def drop_field(name):
+    """An edit of a JSON object: field ``name`` is removed."""
+    return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != name})
+
+
+def fixture_text(name, *parts):
+    """The text of the file at fixture ``name``'s path joined with ``parts``."""
+    return lambda request: request.getfixturevalue(name).joinpath(*parts).read_text()
+
+
+# Each input document: the file its malformed copy is written to, and its good
+# text from the request's fixtures.
+DOCUMENTS = {
+    "curve": ("bad.csv", fixture_text("synth_dir", "single-step_beta15.csv")),
+    "sidecar": ("bad.json", fixture_text("synth_dir", "single-step_beta15.json")),
+    "kinetics": ("kinetics.csv", fixture_text("kinetics_csv")),
+    "predictions": ("predictions.csv", lambda request: predictions_to_csv(
+        [100.0, 101.0], [50.0, 49.0], [50.5, 48.5])),
+    "checkpoint": ("model.json", fixture_text("trained", "model.json")),
+    "config": ("config.json",
+               lambda request: TrainConfig(epochs=1, hidden_units=4, look_back=5).to_json()),
+}
+ANALYZE_BAD = ["analyze", "CURVE10", "BAD", "CURVE20"]
+TRAIN_BAD = ["train", "CURVE10", "CURVE15", "CURVE20", "--dt", "6.0", "--config", "BAD"]
+# One row per input document and kind of fault: the document and its edit, the
+# argv that reads it (BAD is the path given for it; a sidecar's is its
+# curve's), the exit code, and the start of the message after the path.
+REFUSED_DOCUMENTS = {
+    "curve-bad-cell": ("curve", set_cell(5, 2, "abc"), ANALYZE_BAD, 2,
+                       "line 5: cannot parse mass_pct value 'abc'"),
+    "sidecar-missing-field": ("sidecar", drop_field("lignin_pct"), ANALYZE_BAD, 2,
+                              "sidecar missing fields: lignin_pct"),
+    "kinetics-bad-cell": ("kinetics", set_cell(2, 2, "x"),
+                          ["thermo", "--kinetics", "BAD", "--tm", "625.0"], 2,
+                          "line 2: cannot parse ea_kj_mol value 'x'"),
+    "predictions-bad-cell": ("predictions", set_cell(3, 2, "x"),
+                             ["evaluate", "--predictions", "BAD"], 2,
+                             "line 3: cannot parse predicted_mass_pct value 'x'"),
+    "checkpoint-missing-section": ("checkpoint", drop_field("scaler"),
+                                   ["predict", "CURVE15", "--model", "BAD"], 2,
+                                   "checkpoint missing fields: scaler"),
+    "config-wrong-type-dropout": ("config", set_field("dropout", "x"), TRAIN_BAD, 4,
+                                  "dropout must be of type float, got 'x'"),
+    "config-wrong-type-activation": ("config", set_field("activation", [1]), TRAIN_BAD, 4,
+                                     "activation must be of type str, got [1]"),
+    "config-unknown-field": ("config", set_field("bogus", 1), TRAIN_BAD, 4,
+                             "unknown training fields: bogus"),
+    "config-not-json": ("config", lambda text: text[: len(text) // 2], TRAIN_BAD, 4,
+                        "config is not valid JSON"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_DOCUMENTS)
+def test_a_malformed_input_is_refused_naming_its_file(synth_dir, tmp_path, capsys,
+                                                      request, case):
+    """A refused input file's message starts with its path, then names the
+    line or field at fault, and no bundle is written."""
+    document, edit, argv, code, message = REFUSED_DOCUMENTS[case]
+    if document in ("curve", "sidecar"):  # a curve needs its sidecar beside it
+        for name, good in (DOCUMENTS["curve"], DOCUMENTS["sidecar"]):
+            (tmp_path / name).write_text(good(request))
+    name, good = DOCUMENTS[document]
+    path = tmp_path / name
+    path.write_text(edit(good(request)))
+    inputs = {f"CURVE{b}": curve_paths(synth_dir, (b,))[0] for b in (10, 15, 20)}
+    inputs["BAD"] = str(path.with_suffix(".csv") if document == "sidecar" else path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert exit_code([*(inputs.get(arg, arg) for arg in argv), "--out-dir", str(out)]) == code
+    prefix = "config error" if code == 4 else "error"
+    err = capsys.readouterr().err
+    assert err.startswith(f"{prefix}: {path}: {message}"), err
+    assert not out.exists()
 
 
 # Each command that writes files: a run that succeeds, with the placeholders

@@ -8,6 +8,11 @@ that read it. An argv item ``{name}`` stands for the path, or paths, of the
 fixture ``name``.
 """
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
@@ -366,3 +371,37 @@ def test_the_alpha_grid_runs_from_start_by_step_up_to_stop(request, bundle):
                                           "--format", "csv")))
     rows = (out / "kinetics.csv").read_text().splitlines()[1:]
     assert sorted({row.split(",")[0] for row in rows}) == ["0.1", "0.4"]
+
+
+def readme_session():
+    """The ``sh`` block after "A typical session" in README.md."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    after = readme[readme.index("A typical session"):]
+    start = after.index("```sh\n") + len("```sh\n")
+    return after[start:after.index("```", start)]
+
+
+# each --out-dir of README's session and the files its paragraphs name there
+SESSION_BUNDLES = {
+    "out/curves": [f"three-component-ds_beta{b}.{ext}" for b in (5, 10, 15, 20)
+                   for ext in ("csv", "json")] + ["three-component-ds_model.json"],
+    "out/kinetics": ["kinetics.csv", "kinetics.txt", "ea_vs_alpha.csv", "ea_vs_alpha.svg"],
+    "out/thermo": ["thermo.csv"],
+    "out/model": ["model.json", "history.csv"],
+    "out/pred": ["predictions.csv", "predictions.svg"],
+}
+
+
+def test_the_readme_session_runs(tmp_path):
+    session = readme_session()
+    assert re.findall(r"--out-dir (\S+)", session) == list(SESSION_BUNDLES)
+    env = {**os.environ, "PYTHON": sys.executable,
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env.pop("PYROKIN_OUT", None)
+    proc = subprocess.run(
+        ["bash", "-e"], input='pyrokin() { "$PYTHON" -m pyrokin.cli "$@"; }\n' + session,
+        capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    for out_dir, names in SESSION_BUNDLES.items():
+        for name in ["manifest.json", *names]:
+            assert (tmp_path / out_dir / name).is_file(), f"{out_dir}/{name}"

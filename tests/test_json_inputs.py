@@ -73,7 +73,7 @@ def check_checkpoint(text):
 
 
 def check_config(text):
-    assert isinstance(TrainConfig.from_json(text, "config"), TrainConfig)
+    assert isinstance(TrainConfig.from_json(text), TrainConfig)
 
 
 READERS = {"sidecar": check_sidecar, "checkpoint": check_checkpoint,
@@ -177,7 +177,7 @@ def test_base64_weight_truncated_extended_or_edited(data):
                 look_back=7, early_stop_patience=0, seed=2**40),
 ], ids=["defaults", "every-field-set"])
 def test_train_config_round_trips_through_json(config):
-    assert TrainConfig.from_json(config.to_json(), "config") == config
+    assert TrainConfig.from_json(config.to_json()) == config
 
 
 def test_manifest_reads_back(tmp_path):
@@ -195,8 +195,7 @@ def test_manifest_reads_back(tmp_path):
 JSON_READERS = {
     "sidecar": (sidecar_to_spec, InputError, "sidecar"),
     "checkpoint": (load_model, InputError, "checkpoint"),
-    "config": (lambda text: TrainConfig.from_json(text, "config file c.json"), ConfigError,
-               "config file c.json"),
+    "config": (TrainConfig.from_json, ConfigError, "config"),
 }
 NOT_DOCUMENTS = {
     "not-json": ("{not json", "is not valid JSON"),
@@ -227,7 +226,7 @@ FIELD_FAULTS = {
     "sidecar": (without(VALID["sidecar"], "lignin_pct"), "sidecar missing fields: lignin_pct"),
     "checkpoint": (without(VALID["checkpoint"], "scaler"), "checkpoint missing fields: scaler"),
     # every config field has a default: a field it does not know is the fault
-    "config": ('{"epochs": 3, "bogus": 1}', "bad config file c.json: "),
+    "config": ('{"epochs": 3, "bogus": 1}', "unknown training fields: bogus"),
 }
 
 
